@@ -167,26 +167,3 @@ def test_execute_many_throughput_recorded(bench_setup):
         )
     finally:
         service.close()
-
-
-def test_parallel_batch_matches_sequential(bench_setup):
-    """Thread fan-out returns the same optimized queries as a serial pass."""
-    workload = list(bench_setup.queries)
-    sequential_service = OptimizationService(
-        bench_setup.schema,
-        repository=bench_setup.repository,
-        cost_model=bench_setup.cost_model,
-        config=OptimizerConfig(record_access_statistics=False),
-    )
-    parallel_service = OptimizationService(
-        bench_setup.schema,
-        repository=bench_setup.repository,
-        cost_model=bench_setup.cost_model,
-        config=OptimizerConfig(record_access_statistics=False),
-        max_workers=4,
-    )
-    sequential = sequential_service.optimize_many(workload, use_cache=False)
-    parallel = parallel_service.optimize_many(workload, use_cache=False)
-    assert parallel.stats.workers > 1
-    for left, right in zip(sequential.results, parallel.results):
-        assert structurally_equal(left.optimized, right.optimized)

@@ -31,11 +31,6 @@ def attr_chain(node: ast.AST) -> Optional[List[str]]:
             return None
 
 
-def dotted_name(node: ast.AST) -> Optional[str]:
-    chain = attr_chain(node)
-    return ".".join(chain) if chain else None
-
-
 def iter_functions(
     tree: ast.Module,
 ) -> Iterator[Tuple[str, "ast.FunctionDef | ast.AsyncFunctionDef"]]:

@@ -19,8 +19,8 @@ That design gives three statically checkable obligations:
 * ``read-escalation`` — inside a ``with <lock>.read():`` block, no
   ``.write()`` or ``.read()`` acquisition of a lock may be opened: the
   lock is non-reentrant and writer-priority, so a nested shared
-  acquisition under a waiting writer deadlocks (see the inline warnings
-  in ``service.execute_many``).
+  acquisition under a waiting writer deadlocks (which is why
+  ``service.execute_many`` holds one flat acquisition for a whole batch).
 * ``fork-lock`` — in ``engine/parallel.py``, functions that run on the
   *worker side* of the fork (the pool initializer, ``submit``/``map``
   targets, and everything they call in-module) must not acquire any

@@ -90,11 +90,6 @@ class ClosureResult:
     iterations: int
     store: PredicateStore = field(default_factory=PredicateStore)
 
-    @property
-    def original_count(self) -> int:
-        """How many constraints were supplied by the user."""
-        return len(self.constraints) - len(self.derived)
-
 
 def _resolve(
     producer: SemanticConstraint,

@@ -176,11 +176,6 @@ class SemanticConstraint:
         """Shorthand for ``classification is ConstraintClass.INTRA``."""
         return self.classification is ConstraintClass.INTRA
 
-    @property
-    def is_inter_class(self) -> bool:
-        """Shorthand for ``classification is ConstraintClass.INTER``."""
-        return self.classification is ConstraintClass.INTER
-
     def is_relevant_to(
         self,
         query_classes: Iterable[str],

@@ -196,16 +196,6 @@ class ConstraintRepository:
         """Drop cached retrievals without changing the generation."""
         self._retrieval_cache.clear()
 
-    def clear_closure_cache(self) -> None:
-        """Drop every memoized closure.
-
-        The closure cache is keyed on the full declared-constraint identity
-        (names, predicate values, provenance), so ordinary mutations never
-        need this; it exists for callers that invalidate derived state out
-        of band (e.g. operational tooling after bulk store surgery).
-        """
-        self._closure_cache.clear()
-
     def cache_stats(self) -> RepositoryCacheStats:
         """An immutable, internally consistent snapshot of cache counters.
 
@@ -462,11 +452,6 @@ class ConstraintRepository:
         self._ensure_compiled()
         assert self._grouping is not None
         return self._grouping
-
-    def predicate_store(self) -> PredicateStore:
-        """The shared predicate store (precompiles on demand)."""
-        self._ensure_compiled()
-        return self._store
 
     def intern(self, predicate: Predicate) -> Predicate:
         """Intern a predicate into the shared store."""

@@ -82,10 +82,6 @@ class OptimizationTrace:
             TransformationKind.RESTRICTION_INTRODUCTION
         )
 
-    def class_eliminations(self) -> List[TransformationRecord]:
-        """Class eliminations performed."""
-        return self.of_kind(TransformationKind.CLASS_ELIMINATION)
-
     def constraints_used(self) -> List[str]:
         """Names of constraints that fired, in firing order."""
         return [r.constraint_name for r in self.records if r.constraint_name]

@@ -407,7 +407,7 @@ class DatabaseGenerator:
         and dominated by the constraint-enforcement fixpoint, so finished
         databases are kept in a process-wide replay cache: a repeat request
         re-inserts the cached post-enforcement rows into a *fresh* store
-        (sub-millisecond) instead of re-running link creation and
+        (milliseconds) instead of re-running link creation and
         enforcement.  Every caller gets an independent store, so mutating a
         generated database never leaks into later generations.  Set
         ``REPRO_DB_CACHE=0`` to disable the cache.
@@ -508,11 +508,15 @@ class DatabaseGenerator:
         Rows are re-inserted in the original per-class extent order, so OID
         assignment, extent order and index bucket order all match the
         originally generated store exactly (the original's indexes were
-        rebuilt in extent order after enforcement).
+        rebuilt in extent order after enforcement).  The replay ends with
+        the same index rebuild the original generation ends with, so the
+        version counters, the journal and its floor match too: a store is
+        the same observable object whether the cache hit or missed.
         """
         store = ObjectStore(self.schema, shard_count=shard_count)
         for class_name, values in cached.rows:
             store.insert(class_name, _copy_values(values))
+        store.rebuild_indexes()
         return GeneratedDatabase(
             spec=spec,
             schema=self.schema,

@@ -75,11 +75,16 @@ class CostEstimate:
         return self.retrieval + self.cpu + self.traversal
 
 
+def _no_live_statistics() -> None:
+    """The unbound provider: estimates read the explicit snapshot."""
+    return None
+
+
 class CostModel:
     """Cardinality/selectivity-based cost estimation for five-part queries.
 
     Statistics can be **bound to a provider** (:meth:`bind_statistics`,
-    typically a :class:`~repro.engine.statistics.StatisticsCache`'s ``get``)
+    typically a store's ``statistics``)
     so every estimate reads statistics current for the store's version
     instead of whatever was collected at attach time.  Weights can be
     **swapped at runtime** (:meth:`set_weights`, the tuning calibrator's
@@ -96,7 +101,7 @@ class CostModel:
     ) -> None:
         self.schema = schema
         self._statistics = statistics
-        self._statistics_provider = None
+        self._statistics_provider = _no_live_statistics
         self.weights = weights or CostWeights()
         #: Bumped by every :meth:`set_weights`; cache epochs embed it.
         self.weights_generation = 0
@@ -104,21 +109,21 @@ class CostModel:
     @property
     def statistics(self) -> DatabaseStatistics:
         """The statistics estimates read (live when a provider is bound)."""
-        if self._statistics_provider is not None:
-            return self._statistics_provider()
-        return self._statistics
+        live = self._statistics_provider()
+        return self._statistics if live is None else live
 
     @statistics.setter
     def statistics(self, value: DatabaseStatistics) -> None:
         self._statistics = value
-        self._statistics_provider = None
+        self._statistics_provider = _no_live_statistics
 
     def bind_statistics(self, provider) -> None:
         """Read statistics through ``provider()`` from now on.
 
-        Pass a :class:`~repro.engine.statistics.StatisticsCache`'s ``get``
-        so estimates always price against the store's current contents;
-        pass ``None`` to fall back to the last explicitly set snapshot.
+        Pass a store's ``statistics`` so estimates always price against
+        its current contents.  When the provider returns ``None`` (a
+        service whose store is detached) estimates read the last
+        explicitly set snapshot.
         """
         self._statistics_provider = provider
 

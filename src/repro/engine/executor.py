@@ -26,7 +26,7 @@ from ..schema.schema import Schema
 from .instance import ObjectInstance
 from .modes import ExecutionMode
 from .plan import FilterNode, PlanNode, ProjectNode, QueryPlan, ScanNode, TraverseNode
-from .statistics import DatabaseStatistics, StatisticsCache
+from .statistics import DatabaseStatistics
 from .storage import ObjectStore
 
 
@@ -139,24 +139,16 @@ class QueryExecutor:
         schema: Schema,
         store: ObjectStore,
         join_strategy: str = "hash",
-        statistics_cache: Optional["StatisticsCache"] = None,
     ) -> None:
         if join_strategy not in ("hash", "nested_loop"):
             raise ValueError("join_strategy must be 'hash' or 'nested_loop'")
         self.schema = schema
         self.store = store
         self.join_strategy = join_strategy
-        # Version-keyed statistics: planning reads current statistics
-        # without walking the extents on every execute.  A service passes
-        # its shared cache so all executors (and the batch path) reuse one
-        # snapshot per store version.
-        self.statistics_cache = statistics_cache or StatisticsCache(
-            schema, store
-        )
 
     def statistics(self) -> DatabaseStatistics:
-        """Statistics current for the store's version (cached)."""
-        return self.statistics_cache.get()
+        """Statistics current for the store's version (the store's cache)."""
+        return self.store.statistics()
 
     # ------------------------------------------------------------------
     # Public entry points

@@ -8,11 +8,9 @@ relationships through pointer attributes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 
-@dataclass
 class ObjectInstance:
     """A single stored object.
 
@@ -24,11 +22,47 @@ class ObjectInstance:
         Object identifier, unique within the class extent.
     values:
         Attribute name -> value.  Pointer attributes store the target OID.
+
+    Two values derived from ``values`` alone — the qualified row fragment
+    and the normalized pointer lists — are memoized on the instance
+    (:meth:`fragment`, :meth:`pointers`).  The memo is no part of the
+    instance's identity: equality, ``repr`` and :meth:`copy` ignore it.
+    Whoever changes ``values`` must call :meth:`forget_derived`; the store
+    does, in the only two places stored values change
+    (:meth:`~repro.engine.storage.StoreShard.update` and
+    :meth:`~repro.engine.storage.StoreShard.rebuild_indexes`).
     """
 
-    class_name: str
-    oid: int
-    values: Dict[str, Any] = field(default_factory=dict)
+    # Slots, not a __dict__: a store holds one instance per row, and the
+    # two memo fields must not cost a per-row dictionary.
+    __slots__ = ("class_name", "oid", "values", "_fragment", "_pointers")
+
+    # Mutable, so unhashable (as the dataclass this replaces was).
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, class_name: str, oid: int, values: Optional[Dict[str, Any]] = None
+    ) -> None:
+        self.class_name = class_name
+        self.oid = oid
+        self.values: Dict[str, Any] = {} if values is None else values
+        self._fragment: Optional[Dict[str, Any]] = None
+        self._pointers: Optional[Dict[str, List[int]]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.class_name, self.oid, self.values) == (
+            other.class_name,
+            other.oid,
+            other.values,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ObjectInstance(class_name={self.class_name!r}, oid={self.oid!r}, "
+            f"values={self.values!r})"
+        )
 
     def get(self, attribute_name: str, default: Any = None) -> Any:
         """Value of ``attribute_name`` (or ``default`` when absent)."""
@@ -82,6 +116,31 @@ class ObjectInstance:
         return {
             f"{self.class_name}.{name}": value for name, value in self.values.items()
         }
+
+    # ------------------------------------------------------------------
+    # Memoized derivations (read by the batch executors)
+    # ------------------------------------------------------------------
+    def fragment(self) -> Dict[str, Any]:
+        """:meth:`qualified_values`, built once; shared, so read-only."""
+        fragment = self._fragment
+        if fragment is None:
+            fragment = self._fragment = self.qualified_values()
+        return fragment
+
+    def pointers(self, attribute_name: str) -> List[int]:
+        """:meth:`pointer_oids`, built once per attribute; read-only."""
+        memo = self._pointers
+        if memo is None:
+            memo = self._pointers = {}
+        oids = memo.get(attribute_name)
+        if oids is None:
+            oids = memo[attribute_name] = self.pointer_oids(attribute_name)
+        return oids
+
+    def forget_derived(self) -> None:
+        """Drop the memo; call after changing ``values``."""
+        self._fragment = None
+        self._pointers = None
 
     def copy(self) -> "ObjectInstance":
         """A shallow copy with an independent values dictionary."""

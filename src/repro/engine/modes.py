@@ -127,7 +127,6 @@ def create_executor(
     join_strategy: str = "hash",
     workers: Optional[int] = None,
     min_partition_rows: Optional[int] = None,
-    statistics_cache=None,
 ):
     """Build the executor implementing ``mode`` (default: the env default).
 
@@ -164,19 +163,11 @@ def create_executor(
                 if min_partition_rows is not None
                 else DEFAULT_MIN_PARTITION_ROWS
             ),
-            statistics_cache=statistics_cache,
         )
     if resolved is ExecutionMode.VECTORIZED:
         from .vectorized import VectorizedExecutor
 
-        return VectorizedExecutor(
-            schema,
-            store,
-            join_strategy=join_strategy,
-            statistics_cache=statistics_cache,
-        )
+        return VectorizedExecutor(schema, store, join_strategy=join_strategy)
     from .executor import QueryExecutor
 
-    return QueryExecutor(
-        schema, store, join_strategy=join_strategy, statistics_cache=statistics_cache
-    )
+    return QueryExecutor(schema, store, join_strategy=join_strategy)

@@ -17,13 +17,13 @@ work across a pool of forked worker processes:
    list of OIDs plus the rows' positions in the global scan output;
 3. every worker runs the **remaining plan nodes as a per-shard vectorized
    pipeline** (:class:`~repro.engine.vectorized.VectorizedExecutor` over
-   the forked store snapshot, with shard-local pointer/fragment caches that
-   stay warm across plans), and sends back per-class **OID columns** — not
+   the forked store snapshot, whose rows keep their memoized pointer lists
+   across plans), and sends back per-class **OID columns** — not
    materialized rows, which would dominate transport cost — plus its
    metrics and a ledger of once-per-plan charges;
 4. the parent **merges deterministically**: per-shard row batches are
-   rebuilt from the OID columns, materialized with the parent's fragment
-   cache, and interleaved by driver position (positions never collide
+   rebuilt from the OID columns, materialized from the parent's rows, and
+   interleaved by driver position (positions never collide
    across partitions, so the merge reproduces the sequential row order
    bit for bit); worker counters are summed, and ledgered one-off charges
    (hash-join builds) are counted exactly once across all shards.
@@ -35,9 +35,8 @@ ships the store's **mutation journal delta**
 (:meth:`~repro.engine.storage.ShardedObjectStore.journal_since`) to each
 live worker, which replays it into its forked snapshot
 (:meth:`~repro.engine.storage.ShardedObjectStore.apply_journal`) instead
-of being torn down and re-forked.  Replay bumps the replica's shard
-versions exactly like the original writes did, so the worker's own
-shard-granular caches invalidate only for the shards that actually moved.
+of being torn down and re-forked.  Replay goes through the replica's own
+``update``, so exactly the rows it changes drop their memoized derivations.
 A worker is re-forked only when the journal cannot bridge the gap (bounded
 retention overflow, or an index rebuild after un-journaled in-place
 repairs).  When forking is unavailable, the pool width is 1, the plan has
@@ -64,7 +63,7 @@ from ..schema.schema import Schema
 from .executor import ExecutionMetrics, ExecutionResult, ShardReport
 from .modes import ExecutionMode, resolve_worker_count
 from .plan import ProjectNode, QueryPlan, ScanNode
-from .statistics import DatabaseStatistics, StatisticsCache
+from .statistics import DatabaseStatistics
 from .storage import ObjectStore
 from .vectorized import BindingBatch, VectorizedExecutor, _PlanContext
 
@@ -174,7 +173,6 @@ def _execute_shard_chunk(tasks: List[_ShardTask]) -> List[_ShardOutcome]:
     state = _WORKER_STATE
     assert state is not None, "worker used before initialization"
     executor = state.executor
-    executor._sync_caches()
     outcomes: List[_ShardOutcome] = []
     for plan_blob, plan_digest, driver_class, driver_oids, positions, shard_id in tasks:
         start = time.perf_counter()
@@ -243,7 +241,6 @@ class ParallelExecutor:
         join_strategy: str = "hash",
         workers: Optional[int] = None,
         min_partition_rows: int = DEFAULT_MIN_PARTITION_ROWS,
-        statistics_cache: Optional[StatisticsCache] = None,
     ) -> None:
         if join_strategy not in ("hash", "nested_loop"):
             raise ValueError("join_strategy must be 'hash' or 'nested_loop'")
@@ -252,18 +249,10 @@ class ParallelExecutor:
         self.join_strategy = join_strategy
         self.workers = resolve_worker_count(workers)
         self.min_partition_rows = min_partition_rows
-        # Version-keyed statistics, shared with the in-process half (and
-        # with the owning service when it passes its own cache).
-        self.statistics_cache = statistics_cache or StatisticsCache(
-            schema, store
-        )
         # The in-process half: runs the driver scan, the fallback path and
-        # the final materialization, sharing its version-keyed caches.
+        # the final materialization.
         self._local = VectorizedExecutor(
-            schema,
-            store,
-            join_strategy=join_strategy,
-            statistics_cache=self.statistics_cache,
+            schema, store, join_strategy=join_strategy
         )
         # One single-process pool per worker slot (partition ``p`` is owned
         # by slot ``p % workers``).  Addressing each worker through its own
@@ -402,8 +391,8 @@ class ParallelExecutor:
         return [self._merge(item) for item in prepared]
 
     def statistics(self) -> DatabaseStatistics:
-        """Statistics current for the store's version (cached)."""
-        return self.statistics_cache.get()
+        """Statistics current for the store's version (the store's cache)."""
+        return self.store.statistics()
 
     def execute(self, query: Query) -> ExecutionResult:
         """Plan and execute ``query`` in one call."""
@@ -425,7 +414,6 @@ class ParallelExecutor:
     ) -> _PreparedExecution:
         """Run the driver scan and decide inline vs fan-out per plan."""
         local = self._local
-        local._sync_caches()
         context = _PlanContext(ExecutionMetrics())
         projections = next(
             (

@@ -225,10 +225,6 @@ class QueryPlan:
         """All scan leaves of the plan."""
         return [node for node in self.root.walk() if isinstance(node, ScanNode)]
 
-    def traverse_nodes(self) -> List[TraverseNode]:
-        """All traversal nodes of the plan."""
-        return [node for node in self.root.walk() if isinstance(node, TraverseNode)]
-
     def uses_index(self) -> bool:
         """Whether any scan in the plan goes through an index."""
         return any(node.index_predicate is not None for node in self.scan_nodes())

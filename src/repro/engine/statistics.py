@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..constraints.predicate import ComparisonOperator, Predicate
 from ..schema.schema import Schema
-from .storage import ObjectStore
+
+if TYPE_CHECKING:  # pragma: no cover - the store imports this module
+    from .storage import ObjectStore
 
 #: Fallback selectivities when no statistics are available, in the spirit of
 #: the classic System R defaults.
@@ -207,7 +209,12 @@ class DatabaseStatistics:
 
 
 class StatisticsCache:
-    """Versioned statistics over one ``(schema, store)`` pair.
+    """The versioned statistics a store keeps of itself.
+
+    Owned by the store (:meth:`ShardedObjectStore.statistics` is the way
+    in), which passes itself to :meth:`get`: the cache holds no reference
+    back, so a store that is swapped out is freed at once rather than
+    waiting for the cycle collector.
 
     Collecting :class:`DatabaseStatistics` walks every extent, which is the
     single most expensive per-request step once executors and plans are
@@ -237,9 +244,7 @@ class StatisticsCache:
     #: Journal ops that change data statistics (index lifecycle ops don't).
     _DATA_OPS = ("insert", "update", "delete")
 
-    def __init__(self, schema: Schema, store: ObjectStore) -> None:
-        self.schema = schema
-        self.store = store
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats: Optional[DatabaseStatistics] = None
         self._version: Optional[int] = None
@@ -254,26 +259,20 @@ class StatisticsCache:
         """Total collection passes, full or partial."""
         return self.full_collects + self.partial_collects
 
-    def invalidate(self) -> None:
-        """Drop the cached snapshot (the next ``get`` collects fresh)."""
+    def get(self, store: ObjectStore) -> DatabaseStatistics:
+        """Statistics current for the present version of ``store`` (the owner)."""
         with self._lock:
-            self._stats = None
-            self._version = None
-
-    def get(self) -> DatabaseStatistics:
-        """Statistics current for the store's present version."""
-        with self._lock:
-            version = self.store.version
+            version = store.version
             if self._stats is not None and version == self._version:
                 return self._stats
             previous = self._stats
             records = (
-                self.store.journal_since(self._version)
+                store.journal_since(self._version)
                 if previous is not None and self._version is not None
                 else None
             )
             if records is None:
-                stats = DatabaseStatistics.collect(self.schema, self.store)
+                stats = DatabaseStatistics.collect(store.schema, store)
                 self.full_collects += 1
             else:
                 touched = sorted(
@@ -285,7 +284,7 @@ class StatisticsCache:
                 )
                 if touched:
                     fresh = DatabaseStatistics.collect(
-                        self.schema, self.store, class_names=touched
+                        store.schema, store, class_names=touched
                     )
                     cardinalities = dict(previous.cardinalities)
                     cardinalities.update(fresh.cardinalities)
@@ -305,7 +304,7 @@ class StatisticsCache:
                         cardinalities=previous.cardinalities,
                         attributes=previous.attributes,
                         indexed=frozenset(
-                            self.store.indexes.indexed_attributes()
+                            store.indexes.indexed_attributes()
                         ),
                     )
             self._stats = stats

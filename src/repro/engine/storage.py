@@ -11,12 +11,11 @@ every instance to one of ``shard_count`` :class:`StoreShard` partitions by
 hashing its OID (``oid % shard_count``).  Each shard owns its slice of every
 class extent plus its own :class:`~repro.engine.indexes.IndexManager` and
 its own monotonic version counter, which is what lets the parallel executor
-run per-shard pipelines with per-shard cache invalidation.  The store still
-answers every global question (``instances``, ``get``, ``indexes.lookup``)
-through a deterministic merged view — per-shard extents preserve global
-insertion order restricted to the shard, and OIDs are assigned in one global
-sequence, so merging shards by ascending OID reproduces a single extent
-exactly.  :class:`ObjectStore` (the name the rest of the system grew up
+run per-shard pipelines.  The store still answers every global question
+(``instances``, ``get``, ``indexes.lookup``) through a deterministic merged
+view — per-shard extents preserve global insertion order restricted to the
+shard, and OIDs are assigned in one global sequence, so merging shards by
+ascending OID reproduces a single extent exactly.  :class:`ObjectStore` (the name the rest of the system grew up
 with) is simply the ``shard_count=1`` case, where the merged view *is* the
 only shard and no merging ever happens.
 """
@@ -33,6 +32,7 @@ from ..schema.attribute import DomainType
 from ..schema.schema import Schema
 from .indexes import IndexManager
 from .instance import ObjectInstance
+from .statistics import DatabaseStatistics, StatisticsCache
 
 #: Default number of mutation records the store's journal retains.
 DEFAULT_JOURNAL_LIMIT = 512
@@ -176,6 +176,7 @@ class StoreShard:
             raise StorageError(f"no instance {class_name}#{oid}")
         self.indexes.on_delete(class_name, oid, instance.values)
         instance.values.update(values)
+        instance.forget_derived()
         self.indexes.on_insert(class_name, oid, instance.values)
         self.version += 1
         return instance
@@ -187,6 +188,9 @@ class StoreShard:
         runtime-created index to re-create) or ``False`` (a dropped
         schema index to leave absent), so a rebuild preserves the store's
         live index set instead of resetting it to the schema baseline.
+
+        A rebuild is how in-place ``values`` repairs become visible, so it
+        also drops every instance's memoized derivations.
         """
         self.indexes = IndexManager(self.schema)
         for (class_name, attribute_name), present in sorted(
@@ -198,6 +202,7 @@ class StoreShard:
                 self.indexes.drop(class_name, attribute_name)
         for class_name, extent in self.extents.items():
             for instance in extent:
+                instance.forget_derived()
                 self.indexes.on_insert(class_name, instance.oid, instance.values)
         self.version += 1
 
@@ -346,6 +351,15 @@ class ShardedObjectStore:
         # never append to the parent's log files.
         self._mutation_sink = None
         self._suppress_sink = False
+        #: Statistics over this store, keyed on its own version and
+        #: refreshed from its own journal: every consumer — executors
+        #: planning queries, the service's batch path, the cost model —
+        #: reads :meth:`statistics`, so one collect serves a store version.
+        self.statistics_cache = StatisticsCache()
+
+    def statistics(self) -> DatabaseStatistics:
+        """Statistics current for the store's present version (cached)."""
+        return self.statistics_cache.get(self)
 
     @property
     def indexes(self):
@@ -373,20 +387,26 @@ class ShardedObjectStore:
         return oid % len(self.shards)
 
     def shard_versions(self) -> Tuple[int, ...]:
-        """Per-shard mutation counters (cache keys for per-shard state)."""
+        """Per-shard mutation counters (persisted by snapshots, reported by writes)."""
         return tuple(shard.version for shard in self.shards)
 
     @property
     def version(self) -> int:
         """Monotonic mutation counter, bumped by every insert/update/delete.
 
-        Derived caches (e.g. the vectorized executor's pointer and
-        row-fragment caches, the parallel executor's forked worker pool)
-        key on this to invalidate when the store changes between
-        executions.  It is the sum of the per-shard counters, so any
-        shard-local mutation moves it.
+        State derived from the whole store (the merged views, the
+        statistics cache, the parallel executor's forked worker pool) keys
+        on this to refresh when the store changes between executions.  It
+        is the sum of the per-shard counters, so any shard-local mutation
+        moves it.
         """
-        return sum(shard.version for shard in self.shards)
+        # A plain loop, not a generator: every statistics read checks the
+        # version (~150 reads per optimize), and a generator adds a frame
+        # per shard to each.
+        total = 0
+        for shard in self.shards:
+            total += shard.version
+        return total
 
     def instances_in_shard(self, class_name: str, shard_id: int) -> List[ObjectInstance]:
         """The slice of a class extent stored in one shard (a copy)."""
@@ -540,10 +560,9 @@ class ShardedObjectStore:
         contiguous seq prefix).  Index state changed on *every* shard, but
         only shard 0's counter is bumped — the global version is the shard
         sum, and a per-shard bump would open a seq gap.  That is safe
-        because per-shard version keys only guard *data-derived* caches
-        (pointer lists, row fragments), which an index change cannot
-        invalidate; everything access-path-dependent keys on the global
-        version, which does move.
+        because nothing keys on a single shard's counter: everything
+        access-path-dependent keys on the global version, which does
+        move.
         """
         attribute = self._index_attribute(class_name, attribute_name)
         if self.indexes.is_indexed(class_name, attribute_name):
@@ -749,7 +768,7 @@ class ShardedObjectStore:
 
         ``shard_versions`` and ``next_oid`` are what makes recovery *exact*:
         a store rebuilt by re-inserting rows would advance its version
-        counters differently, and version-keyed caches (executors, forked
+        counters differently, and version-keyed state (statistics, forked
         worker pools) would diverge from an uninterrupted run.
         """
         header = {

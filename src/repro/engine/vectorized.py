@@ -12,8 +12,14 @@ and re-interprets every predicate per row, this executor:
   once per plan by :mod:`repro.engine.compiled` and then applied to whole
   columns in tight loops;
 * performs pointer traversals via **batched index/pointer lookups** over the
-  hash-join build side, and memoizes per-instance row fragments when
-  materializing results.
+  hash-join build side, reading each instance's memoized pointer lists and
+  row fragment (:meth:`~repro.engine.instance.ObjectInstance.pointers`,
+  :meth:`~repro.engine.instance.ObjectInstance.fragment`) instead of
+  re-deriving them per row.
+
+The executor holds no state derived from the store: everything it reuses
+across executions lives on the row or the store it was derived from and is
+invalidated there, so an executor is as cheap to build as to keep.
 
 The executor is a drop-in replacement for the row-wise path: it accepts the
 same plans, returns the same :class:`~repro.engine.executor.ExecutionResult`
@@ -58,7 +64,7 @@ from .executor import ExecutionMetrics, ExecutionResult
 from .instance import ObjectInstance
 from .modes import ExecutionMode
 from .plan import FilterNode, PlanNode, ProjectNode, QueryPlan, ScanNode, TraverseNode
-from .statistics import DatabaseStatistics, StatisticsCache
+from .statistics import DatabaseStatistics
 from .storage import ObjectStore
 
 
@@ -231,36 +237,18 @@ class VectorizedExecutor:
         schema: Schema,
         store: ObjectStore,
         join_strategy: str = "hash",
-        statistics_cache: Optional[StatisticsCache] = None,
     ) -> None:
         if join_strategy not in ("hash", "nested_loop"):
             raise ValueError("join_strategy must be 'hash' or 'nested_loop'")
         self.schema = schema
         self.store = store
         self.join_strategy = join_strategy
-        # Version-keyed statistics shared with the service when provided
-        # (one collect per store version across every consumer).
-        self.statistics_cache = statistics_cache or StatisticsCache(
-            schema, store
-        )
-        # Store-derived caches: normalized pointer lists per (instance,
-        # attribute) and qualified row fragments per instance.  Both are
-        # pure functions of stored state, so reuse across executions cannot
-        # change results.  Entries are bucketed by the owning instance's
-        # shard and invalidated *per shard*: a write to shard ``s`` bumps
-        # only ``s``'s version counter, so only bucket ``s`` is dropped and
-        # every other shard's warm entries survive the write.
-        self._cache_shard_versions: Tuple[int, ...] = ()
-        self._shard_count = getattr(store, "shard_count", 1)
-        self._pointer_cache: Dict[int, Dict[Tuple[int, str], List[int]]] = {}
-        self._fragment_cache: Dict[int, Dict[int, Dict[str, Any]]] = {}
 
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
     def execute_plan(self, plan: QueryPlan) -> ExecutionResult:
         """Execute ``plan`` and return rows plus metrics."""
-        self._sync_caches()
         metrics = ExecutionMetrics()
         context = _PlanContext(metrics)
         batch, projections = self._run(plan.root, context)
@@ -270,38 +258,9 @@ class VectorizedExecutor:
             rows=rows, metrics=metrics, projections=projections, plan=plan
         )
 
-    def _sync_caches(self) -> None:
-        """Drop cached state of exactly the shards whose version moved."""
-        versions = self.store.shard_versions()
-        previous = self._cache_shard_versions
-        if versions == previous:
-            return
-        if len(versions) != len(previous):
-            self._pointer_cache.clear()
-            self._fragment_cache.clear()
-        else:
-            for shard_id, (before, after) in enumerate(zip(previous, versions)):
-                if before != after:
-                    self._pointer_cache.pop(shard_id, None)
-                    self._fragment_cache.pop(shard_id, None)
-        self._cache_shard_versions = versions
-        self._shard_count = len(versions)
-
-    def _pointers(self, instance: ObjectInstance, attribute: str) -> List[int]:
-        """Cached normalized pointer OIDs of one instance attribute."""
-        shard = self._pointer_cache.setdefault(
-            instance.oid % self._shard_count, {}
-        )
-        key = (id(instance), attribute)
-        oids = shard.get(key)
-        if oids is None:
-            oids = instance.pointer_oids(attribute)
-            shard[key] = oids
-        return oids
-
     def statistics(self) -> DatabaseStatistics:
-        """Statistics current for the store's version (cached)."""
-        return self.statistics_cache.get()
+        """Statistics current for the store's version (the store's cache)."""
+        return self.store.statistics()
 
     def execute(self, query: Query) -> ExecutionResult:
         """Plan and execute ``query`` in one call."""
@@ -326,11 +285,11 @@ class VectorizedExecutor:
         *current* statistics, because physical plan choice (and therefore
         row order) is stats-dependent and a retained stale plan could
         order rows differently from a fresh execution.  The incremental
-        win is in the caches: ``_sync_caches`` drops pointer/fragment
-        state only for the shards the batch actually touched, so the
-        re-probe pays per *touched shard*, not per store.  Returns the
-        result plus the touched shard ids (sorted), which the standing-
-        view layer surfaces for observability and tests pin.
+        win is on the rows: a write drops the memoized pointer lists and
+        fragment of the rows it changed and of no other, so the re-probe
+        re-derives per *changed row*.  Returns the result plus the touched
+        shard ids (sorted), which the standing-view layer surfaces for
+        observability and tests pin.
         """
         touched = sorted({self.store.shard_of(record.oid) for record in records})
         return self.execute(query), tuple(touched)
@@ -466,11 +425,10 @@ class VectorizedExecutor:
             node.target_class, node.predicates, None, context
         )
         context.charge_one_off((node_seq, "build"), deltas)
-        pointers = self._pointers
         by_oid: Dict[int, ObjectInstance] = {c.oid: c for c in candidates}
         by_back_pointer: Dict[int, List[ObjectInstance]] = defaultdict(list)
         for candidate in candidates:
-            for back in pointers(candidate, target_attribute):
+            for back in candidate.pointers(target_attribute):
                 by_back_pointer[back].append(candidate)
 
         source_column = batch.columns.get(node.source_class)
@@ -483,7 +441,7 @@ class VectorizedExecutor:
         for i, source_instance in enumerate(source_column):
             metrics.pointer_traversals += 1
             matches: Dict[int, ObjectInstance] = {}
-            for forward_oid in pointers(source_instance, source_attribute):
+            for forward_oid in source_instance.pointers(source_attribute):
                 if forward_oid in by_oid:
                     matches[forward_oid] = by_oid[forward_oid]
             for candidate in by_back_pointer.get(source_instance.oid, ()):
@@ -513,7 +471,6 @@ class VectorizedExecutor:
         if source_column is None:
             return self._extend(batch, [], node.target_class, [])
         metrics = context.metrics
-        pointers = self._pointers
         row_indices: List[int] = []
         target_column: List[ObjectInstance] = []
         # The candidate derivation is charged once per source row, as
@@ -536,11 +493,11 @@ class VectorizedExecutor:
                 oid_to_index = {c.oid: idx for idx, c in enumerate(candidates)}
                 back_index = {}
                 for idx, candidate in enumerate(candidates):
-                    for back in pointers(candidate, target_attribute):
+                    for back in candidate.pointers(target_attribute):
                         back_index.setdefault(back, []).append(idx)
             matched = {
                 oid_to_index[oid]
-                for oid in pointers(source_instance, source_attribute)
+                for oid in source_instance.pointers(source_attribute)
                 if oid in oid_to_index
             }
             matched.update(back_index.get(source_instance.oid, ()))
@@ -595,27 +552,20 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------
     # Row construction
     # ------------------------------------------------------------------
-    def _materialize(self, batch: BindingBatch) -> List[Dict[str, Any]]:
-        """Rows in qualified ``class.attribute`` form, fragment-memoized.
+    @staticmethod
+    def _materialize(batch: BindingBatch) -> List[Dict[str, Any]]:
+        """Rows in qualified ``class.attribute`` form.
 
         Join fan-out repeats the same instance across many rows (and across
-        the queries of a workload); its qualified-values dict is built once
-        per *shard* version and merged per row, instead of re-deriving the
-        qualified keys for every row as the row-wise path does.
+        the queries of a workload); each row merges the instances' memoized
+        fragments instead of re-deriving the qualified keys per row as the
+        row-wise path does.
         """
-        caches = self._fragment_cache
-        shard_count = self._shard_count
         columns = list(batch.columns.values())
         rows: List[Dict[str, Any]] = []
         for i in range(batch.length):
             row: Dict[str, Any] = {}
             for column in columns:
-                instance = column[i]
-                fragments = caches.setdefault(instance.oid % shard_count, {})
-                fragment = fragments.get(id(instance))
-                if fragment is None:
-                    fragment = instance.qualified_values()
-                    fragments[id(instance)] = fragment
-                row.update(fragment)
+                row.update(column[i].fragment())
             rows.append(row)
         return rows

@@ -11,7 +11,7 @@ generator, the constraint repository and the execution engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .attribute import Attribute
 from .object_class import ObjectClass, SchemaError
@@ -217,11 +217,6 @@ class Schema:
                     break
                 current = self._declared[current.parent]
         return sorted(result)
-
-    def validate_qualified_names(self, names: Iterable[str]) -> None:
-        """Check every ``class.attribute`` name in ``names`` resolves."""
-        for name in names:
-            self.resolve(name)
 
     def __contains__(self, class_name: str) -> bool:
         return class_name in self._classes

@@ -9,9 +9,8 @@ top of :class:`~repro.core.optimizer.SemanticQueryOptimizer` it adds
   computed result without running any pipeline phase (the repository's own
   retrieval/closure caches make the cold path cheaper too);
 * a **batch API**, :meth:`OptimizationService.optimize_many`, that
-  deduplicates structurally-equal queries, shares one precompiled
-  repository snapshot across the batch, and can fan the unique queries out
-  over a thread pool;
+  deduplicates structurally-equal queries and shares one precompiled
+  repository snapshot across the batch;
 * a uniform **result envelope** carrying per-phase timings, provenance and
   cache statistics (:mod:`repro.service.envelope`).
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -66,9 +64,6 @@ class OptimizationService:
         Maximum number of optimization results kept (LRU, keyed by the
         query's structural identity and the repository generation).  ``0``
         disables result caching.
-    max_workers:
-        Default thread-pool width for :meth:`optimize_many`; ``None`` (or
-        ``1``) optimizes batches sequentially.
     store:
         An optional :class:`~repro.engine.storage.ObjectStore` to execute
         optimized queries against (see :meth:`execute`); without one the
@@ -80,9 +75,7 @@ class OptimizationService:
         the process default (``REPRO_ENGINE`` env var, else rowwise).
     engine_workers:
         Default worker-pool width for the parallel engine (``None`` =
-        ``REPRO_WORKERS`` env var, else the core count capped at 4).  This
-        is the *process pool inside one execution*; ``max_workers`` above
-        is the thread fan-out across queries of a batch.
+        ``REPRO_WORKERS`` env var, else the core count capped at 4).
     engine_min_partition_rows:
         Driver-set size below which the parallel engine stays in-process
         (``None`` = the engine default).  Tests and benchmarks lower it to
@@ -119,7 +112,6 @@ class OptimizationService:
         cost_model: Optional["CostModel"] = None,
         config: Optional[OptimizerConfig] = None,
         result_cache_size: int = 1024,
-        max_workers: Optional[int] = None,
         store=None,
         execution_mode=None,
         engine_workers: Optional[int] = None,
@@ -133,7 +125,6 @@ class OptimizationService:
             config=config,
         )
         self.schema = schema
-        self.max_workers = max_workers
         self.store = store
         self.execution_mode = execution_mode
         self.engine_workers = engine_workers
@@ -152,16 +143,15 @@ class OptimizationService:
         # touching a tracked class re-derives only that class's rules.
         self._dynamic_config: Optional[DerivationConfig] = None
         self._dynamic_classes: Optional[set] = None
+        # One executor per (mode, strategy, width).  The in-process
+        # executors hold no state and could be built per call; the map
+        # exists for the parallel executor, which owns forked workers.
         self._executors: Dict[Tuple, object] = {}
         # Guards check-then-create on the executor map: concurrent first
         # requests (gateway worker threads) must not build duplicate
         # executors — a replaced parallel executor would leak its forked
         # worker pool.
         self._executor_lock = threading.Lock()
-        # Warm in-process executors checked out by execute_many's worker
-        # threads and returned after each query, so batch after batch
-        # reuses the same store-version-keyed caches.
-        self._spare_executors: Dict[Tuple, List] = {}
         #: In-flight deduplication map.  :meth:`optimize_coalesced` keys it
         #: with ``("optimize", structural key, generation)``; the async
         #: gateway additionally keys whole request payloads with it, so one
@@ -173,15 +163,14 @@ class OptimizationService:
         #: live views pay nothing.  The write path flags it on dynamic-
         #: rule churn; the gateway (or a follower) pumps it after writes.
         self.subscriptions = None
-        #: Shared version-keyed statistics cache over the attached store.
-        #: Every executor, the batch path and the optimizer's cost model
-        #: read through it, so the whole service performs at most one
-        #: full statistics collect per store version.
-        self._stats_cache = None
         #: Self-tuning manager (:meth:`enable_self_tuning`); ``None`` when
         #: the feedback loop is off.
         self._tuning = None
-        self._bind_store_caches()
+        # Profitability estimates price against the attached store's
+        # *current* contents (whichever store that is at the time), not the
+        # snapshot the model was constructed with.
+        if self.optimizer.cost_model is not None:
+            self.optimizer.cost_model.bind_statistics(self._live_statistics)
         # Profitability heuristics consult the store's live index set
         # (runtime-created and dropped indexes included), falling back to
         # the static schema only without a store.
@@ -200,40 +189,17 @@ class OptimizationService:
         return self.optimizer.repository
 
     # ------------------------------------------------------------------
-    # Store-derived caches (statistics, live index probe)
+    # Live views of the attached store (statistics, index set)
     # ------------------------------------------------------------------
-    def _bind_store_caches(self) -> None:
-        """(Re)build the statistics cache for the current store.
-
-        Called at construction and on every store swap.  Binds the
-        optimizer's cost model to the cache so profitability estimates
-        price against the store's *current* contents instead of whatever
-        snapshot the model was constructed with.
-        """
-        from ..engine.statistics import StatisticsCache
-
-        if self.store is None:
-            self._stats_cache = None
-            if self.optimizer.cost_model is not None:
-                self.optimizer.cost_model.bind_statistics(None)
-            return
-        self._stats_cache = StatisticsCache(self.schema, self.store)
-        if self.optimizer.cost_model is not None:
-            self.optimizer.cost_model.bind_statistics(self._stats_cache.get)
-
-    def _statistics(self):
-        """Statistics current for the store's version, via the shared cache."""
-        if self._stats_cache is None:
-            raise ValueError(
-                "OptimizationService has no object store attached; pass "
-                "store= at construction or call attach_store()"
-            )
-        return self._stats_cache.get()
+    def _live_statistics(self):
+        """The store's current statistics; ``None`` (= unknown) without a store."""
+        store = self.store
+        return store.statistics() if store is not None else None
 
     @property
     def statistics_cache(self):
-        """The shared statistics cache (``None`` without a store)."""
-        return self._stats_cache
+        """The attached store's statistics cache (``None`` without a store)."""
+        return self.store.statistics_cache if self.store is not None else None
 
     def _live_index_probe(
         self, class_name: str, attribute_name: str
@@ -299,7 +265,7 @@ class OptimizationService:
 
         The view the gateway's ``stats`` RPC serializes: cache counters,
         single-flight dedup counters, repository generation/size and the
-        warm executor set, each counter group read under its own lock.
+        executor set, each counter group read under its own lock.
         """
         return ServiceStats(
             cache=self.cache_stats(),
@@ -468,7 +434,6 @@ class OptimizationService:
     def attach_store(self, store) -> None:
         """Attach (or replace) the object store used by :meth:`execute`."""
         self.store = store
-        self._bind_store_caches()
         self._drop_executors()
 
     def attach_durability(self, manager) -> None:
@@ -617,7 +582,6 @@ class OptimizationService:
         """
         with self._store_lock.write():
             self.store = store
-            self._bind_store_caches()
             self._refresh_dynamic_rules(
                 self._tracked_classes(self.schema.class_names())
             )
@@ -646,19 +610,17 @@ class OptimizationService:
         with self._executor_lock:
             executors = list(self._executors.values())
             self._executors.clear()
-            self._spare_executors.clear()
         for executor in executors:
             close = getattr(executor, "close", None)
             if close is not None:
                 close()
 
     def _executor(self, execution_mode, join_strategy: str, workers=None):
-        """A cached executor for one (mode, strategy, workers) triple.
+        """The executor for one (mode, strategy, workers) triple.
 
-        Executors are reused across calls so the vectorized engine's
-        store-version-keyed pointer/fragment caches — and the parallel
-        engine's forked worker pool — stay warm between requests, the
-        steady state of a server executing many queries against one store.
+        Reused across calls so the parallel engine's forked worker pool
+        survives between requests; the in-process engines are stateless
+        and merely ride along in the same map.
         """
         from ..engine.modes import (
             ExecutionMode,
@@ -675,8 +637,7 @@ class OptimizationService:
         mode = execution_mode if execution_mode is not None else self.execution_mode
         resolved = resolve_execution_mode(mode)
         # Worker width only means anything to the parallel engine; keying
-        # the in-process engines on it would needlessly duplicate them (and
-        # their warm caches) per width value.
+        # the in-process engines on it would needlessly duplicate them.
         if resolved is ExecutionMode.PARALLEL:
             width = resolve_worker_count(
                 workers if workers is not None else self.engine_workers
@@ -694,7 +655,6 @@ class OptimizationService:
                     join_strategy=join_strategy,
                     workers=width or None,
                     min_partition_rows=self.engine_min_partition_rows,
-                    statistics_cache=self._stats_cache,
                 )
                 self._executors[key] = executor
         return executor
@@ -765,19 +725,17 @@ class OptimizationService:
         execution_mode=None,
         join_strategy: str = "hash",
         workers: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> ExecutionBatchResult:
         """Optimize (optionally) and execute a batch of queries.
 
         The optimization half reuses :meth:`optimize_many` (batch dedup,
-        result cache, optional thread fan-out).  The execution half depends
-        on the engine: the **parallel** engine plans every query and feeds
-        the plans to its pipelined ``execute_plans`` batch API, so shard
-        tasks of different queries overlap on one worker pool; the
-        in-process engines fan the executions out over ``max_workers``
-        threads (each thread with its own executor, so no state races),
-        falling back to one warm cached executor when single-threaded.
-        Results always come back aligned with the input order.
+        result cache).  The execution half depends on the engine: the
+        **parallel** engine plans every query and feeds the plans to its
+        pipelined ``execute_plans`` batch API, so shard tasks of different
+        queries overlap on one worker pool; the in-process engines execute
+        the batch in order on the calling thread (pure-Python work gains
+        nothing from threads under the interpreter lock).  Results always
+        come back aligned with the input order.
         """
         from ..engine.modes import ExecutionMode, resolve_execution_mode
 
@@ -788,15 +746,12 @@ class OptimizationService:
         optimize_time = 0.0
         # The whole batch — optimization included — runs under ONE shared
         # acquisition: writers wait for the batch, and the batch observes a
-        # single store/rule epoch.  (One flat acquisition, not per-query
-        # ones in the worker threads: the lock is writer-priority and not
-        # reentrant, so nested read acquisitions under a waiting writer
-        # would deadlock.)
+        # single store/rule epoch.  (One flat acquisition, not one per
+        # query: the lock is writer-priority and not reentrant, so nested
+        # read acquisitions under a waiting writer would deadlock.)
         with self._store_lock.read():
             if optimize and batch:
-                optimized = self.optimize_many(
-                    batch, max_workers=max_workers, use_cache=use_cache
-                )
+                optimized = self.optimize_many(batch, use_cache=use_cache)
                 envelopes = list(optimized.results)
                 targets = optimized.optimized_queries()
                 optimize_time = optimized.stats.wall_time
@@ -811,8 +766,8 @@ class OptimizationService:
                     targets, join_strategy, workers
                 )
             else:
-                timed_executions, pool_width = self._execute_batch_threaded(
-                    targets, resolved, join_strategy, max_workers
+                timed_executions, pool_width = self._execute_batch_serial(
+                    targets, resolved, join_strategy
                 )
             execute_time = time.perf_counter() - execute_start
 
@@ -865,12 +820,8 @@ class OptimizationService:
         executor = self._executor("parallel", join_strategy, workers)
         if not targets:
             return [], executor.workers
-        # One shared version-keyed snapshot: batch after batch at the same
-        # store version plans against the same collected statistics
-        # instead of re-walking every extent per batch.
-        statistics = self._statistics()
         planner = ConventionalPlanner(
-            self.schema, statistics, execution_mode=executor.mode
+            self.schema, self.store.statistics(), execution_mode=executor.mode
         )
         plans = [planner.plan(target) for target in targets]
         timed = [
@@ -884,61 +835,20 @@ class OptimizationService:
         ]
         return timed, executor.workers
 
-    def _execute_batch_threaded(
-        self, targets, resolved, join_strategy: str, max_workers
-    ):
-        """Execute a batch on per-thread in-process executors.
+    def _execute_batch_serial(self, targets, resolved, join_strategy: str):
+        """Execute a batch in order on one in-process executor.
 
         Returns ``(execution, elapsed)`` pairs with a real per-query wall
-        clock (measured inside the worker thread).
+        clock, and the width 1.  No lock here: execute_many holds the
+        shared side for the whole batch.
         """
-        from ..engine.modes import create_executor
-
-        def timed(executor, target: Query):
-            # No lock here: execute_many holds the shared side for the
-            # whole batch (nested reads would deadlock under a waiting
-            # writer on the writer-priority lock).
+        executor = self._executor(resolved, join_strategy)
+        timed = []
+        for target in targets:
             start = time.perf_counter()
             execution = executor.execute(target)
-            return execution, time.perf_counter() - start
-
-        width = max_workers if max_workers is not None else self.max_workers
-        if width is None or width <= 1 or len(targets) <= 1:
-            executor = self._executor(resolved, join_strategy)
-            return [timed(executor, target) for target in targets], 1
-
-        if self.store is None:
-            raise ValueError(
-                "OptimizationService has no object store attached; pass "
-                "store= at construction or call attach_store()"
-            )
-        pool_size = min(width, len(targets))
-        # Worker threads check executors out of a service-level spare pool
-        # and return them afterwards, so the warm pointer/fragment caches
-        # survive from batch to batch (at most ``pool_size`` executors ever
-        # accumulate per key; list.pop/append are atomic under the GIL).
-        spares = self._spare_executors.setdefault(
-            (resolved.value, join_strategy), []
-        )
-
-        def run(target: Query):
-            try:
-                executor = spares.pop()
-            except IndexError:
-                executor = create_executor(
-                    self.schema,
-                    self.store,
-                    mode=resolved,
-                    join_strategy=join_strategy,
-                    statistics_cache=self._stats_cache,
-                )
-            try:
-                return timed(executor, target)
-            finally:
-                spares.append(executor)
-
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            return list(pool.map(run, targets)), pool_size
+            timed.append((execution, time.perf_counter() - start))
+        return timed, 1
 
     # ------------------------------------------------------------------
     # Self-tuning (measured-cost calibration, auto-indexing, rule payoff)
@@ -949,7 +859,7 @@ class OptimizationService:
         ``config`` is a :class:`~repro.tuning.TuningConfig` (``None`` =
         defaults: calibration, auto-indexing and rule learning all on).
         Requires an attached store.  When the optimizer has no cost
-        model, one is created and bound to the shared statistics cache —
+        model, one is created and bound to the store's statistics —
         calibrated weights have to land somewhere.
 
         From here on every :meth:`execute` / :meth:`execute_many` feeds
@@ -960,27 +870,21 @@ class OptimizationService:
         """
         from ..tuning import SelfTuningManager, TuningConfig
 
-        if self.store is None or self._stats_cache is None:
+        if self.store is None:
             raise ValueError(
                 "self-tuning needs an attached object store; pass store= "
                 "at construction or call attach_store()"
             )
         if config is None:
             config = TuningConfig()
-        if self.optimizer.cost_model is not None:
-            self.optimizer.cost_model.bind_statistics(self._stats_cache.get)
-        else:
+        if self.optimizer.cost_model is None:
             from ..engine.cost_model import CostModel as EngineCostModel
 
-            model = EngineCostModel(self.schema, self._stats_cache.get())
-            model.bind_statistics(self._stats_cache.get)
-            self.optimizer.cost_model = model
+            self.optimizer.cost_model = EngineCostModel(
+                self.schema, self.store.statistics()
+            )
+        self.optimizer.cost_model.bind_statistics(self._live_statistics)
         self._tuning = SelfTuningManager(config)
-        return self._tuning
-
-    @property
-    def self_tuning(self):
-        """The tuning manager (``None`` when self-tuning is off)."""
         return self._tuning
 
     def _tuning_feedback(
@@ -1344,7 +1248,6 @@ class OptimizationService:
     def optimize_many(
         self,
         queries: Iterable[Query],
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
     ) -> BatchResult:
         """Optimize a batch of queries.
@@ -1352,10 +1255,8 @@ class OptimizationService:
         Structurally-equal queries in the batch are optimized once and the
         result shared (the duplicates' envelopes are marked
         ``BATCH_DEDUP``).  The repository is precompiled up front so every
-        query — and every worker thread — runs against the same snapshot.
-        When ``max_workers`` (or the service default) is greater than one,
-        the unique queries fan out over a thread pool; results always come
-        back aligned with the input order.
+        query runs against the same snapshot.  Results always come back
+        aligned with the input order.
         """
         batch = list(queries)
         start = time.perf_counter()
@@ -1377,19 +1278,10 @@ class OptimizationService:
                 unique_keys.append(key)
             slots.append(slot)
 
-        def run(slot: int) -> ServiceResult:
-            return self._optimize_keyed(
-                unique_queries[slot], unique_keys[slot] if caching else None
-            )
-
-        workers = max_workers if max_workers is not None else self.max_workers
-        if workers is not None and workers > 1 and len(unique_queries) > 1:
-            pool_size = min(workers, len(unique_queries))
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                unique_results = list(pool.map(run, range(len(unique_queries))))
-        else:
-            pool_size = 1
-            unique_results = [run(slot) for slot in range(len(unique_queries))]
+        unique_results = [
+            self._optimize_keyed(query, key if caching else None)
+            for query, key in zip(unique_queries, unique_keys)
+        ]
 
         envelopes: List[ServiceResult] = []
         first_use = [True] * len(unique_results)
@@ -1420,7 +1312,6 @@ class OptimizationService:
                 1 for r in unique_results if r.source is ResultSource.RESULT_CACHE
             ),
             wall_time=time.perf_counter() - start,
-            workers=pool_size,
         )
         return BatchResult(
             results=envelopes, stats=stats, cache=self.cache_stats()

@@ -79,6 +79,39 @@ def test_generation_is_deterministic():
     assert first_values == second_values
 
 
+def test_replay_cache_hit_equals_miss_in_observable_state(monkeypatch):
+    """A store is the same object whether the generation cache hit or missed.
+
+    Regression test: the replay path re-inserted the cached rows but skipped
+    the index rebuild generation ends with, so a hit returned a store two
+    versions behind a miss, with a populated journal and a zero floor —
+    and tests passed or failed depending on which earlier test had primed
+    the cache.
+    """
+    from repro.data import build_evaluation_setup
+    from repro.data.generator import clear_generation_cache
+
+    monkeypatch.delenv("REPRO_DB_CACHE", raising=False)
+    clear_generation_cache()
+    miss, hit = (
+        build_evaluation_setup(
+            TABLE_4_1_SPECS["DB1"], query_count=6, seed=3, shard_count=2
+        ).store
+        for _ in range(2)
+    )
+
+    def observable(store):
+        return (
+            store.version,
+            store.shard_versions(),
+            store.journal_floor,
+            store.journal_since(store.version - 1),
+            list(store.snapshot_rows()),
+        )
+
+    assert observable(hit) == observable(miss)
+
+
 def test_different_seeds_differ():
     first = DatabaseGenerator(seed=1).generate(TABLE_4_1_SPECS["DB1"])
     second = DatabaseGenerator(seed=2).generate(TABLE_4_1_SPECS["DB1"])

@@ -11,7 +11,6 @@ import pytest
 
 from repro.data import build_evaluation_schema
 from repro.engine import ParallelExecutor, QueryExecutor
-from repro.engine.statistics import StatisticsCache
 from repro.engine.storage import (
     MutationRecord,
     ShardedObjectStore,
@@ -125,13 +124,13 @@ def test_replayed_noop_index_op_is_divergence(schema):
 
 def test_statistics_cache_refreshes_index_set_without_recollect(schema):
     store = _seed_store(schema)
-    cache = StatisticsCache(schema, store)
-    before = cache.get()
+    cache = store.statistics_cache
+    before = store.statistics()
     assert cache.full_collects == 1
     assert before.is_indexed("cargo", "category") is True
 
     store.drop_index("cargo", "category")
-    after = cache.get()
+    after = store.statistics()
     # Index-only delta: the live-index set refreshed, the data statistics
     # were reused verbatim — no extent walk ran.
     assert after.is_indexed("cargo", "category") is False
@@ -141,7 +140,7 @@ def test_statistics_cache_refreshes_index_set_without_recollect(schema):
     assert after.attributes == before.attributes
 
     store.create_index("cargo", "quantity")
-    assert cache.get().is_indexed("cargo", "quantity") is True
+    assert store.statistics().is_indexed("cargo", "quantity") is True
     assert cache.collects == 1
 
 

@@ -1,9 +1,9 @@
 """Property-based mutation oracle: engines vs. a fresh row-wise store.
 
 The live write path opens the system to interleaved reads and writes —
-exactly where warm caches (vectorized pointer/fragment buckets, the
-parallel engine's journal-synced forked workers, the service result cache)
-can go quietly stale.  This harness drives **seeded random schedules** of
+exactly where warm derived state (the rows' memoized pointer lists and
+fragments, the parallel engine's journal-synced forked workers, the service
+result cache) can go quietly stale.  This harness drives **seeded random schedules** of
 ``{insert, update, delete, optimize, execute}`` through a persistent
 :class:`~repro.service.OptimizationService` (so every cache layer stays
 warm across steps) and, after *every* execute step, asserts that rows
@@ -285,3 +285,43 @@ def test_mutation_schedules_match_fresh_store_oracle(evaluation_schema, engine):
             )
             break  # one shrunk repro is worth more than a failure flood
     assert not failures, "\n".join(failures)
+
+
+def _repointing_schedule(rng):
+    """Warm every row, then re-point cargo pointers between executes.
+
+    ``_build_schedule`` only ever updates ``quantity``.  These updates
+    rewrite ``collects`` and ``supplies`` — the attributes whose normalized
+    OID lists the rows memoize for the batch engines — in scalar, list and
+    unset form, after an execute of every query has filled the memo.
+    """
+    ops = [("insert",) + row for row in _base_rows(rng)]
+    ops += [("execute", index) for index in range(len(QUERY_TEXTS))]
+    for _ in range(rng.randint(3, 6)):
+        values = {
+            "collects": rng.choice([1, 2, [2, 1], None]),
+            "supplies": rng.choice([1, 2, [1, 2]]),
+            "quantity": rng.randint(5, 120),
+        }
+        ops.append(("update", "cargo", rng.randrange(64), values))
+        ops.append(("execute", rng.randrange(3, len(QUERY_TEXTS))))
+    return ops
+
+
+@pytest.mark.parametrize("engine", ["rowwise", "vectorized", "parallel"])
+def test_pointer_rewrites_match_fresh_store_oracle(evaluation_schema, engine):
+    schema = evaluation_schema
+    queries = [
+        parse_query(text, name=f"oracle-{index}")
+        for index, text in enumerate(QUERY_TEXTS)
+    ]
+    for index in range(12):
+        seed = _seed_for(engine, index)
+        schedule = _repointing_schedule(random.Random(seed))
+        try:
+            _run_schedule(schema, queries, engine, seed, schedule)
+        except _Mismatch as exc:
+            pytest.fail(
+                f"schedule #{index} (REPRO_ORACLE_SEED={SEED}, engine={engine}): "
+                f"{exc}\n  schedule: {schedule}"
+            )

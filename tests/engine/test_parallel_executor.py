@@ -133,6 +133,11 @@ def test_store_mutation_syncs_live_workers_without_reforking(evaluation_schema):
     planner = ConventionalPlanner(setup.schema, setup.statistics)
     rowwise = QueryExecutor(setup.schema, setup.store)
     parallel = _forced(setup)
+    # Generation ends with an index rebuild, which raises the journal floor
+    # above the store's version: the journal bridges only workers forked
+    # after a later, journaled write.
+    setup.store.update("cargo", 2, {"quantity": 7})
+    assert setup.store.journal_since(setup.store.version) == []
     try:
         plan = planner.plan(setup.queries[0])
         first = parallel.execute_plan(plan)

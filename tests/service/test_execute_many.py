@@ -1,5 +1,8 @@
 """Concurrent service execution: execute_many across all three engines."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core import OptimizerConfig
@@ -43,16 +46,41 @@ def test_execute_many_matches_execute_across_engines(service_setup):
             assert envelope.metrics.as_dict() == single.metrics.as_dict()
 
 
-def test_execute_many_thread_fanout_is_deterministic(service_setup):
-    setup, service = service_setup
-    sequential = service.execute_many(setup.queries, execution_mode="vectorized")
-    threaded = service.execute_many(
-        setup.queries, execution_mode="vectorized", max_workers=4
+def test_concurrent_readers_return_identical_rows():
+    """Four readers race to fill the rows' memos; every answer is the same."""
+    setup = build_evaluation_setup(
+        TABLE_4_1_SPECS["DB1"], query_count=10, seed=13, shard_count=2
     )
-    assert threaded.stats.workers > 1
-    for left, right in zip(sequential, threaded):
-        assert left.rows == right.rows
-        assert left.metrics.as_dict() == right.metrics.as_dict()
+    service = OptimizationService(
+        setup.schema,
+        repository=setup.repository,
+        config=OptimizerConfig(record_access_statistics=False),
+        store=setup.store,  # fresh: no row has a memo yet
+    )
+    reference = [
+        service.execute(query, execution_mode="rowwise").rows
+        for query in setup.queries
+    ]
+    assert any(reference), "the workload must return rows"
+
+    def read_all():
+        return [
+            service.execute(query, execution_mode="vectorized").rows
+            for query in setup.queries
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = [
+                future.result(timeout=60)
+                for future in [pool.submit(read_all) for _ in range(4)]
+            ]
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert answers == [reference] * 4
 
 
 def test_execute_many_without_optimization(service_setup):

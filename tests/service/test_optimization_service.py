@@ -155,16 +155,6 @@ def test_concurrent_optimize_after_mutation(service, small_setup):
         )
 
 
-def test_optimize_many_parallel_matches_sequential(service, small_setup):
-    sequential = service.optimize_many(small_setup.queries, use_cache=False)
-    parallel = service.optimize_many(
-        small_setup.queries, max_workers=4, use_cache=False
-    )
-    assert parallel.stats.workers > 1
-    for left, right in zip(sequential, parallel):
-        assert structurally_equal(left.optimized, right.optimized)
-
-
 def test_batch_result_reporting(service, small_setup):
     batch = service.optimize_many(small_setup.queries[:3])
     assert batch.stats.wall_time > 0.0
