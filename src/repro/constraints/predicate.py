@@ -16,7 +16,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 
 class ComparisonOperator(enum.Enum):
@@ -168,11 +178,25 @@ class Predicate:
         The comparison operator.
     right:
         The right operand: either a constant or another attribute reference.
+
+    The three values every layer keeps re-deriving from a predicate —
+    :meth:`normalized`, :meth:`key` and :meth:`referenced_classes` — are
+    computed once per object and kept in the ``_derived`` slot.  The slot
+    is not a field: it is no part of ``==``, ``hash``, ``repr`` or the
+    pickled form (:meth:`__reduce__` ships the three operands only), so a
+    plan's pickle digest never depends on which memos happen to be filled.
     """
+
+    # Slots, not a __dict__ (no ``slots=True`` on 3.9): ``_derived`` stays
+    # unset until first use, and the object is smaller for it.
+    __slots__ = ("left", "operator", "right", "_derived")
 
     left: AttributeOperand
     operator: ComparisonOperator
     right: Operand
+
+    def __reduce__(self):
+        return (Predicate, (self.left, self.operator, self.right))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -225,12 +249,41 @@ class Predicate:
             return None
         return self.right
 
+    def _derive(self) -> Tuple[Optional["Predicate"], Tuple, FrozenSet[str]]:
+        """Fill ``_derived``: ``(flipped form or None, key, referenced classes)``."""
+        norm, flipped = self, None
+        if isinstance(self.right, AttributeOperand):
+            classes = frozenset((self.left.class_name, self.right.class_name))
+            if self.right < self.left:
+                norm = flipped = Predicate(
+                    self.right, self.operator.flipped(), self.left
+                )
+            right_key: Tuple = (
+                "attr", norm.right.class_name, norm.right.attribute_name
+            )
+        else:
+            classes = frozenset((self.left.class_name,))
+            right_key = ("const", type(self.right).__name__, self.right)
+        key = (
+            norm.left.class_name,
+            norm.left.attribute_name,
+            norm.operator.value,
+            right_key,
+        )
+        if flipped is not None:
+            # The flipped form is its own canonical orientation.  It holds
+            # no reference back: a cycle would leave every such pair to the
+            # cycle collector.
+            object.__setattr__(flipped, "_derived", (None, key, classes))
+        object.__setattr__(self, "_derived", (flipped, key, classes))
+        return self._derived
+
     def referenced_classes(self) -> FrozenSet[str]:
         """The set of object-class names this predicate mentions."""
-        classes = {self.left.class_name}
-        if isinstance(self.right, AttributeOperand):
-            classes.add(self.right.class_name)
-        return frozenset(classes)
+        try:
+            return self._derived[2]
+        except AttributeError:
+            return self._derive()[2]
 
     def referenced_attributes(self) -> Tuple[AttributeOperand, ...]:
         """All attribute operands appearing in this predicate."""
@@ -261,11 +314,11 @@ class Predicate:
         same comparison therefore normalize to equal objects, which is what
         the transformation table keys on.
         """
-        if not isinstance(self.right, AttributeOperand):
-            return self
-        if self.left <= self.right:
-            return self
-        return Predicate(self.right, self.operator.flipped(), self.left)
+        try:
+            flipped = self._derived[0]
+        except AttributeError:
+            flipped = self._derive()[0]
+        return self if flipped is None else flipped
 
     def negated(self) -> "Predicate":
         """The logical negation of the predicate."""
@@ -319,15 +372,31 @@ class Predicate:
 
     def key(self) -> Tuple:
         """A hashable identity key for the normalized predicate."""
-        norm = self.normalized()
-        right = norm.right
-        if isinstance(right, AttributeOperand):
-            right_key: Tuple = ("attr", right.class_name, right.attribute_name)
+        try:
+            return self._derived[1]
+        except AttributeError:
+            return self._derive()[1]
+
+
+def partition_by_class(
+    predicates: Iterable[Predicate], class_names: Iterable[str]
+) -> Tuple[Dict[str, List[Predicate]], List[Predicate]]:
+    """Split ``predicates`` into per-class lists and the cross-class rest.
+
+    A predicate is *local* to the one class it mentions and lands in that
+    class's list (order preserved); one that mentions several classes is
+    evaluated at join level and lands in the second list.  A predicate
+    local to a class outside ``class_names`` belongs to neither.  This is
+    the one partition the cost model, the statistics and the planner share.
+    """
+    local: Dict[str, List[Predicate]] = {name: [] for name in class_names}
+    cross: List[Predicate] = []
+    for predicate in predicates:
+        classes = predicate.referenced_classes()
+        if len(classes) > 1:
+            cross.append(predicate)
         else:
-            right_key = ("const", type(right).__name__, right)
-        return (
-            norm.left.class_name,
-            norm.left.attribute_name,
-            norm.operator.value,
-            right_key,
-        )
+            (class_name,) = classes
+            if class_name in local:
+                local[class_name].append(predicate)
+    return local, cross

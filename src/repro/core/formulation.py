@@ -116,18 +116,21 @@ class QueryFormulator:
         # Step 1/2: class elimination (iterated — dropping one dangling class
         # can make its neighbour dangling in turn).
         working = original
+        # One statistics-and-weights snapshot prices every decision below.
+        priced = self.analyzer.price(working)
         if self.enable_class_elimination:
             changed = True
             while changed and len(working.classes) > 1:
                 changed = False
                 for class_name in self._eliminable_classes(working, tags):
                     decision = self.analyzer.class_elimination_is_profitable(
-                        working, class_name
+                        working, class_name, priced
                     )
                     result.decisions[f"class:{class_name}"] = decision
                     if not decision.profitable:
                         continue
                     working = self._drop_class(working, class_name)
+                    priced = priced and priced.reprice(working)
                     result.eliminated_classes.append(class_name)
                     if trace is not None:
                         trace.add(
@@ -161,12 +164,14 @@ class QueryFormulator:
         # query used for the comparison carries the imperative predicates
         # plus all optional predicates, so each decision sees the richest
         # available context (matching the paper, which evaluates
-        # profitability of retaining the predicate in the final query).
+        # profitability of retaining the predicate in the final query).  It
+        # is priced once; each decision prices only its "without" variant.
         candidate_query = self._build_query(working, imperative + optional)
+        priced = priced and priced.reprice(candidate_query)
         retained_optional: List[Predicate] = []
         for predicate in optional:
             decision = self.analyzer.predicate_is_profitable(
-                candidate_query, predicate
+                candidate_query, predicate, priced
             )
             result.decisions[f"predicate:{predicate}"] = decision
             if decision.profitable:

@@ -8,7 +8,11 @@ that decision procedure:
 * with a :class:`~repro.engine.cost_model.CostModel` (i.e. with database
   statistics available), the analyzer compares the estimated execution cost
   of the working query with and without the candidate predicate/class and
-  keeps whichever alternative is cheaper;
+  keeps whichever alternative is cheaper.  The working query is priced
+  once (:meth:`ProfitabilityAnalyzer.price`) and every question about it
+  prices only its "without" variant from that
+  :class:`~repro.engine.cost_model.QueryPricing` — k + 1 estimates for k
+  optional predicates, all against one statistics-and-weights snapshot;
 * without a cost model, it falls back to a structural heuristic: optional
   predicates on indexed attributes are retained (they enable index scans,
   the paper's primary motivation for index introduction), other optional
@@ -20,16 +24,14 @@ that decision procedure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..constraints.predicate import Predicate
 from ..query.query import Query
 from ..schema.schema import Schema
 
-try:  # pragma: no cover - import guard exercised implicitly
-    from ..engine.cost_model import CostModel
-except Exception:  # pragma: no cover - engine is always available in-tree
-    CostModel = None  # type: ignore[assignment]
+if TYPE_CHECKING:  # pragma: no cover - the analyzer only calls its cost model
+    from ..engine.cost_model import CostModel, QueryPricing
 
 
 @dataclass
@@ -82,33 +84,39 @@ class ProfitabilityAnalyzer:
         except Exception:
             return False
 
+    def price(self, query: Query) -> Optional["QueryPricing"]:
+        """``query`` priced once, for the ``priced`` argument of the decisions
+        (``None`` without a cost model)."""
+        return None if self.cost_model is None else self.cost_model.price(query)
+
     # ------------------------------------------------------------------
     # Optional predicates
     # ------------------------------------------------------------------
     def predicate_is_profitable(
-        self, query: Query, predicate: Predicate
+        self,
+        query: Query,
+        predicate: Predicate,
+        priced: Optional["QueryPricing"] = None,
     ) -> ProfitabilityDecision:
         """Should ``predicate`` be retained in ``query``?
 
         ``query`` is the working query *including* the predicate when it is
         already part of it; the analyzer always compares the variant with the
-        predicate against the variant without it.
+        predicate against the variant without it.  ``priced`` is ``query``
+        as :meth:`price` returned it: k decisions about one query then cost
+        k + 1 estimates, not 2k, all against one snapshot.
         """
         if self.cost_model is not None:
-            with_predicate = (
-                query
-                if query.has_predicate(predicate)
-                else query.add_selective_predicates([predicate])
+            if not query.has_predicate(predicate):
+                query, priced = query.add_selective_predicates([predicate]), None
+            if priced is None:
+                priced = self.cost_model.price(query)
+            cost_with = priced.estimate().total
+            target = predicate.normalized()
+            without = query.with_selective_predicates(
+                [p for p in query.selective_predicates if p.normalized() != target]
             )
-            without_predicate = with_predicate.with_selective_predicates(
-                [
-                    p
-                    for p in with_predicate.selective_predicates
-                    if p.normalized() != predicate.normalized()
-                ]
-            )
-            cost_with = self.cost_model.estimate_query_cost(with_predicate)
-            cost_without = self.cost_model.estimate_query_cost(without_predicate)
+            cost_without = priced.reprice(without).estimate().total
             return ProfitabilityDecision(
                 profitable=cost_with + self.epsilon < cost_without,
                 cost_with=cost_with,
@@ -155,20 +163,27 @@ class ProfitabilityAnalyzer:
     # Class elimination
     # ------------------------------------------------------------------
     def class_elimination_is_profitable(
-        self, query: Query, class_name: str
+        self,
+        query: Query,
+        class_name: str,
+        priced: Optional["QueryPricing"] = None,
     ) -> ProfitabilityDecision:
-        """Should the dangling class ``class_name`` be dropped from ``query``?"""
+        """Should the dangling class ``class_name`` be dropped from ``query``?
+
+        ``priced`` as for :meth:`predicate_is_profitable`.
+        """
         if self.cost_model is not None:
-            reduced = query.without_classes([class_name])
-            remaining_relationships = [
-                name
-                for name in query.relationships
-                if self.schema.relationship(name).source != class_name
-                and self.schema.relationship(name).target != class_name
-            ]
-            reduced = reduced.keep_relationships(remaining_relationships)
-            cost_with = self.cost_model.estimate_query_cost(query)
-            cost_without = self.cost_model.estimate_query_cost(reduced)
+            if priced is None:
+                priced = self.cost_model.price(query)
+            cost_with = priced.estimate().total
+            reduced = query.without_classes([class_name]).keep_relationships(
+                [
+                    name
+                    for name in query.relationships
+                    if not self.schema.relationship(name).involves(class_name)
+                ]
+            )
+            cost_without = priced.reprice(reduced).estimate().total
             return ProfitabilityDecision(
                 profitable=cost_without + self.epsilon < cost_with,
                 cost_with=cost_with,

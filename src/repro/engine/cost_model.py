@@ -19,12 +19,12 @@ optimizers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ..constraints.predicate import Predicate
+from ..constraints.predicate import Predicate, partition_by_class
 from ..query.query import Query
 from ..schema.schema import Schema
-from .modes import ExecutionMode, resolve_execution_mode
+from .modes import ExecutionMode, resolve_execution_mode, resolve_worker_count
 from .statistics import DatabaseStatistics
 
 
@@ -80,12 +80,281 @@ def _no_live_statistics() -> None:
     return None
 
 
+class ClassPrice(NamedTuple):
+    """What one class of a priced query contributes, computed once."""
+
+    #: Product of the local predicates' selectivities, in query order.
+    selectivity: float
+    #: Estimated instances passing the local predicates.
+    matching: float
+    #: The local selection an index scan would go through, if any.
+    indexed: Optional[Predicate]
+    #: Cost of producing the class's matching instances (never mutated).
+    scan: CostEstimate
+
+
+class QueryPricing:
+    """One query priced against one statistics-and-weights snapshot.
+
+    Built by :meth:`CostModel.price`.  Construction reads the model's
+    statistics and weights **once** and partitions the query's predicates
+    by class; each class's :class:`ClassPrice` is computed the first time
+    it is needed; :meth:`estimate` walks the bindings over those values and
+    keeps its result.  :meth:`reprice` prices another query — a variant
+    without one predicate or one class, typically — under the same
+    snapshot, carrying over the price of every class whose local predicates
+    did not change: only the changed class is priced again, and the driver
+    choice and the binding walk re-run in the same arithmetic order, so the
+    variant costs bit for bit what pricing it from scratch would.  A set of
+    decisions made from one object therefore never straddles a weight swap
+    or a statistics refresh.
+
+    The object is a value for one caller: it holds no version and outlives
+    no call.
+    """
+
+    def __init__(
+        self,
+        source: Union["CostModel", "QueryPricing"],
+        query: Query,
+        mode: Optional[Union[str, ExecutionMode]] = None,
+        workers: Optional[int] = None,
+    ) -> None:
+        # The one read of the model's (live) statistics and weights; from
+        # an earlier pricing, the snapshot it took.
+        self.schema = source.schema
+        self.statistics = source.statistics
+        self.weights = source.weights
+        # Estimates default to the row-wise baseline (not the process
+        # default): callers compare modes explicitly, so an env var must
+        # not silently change what an unqualified estimate means.
+        self.mode = resolve_execution_mode(mode, default=ExecutionMode.ROWWISE)
+        self.workers = workers
+        self._batched = self.mode is not ExecutionMode.ROWWISE
+        #: Per-row cost of one predicate evaluation under the mode.
+        self._evaluation = (
+            self.weights.batch_predicate_evaluation
+            if self._batched
+            else self.weights.predicate_evaluation
+        )
+        self.classes = query.classes
+        self.relationships = [
+            self.schema.relationship(name) for name in query.relationships
+        ]
+        #: Per-class local predicates and the cross-class rest (joins,
+        #: then selections — the order selectivities multiply in).
+        self.local, self.cross = partition_by_class(
+            query.predicates(), query.classes
+        )
+        self._prices: Dict[str, ClassPrice] = {}
+        self._estimate: Optional[CostEstimate] = None
+
+    def reprice(self, query: Query) -> "QueryPricing":
+        """``query`` priced under this object's snapshot and mode.
+
+        Class prices already computed here are kept for every class whose
+        local predicate list is the same in ``query``.
+        """
+        other = QueryPricing(self, query, self.mode, self.workers)
+        other._prices = {
+            name: price
+            for name, price in self._prices.items()
+            if self.local[name] == other.local.get(name)
+        }
+        return other
+
+    # ------------------------------------------------------------------
+    # Per-class pricing
+    # ------------------------------------------------------------------
+    def _is_indexed(self, class_name: str, attribute_name: str) -> bool:
+        """Whether an index scan is available for the attribute *now*.
+
+        Prefers the statistics' live-index set (which tracks runtime index
+        creation/drops) over the schema's static flags, so auto-managed
+        indexes steer estimates the moment statistics refresh.
+        """
+        known = self.statistics.is_indexed(class_name, attribute_name)
+        if known is not None:
+            return known
+        return self.schema.is_indexed(class_name, attribute_name)
+
+    def _batch_setup(self, predicate_count: int) -> float:
+        """One-off lowering/column-extraction charge for a batched node."""
+        if not self._batched or predicate_count == 0:
+            return 0.0
+        return predicate_count * (
+            self.weights.predicate_compilation + self.weights.batch_column_setup
+        )
+
+    def class_price(self, class_name: str) -> ClassPrice:
+        """The class's price under its local predicates (kept once computed).
+
+        When one of the predicates is a selection on an indexed attribute,
+        the scan is assumed to go through the index: only the matching
+        fraction of the extent is retrieved, plus an index-lookup charge.
+        Otherwise a full extent scan retrieves every instance and evaluates
+        every predicate on each.  Under the batched modes the per-row
+        evaluation uses the (cheaper) compiled-predicate weight plus a
+        one-off compilation and column-setup charge per predicate.
+        """
+        price = self._prices.get(class_name)
+        if price is not None:
+            return price
+        predicates = self.local[class_name]
+        statistics = self.statistics
+        weights = self.weights
+        cardinality = statistics.cardinality(class_name)
+        selectivity = 1.0
+        indexed = None
+        indexed_selectivity = 1.0
+        for predicate in predicates:
+            own = statistics.selectivity(predicate)
+            selectivity *= own
+            if (
+                indexed is None
+                and predicate.is_selection
+                and self._is_indexed(class_name, predicate.left.attribute_name)
+            ):
+                indexed, indexed_selectivity = predicate, own
+        scan = CostEstimate()
+        if indexed is not None:
+            matching = cardinality * indexed_selectivity
+            scan.retrieval = matching * weights.instance_retrieval
+            scan.cpu = (
+                matching * max(0, len(predicates) - 1) * self._evaluation
+                + weights.index_lookup
+            )
+        else:
+            scan.retrieval = cardinality * weights.instance_retrieval
+            scan.cpu = cardinality * len(predicates) * self._evaluation
+        # The index predicate is answered by the index, never compiled, so
+        # it carries no lowering charge (mirroring the executor, which
+        # strips the chosen index predicate before compiling the rest).
+        scan.cpu += self._batch_setup(
+            len(predicates) - (1 if indexed is not None else 0)
+        )
+        price = self._prices[class_name] = ClassPrice(
+            selectivity, cardinality * selectivity, indexed, scan
+        )
+        return price
+
+    # ------------------------------------------------------------------
+    # Query-level estimation
+    # ------------------------------------------------------------------
+    def driver(self) -> str:
+        """The class a conventional planner would scan first.
+
+        The driver is the class with the fewest estimated matching instances
+        after applying its local predicates, with indexed access breaking
+        ties in its favour.
+        """
+        def sort_key(class_name: str) -> Tuple[float, bool, str]:
+            price = self.class_price(class_name)
+            return (price.matching, price.indexed is None, class_name)
+
+        return min(self.classes, key=sort_key)
+
+    def estimate(self) -> CostEstimate:
+        """The estimated execution cost (computed once per object).
+
+        The estimate mimics the executor's strategy: scan the driver class,
+        then traverse the query's relationships to bind the remaining
+        classes, carrying forward the estimated number of partial results
+        and charging retrieval for every instance touched along the way.
+        The vectorized engine touches the same instances and pointers but
+        pays the compiled (batch) rate per predicate evaluation, and the
+        parallel engine additionally spreads everything past the driver
+        scan over ``workers`` partitions (``None`` = the process default
+        worker count) while paying dispatch and merge overheads — the
+        estimate is *wall-clock-shaped*, so on small extents the overhead
+        dominates and the model correctly predicts that fan-out is not
+        worth it.
+        """
+        if self._estimate is not None:
+            return self._estimate
+        weights = self.weights
+        driver = self.driver()
+        driver_price = self.class_price(driver)
+        driver_scan = driver_price.scan
+        # Everything after the driver scan is accumulated separately: in
+        # parallel mode those parts run partitioned across the workers.
+        distributed = CostEstimate()
+
+        bound = {driver}
+        current_rows = max(1.0, driver_price.matching)
+        remaining = [name for name in self.classes if name != driver]
+
+        progress = True
+        while remaining and progress:
+            progress = False
+            for class_name in list(remaining):
+                if not any(
+                    rel.involves(class_name) and rel.other(class_name) in bound
+                    for rel in self.relationships
+                ):
+                    continue
+                # The executor builds the candidate set of the traversed
+                # class once (an index scan when one of its predicates is on
+                # an indexed attribute, a full extent scan otherwise) and
+                # then follows one pointer per partial result.
+                price = self.class_price(class_name)
+                distributed.retrieval += price.scan.retrieval
+                distributed.cpu += price.scan.cpu
+                distributed.traversal += current_rows * weights.pointer_traversal
+                current_rows = max(1.0, current_rows * price.selectivity)
+                bound.add(class_name)
+                remaining.remove(class_name)
+                progress = True
+
+        # Disconnected classes (should not occur for path queries): charge a
+        # full scan and a cross filter.
+        for class_name in remaining:
+            price = self.class_price(class_name)
+            distributed.retrieval += price.scan.retrieval
+            distributed.cpu += price.scan.cpu
+            current_rows = max(1.0, current_rows * price.matching)
+
+        # Cross-class predicates evaluated on the joined rows.
+        distributed.cpu += current_rows * len(self.cross) * self._evaluation
+        distributed.cpu += self._batch_setup(len(self.cross))
+        construction = current_rows * weights.result_construction
+
+        estimate = self._estimate = CostEstimate()
+        if self.mode is ExecutionMode.PARALLEL:
+            width = max(1, resolve_worker_count(self.workers))
+            estimate.retrieval = (
+                driver_scan.retrieval + distributed.retrieval / width
+            )
+            estimate.traversal = distributed.traversal / width
+            # The driver scan, the final materialization and the merge all
+            # run in the parent; dispatch is paid once per worker.
+            estimate.cpu = (
+                driver_scan.cpu
+                + distributed.cpu / width
+                + construction
+                + current_rows * weights.parallel_merge_per_row
+                + width * weights.worker_dispatch
+            )
+        else:
+            estimate.retrieval = driver_scan.retrieval + distributed.retrieval
+            estimate.traversal = distributed.traversal
+            estimate.cpu = driver_scan.cpu + distributed.cpu + construction
+        return estimate
+
+
 class CostModel:
     """Cardinality/selectivity-based cost estimation for five-part queries.
 
+    Every estimate is made on a :class:`QueryPricing` (:meth:`price`): a
+    value that reads the statistics and the weights once and prices the
+    query and its variants from them.  :meth:`estimate_query`,
+    :meth:`driver_class` and :meth:`scan_estimate` are that object used
+    once; a caller with several questions about one query (query
+    formulation, the planner) keeps it instead.
+
     Statistics can be **bound to a provider** (:meth:`bind_statistics`,
     typically a store's ``statistics``)
-    so every estimate reads statistics current for the store's version
+    so every pricing reads statistics current for the store's version
     instead of whatever was collected at attach time.  Weights can be
     **swapped at runtime** (:meth:`set_weights`, the tuning calibrator's
     entry point); every swap bumps :attr:`weights_generation`, which cache
@@ -133,63 +402,19 @@ class CostModel:
         self.weights_generation += 1
 
     # ------------------------------------------------------------------
-    # Helpers
+    # Estimation
     # ------------------------------------------------------------------
-    def _local_predicates(
-        self, query: Query, class_name: str
-    ) -> List[Predicate]:
-        return [
-            p
-            for p in query.predicates()
-            if p.referenced_classes() == frozenset({class_name})
-        ]
+    def price(
+        self,
+        query: Query,
+        mode: Optional[Union[str, ExecutionMode]] = None,
+        workers: Optional[int] = None,
+    ) -> QueryPricing:
+        """``query`` priced against the current statistics and weights.
 
-    def _is_indexed(self, class_name: str, attribute_name: str) -> bool:
-        """Whether an index scan is available for the attribute *now*.
-
-        Prefers the statistics' live-index set (which tracks runtime index
-        creation/drops) over the schema's static flags, so auto-managed
-        indexes steer estimates the moment statistics refresh.
+        ``mode`` selects the engine being estimated (default: row-wise).
         """
-        known = self.statistics.is_indexed(class_name, attribute_name)
-        if known is not None:
-            return known
-        return self.schema.is_indexed(class_name, attribute_name)
-
-    def _indexed_predicate(
-        self, class_name: str, predicates: Sequence[Predicate]
-    ) -> Optional[Predicate]:
-        for predicate in predicates:
-            if not predicate.is_selection:
-                continue
-            if self._is_indexed(class_name, predicate.left.attribute_name):
-                return predicate
-        return None
-
-    def _resolve_mode(
-        self, mode: Optional[Union[str, ExecutionMode]]
-    ) -> ExecutionMode:
-        # Estimates default to the row-wise baseline (not the process
-        # default): callers compare modes explicitly, so an env var must
-        # not silently change what an unqualified estimate means.
-        return resolve_execution_mode(mode, default=ExecutionMode.ROWWISE)
-
-    def _evaluation_weight(self, mode: ExecutionMode) -> float:
-        """Per-row cost of one predicate evaluation under ``mode``."""
-        if mode in (ExecutionMode.VECTORIZED, ExecutionMode.PARALLEL):
-            return self.weights.batch_predicate_evaluation
-        return self.weights.predicate_evaluation
-
-    def _batch_setup(self, mode: ExecutionMode, predicate_count: int) -> float:
-        """One-off lowering/column-extraction charge for a batched node."""
-        if (
-            mode not in (ExecutionMode.VECTORIZED, ExecutionMode.PARALLEL)
-            or predicate_count == 0
-        ):
-            return 0.0
-        return predicate_count * (
-            self.weights.predicate_compilation + self.weights.batch_column_setup
-        )
+        return QueryPricing(self, query, mode, workers)
 
     def scan_estimate(
         self,
@@ -197,63 +422,15 @@ class CostModel:
         predicates: Sequence[Predicate],
         mode: Optional[Union[str, ExecutionMode]] = None,
     ) -> CostEstimate:
-        """Estimated cost of producing the matching instances of one class.
+        """Estimated cost of producing the instances of ``class_name``
+        passing ``predicates`` (its local predicates): the one-class query's
+        :meth:`QueryPricing.class_price`."""
+        query = Query(classes=(class_name,), selective_predicates=predicates)
+        return self.price(query, mode).class_price(class_name).scan
 
-        When one of the predicates is on an indexed attribute, the scan is
-        assumed to go through the index: only the matching fraction of the
-        extent is retrieved, plus an index-lookup charge.  Otherwise a full
-        extent scan retrieves every instance and evaluates every predicate
-        on each.  Under the vectorized mode the per-row evaluation uses the
-        (cheaper) compiled-predicate weight plus a one-off compilation and
-        column-setup charge per predicate.
-        """
-        mode = self._resolve_mode(mode)
-        cardinality = self.statistics.cardinality(class_name)
-        weights = self.weights
-        evaluation = self._evaluation_weight(mode)
-        estimate = CostEstimate()
-        indexed = self._indexed_predicate(class_name, predicates)
-        if indexed is not None:
-            selectivity = self.statistics.selectivity(indexed)
-            matching = cardinality * selectivity
-            estimate.retrieval = matching * weights.instance_retrieval
-            estimate.cpu = (
-                matching * max(0, len(predicates) - 1) * evaluation
-                + weights.index_lookup
-            )
-        else:
-            estimate.retrieval = cardinality * weights.instance_retrieval
-            estimate.cpu = cardinality * len(predicates) * evaluation
-        # The index predicate is answered by the index, never compiled, so
-        # it carries no lowering charge (mirroring the executor, which
-        # strips the chosen index predicate before compiling the rest).
-        compiled = len(predicates) - (1 if indexed is not None else 0)
-        estimate.cpu += self._batch_setup(mode, compiled)
-        return estimate
-
-    def matching_instances(
-        self, class_name: str, predicates: Sequence[Predicate]
-    ) -> float:
-        """Estimated number of instances of ``class_name`` passing ``predicates``."""
-        return self.statistics.estimated_matching(class_name, predicates)
-
-    # ------------------------------------------------------------------
-    # Query-level estimation
-    # ------------------------------------------------------------------
     def driver_class(self, query: Query) -> str:
-        """The class a conventional planner would scan first.
-
-        The driver is the class with the fewest estimated matching instances
-        after applying its local predicates, with indexed access breaking
-        ties in its favour.
-        """
-        def sort_key(class_name: str) -> Tuple[float, float, str]:
-            local = self._local_predicates(query, class_name)
-            matching = self.matching_instances(class_name, local)
-            indexed = self._indexed_predicate(class_name, local)
-            return (matching, 0.0 if indexed is not None else 1.0, class_name)
-
-        return min(query.classes, key=sort_key)
+        """The class a conventional planner would scan first."""
+        return self.price(query).driver()
 
     def estimate_query(
         self,
@@ -261,108 +438,8 @@ class CostModel:
         mode: Optional[Union[str, ExecutionMode]] = None,
         workers: Optional[int] = None,
     ) -> CostEstimate:
-        """Estimate the execution cost of ``query``.
-
-        The estimate mimics the executor's strategy: scan the driver class,
-        then traverse the query's relationships to bind the remaining
-        classes, carrying forward the estimated number of partial results
-        and charging retrieval for every instance touched along the way.
-        ``mode`` selects the engine being estimated: the vectorized engine
-        touches the same instances and pointers but pays the compiled
-        (batch) rate per predicate evaluation, and the parallel engine
-        additionally spreads everything past the driver scan over
-        ``workers`` partitions (``None`` = the process default worker
-        count) while paying dispatch and merge overheads — the estimate is
-        *wall-clock-shaped*, so on small extents the overhead dominates and
-        the model correctly predicts that fan-out is not worth it.
-        """
-        mode = self._resolve_mode(mode)
-        weights = self.weights
-        evaluation = self._evaluation_weight(mode)
-        driver = self.driver_class(query)
-        driver_predicates = self._local_predicates(query, driver)
-        driver_scan = self.scan_estimate(driver, driver_predicates, mode)
-        # Everything after the driver scan is accumulated separately: in
-        # parallel mode those parts run partitioned across the workers.
-        distributed = CostEstimate()
-
-        bound = {driver}
-        current_rows = max(
-            1.0, self.matching_instances(driver, driver_predicates)
-        )
-        remaining = [name for name in query.classes if name != driver]
-        relationships = [self.schema.relationship(r) for r in query.relationships]
-
-        progress = True
-        while remaining and progress:
-            progress = False
-            for class_name in list(remaining):
-                connecting = [
-                    rel
-                    for rel in relationships
-                    if rel.involves(class_name) and rel.other(class_name) in bound
-                ]
-                if not connecting:
-                    continue
-                local = self._local_predicates(query, class_name)
-                selectivity = self.statistics.combined_selectivity(local)
-                # The executor builds the candidate set of the traversed
-                # class once (an index scan when one of its predicates is on
-                # an indexed attribute, a full extent scan otherwise) and
-                # then follows one pointer per partial result.
-                scan = self.scan_estimate(class_name, local, mode)
-                distributed.retrieval += scan.retrieval
-                distributed.cpu += scan.cpu
-                distributed.traversal += current_rows * weights.pointer_traversal
-                current_rows = max(1.0, current_rows * selectivity)
-                bound.add(class_name)
-                remaining.remove(class_name)
-                progress = True
-
-        # Disconnected classes (should not occur for path queries): charge a
-        # full scan and a cross filter.
-        for class_name in remaining:
-            local = self._local_predicates(query, class_name)
-            scan = self.scan_estimate(class_name, local, mode)
-            distributed.retrieval += scan.retrieval
-            distributed.cpu += scan.cpu
-            current_rows = max(
-                1.0, current_rows * self.matching_instances(class_name, local)
-            )
-
-        # Cross-class predicates evaluated on the joined rows.
-        cross = [
-            p
-            for p in query.predicates()
-            if len(p.referenced_classes()) > 1
-        ]
-        distributed.cpu += current_rows * len(cross) * evaluation
-        distributed.cpu += self._batch_setup(mode, len(cross))
-        construction = current_rows * weights.result_construction
-
-        estimate = CostEstimate()
-        if mode is ExecutionMode.PARALLEL:
-            from .modes import resolve_worker_count
-
-            width = max(1, resolve_worker_count(workers))
-            estimate.retrieval = (
-                driver_scan.retrieval + distributed.retrieval / width
-            )
-            estimate.traversal = distributed.traversal / width
-            # The driver scan, the final materialization and the merge all
-            # run in the parent; dispatch is paid once per worker.
-            estimate.cpu = (
-                driver_scan.cpu
-                + distributed.cpu / width
-                + construction
-                + current_rows * weights.parallel_merge_per_row
-                + width * weights.worker_dispatch
-            )
-        else:
-            estimate.retrieval = driver_scan.retrieval + distributed.retrieval
-            estimate.traversal = distributed.traversal
-            estimate.cpu = driver_scan.cpu + distributed.cpu + construction
-        return estimate
+        """Estimate the execution cost of ``query`` (:meth:`QueryPricing.estimate`)."""
+        return self.price(query, mode, workers).estimate()
 
     def estimate_query_cost(
         self,
@@ -371,7 +448,7 @@ class CostModel:
         workers: Optional[int] = None,
     ) -> float:
         """Scalar convenience wrapper around :meth:`estimate_query`."""
-        return self.estimate_query(query, mode, workers=workers).total
+        return self.estimate_query(query, mode, workers).total
 
     def vectorization_speedup(self, query: Query) -> float:
         """Estimated rowwise/vectorized cost ratio for ``query`` (>= 0)."""

@@ -18,7 +18,7 @@ makes the decisions that give semantic transformations their payoff:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from ..constraints.predicate import Predicate
 from ..query.query import Query, QueryError
@@ -61,28 +61,6 @@ class ConventionalPlanner:
         self.cost_model = cost_model or CostModel(schema, statistics)
         self.execution_mode = resolve_execution_mode(execution_mode)
 
-    # ------------------------------------------------------------------
-    # Predicate partitioning
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _partition_predicates(
-        query: Query,
-    ) -> Tuple[Dict[str, List[Predicate]], List[Predicate]]:
-        """Split predicates into per-class lists and cross-class leftovers."""
-        local: Dict[str, List[Predicate]] = {name: [] for name in query.classes}
-        cross: List[Predicate] = []
-        for predicate in query.predicates():
-            classes = predicate.referenced_classes()
-            if len(classes) == 1:
-                (class_name,) = classes
-                if class_name in local:
-                    local[class_name].append(predicate)
-                else:
-                    cross.append(predicate)
-            else:
-                cross.append(predicate)
-        return local, cross
-
     def _is_indexed(self, class_name: str, attribute_name: str) -> bool:
         """Live index availability: statistics first, schema as fallback.
 
@@ -123,10 +101,13 @@ class ConventionalPlanner:
             products because path queries never need them).
         """
         query.validate(self.schema)
-        local, cross = self._partition_predicates(query)
+        # One pricing of the query answers every estimate below and hands
+        # over the predicate partition it was made from.
+        pricing = self.cost_model.price(query)
+        local, cross = pricing.local, pricing.cross
         notes: List[str] = []
 
-        driver = self.cost_model.driver_class(query)
+        driver = pricing.driver()
         driver_predicates = list(local[driver])
         index_predicate = self._index_predicate(driver, driver_predicates)
         if index_predicate is not None:
@@ -143,7 +124,7 @@ class ConventionalPlanner:
         bound: Set[str] = {driver}
         order: List[str] = [driver]
         remaining = [name for name in query.classes if name != driver]
-        relationships = [self.schema.relationship(r) for r in query.relationships]
+        relationships = pricing.relationships
 
         progress = True
         while remaining and progress:
@@ -158,9 +139,7 @@ class ConventionalPlanner:
                     if rel.involves(class_name) and rel.other(class_name) in bound
                 ]
                 if connecting:
-                    estimate = self.cost_model.matching_instances(
-                        class_name, local[class_name]
-                    )
+                    estimate = pricing.class_price(class_name).matching
                     reachable.append((estimate, class_name))
             if not reachable:
                 break

@@ -15,7 +15,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from ..constraints.predicate import ComparisonOperator, Predicate
+from ..constraints.predicate import (
+    ComparisonOperator,
+    Predicate,
+    partition_by_class,
+)
 from ..schema.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - the store imports this module
@@ -200,12 +204,10 @@ class DatabaseStatistics:
         Only the predicates that reference ``class_name`` and no other class
         contribute; cross-class predicates are handled at join level.
         """
-        local = [
-            p
-            for p in predicates
-            if p.referenced_classes() == frozenset({class_name})
-        ]
-        return self.cardinality(class_name) * self.combined_selectivity(local)
+        local, _ = partition_by_class(predicates, (class_name,))
+        return self.cardinality(class_name) * self.combined_selectivity(
+            local[class_name]
+        )
 
 
 class StatisticsCache:

@@ -49,12 +49,15 @@ from .reporting import format_table, percentage
 #: 10–30 % of a DB1 query's execution time (1–2 s), which is what produces
 #: the 100–110 % bucket of Table 4.2.  On our substrate a DB1 query costs on
 #: the order of a few hundred cost units (nested-loop execution) and the
-#: transformation step takes ~0.2–0.4 ms, so 200 000 units/second puts the
+#: transformation step takes ~0.15–0.3 ms, so 300 000 units/second puts the
 #: overhead in the same 10–30 % band for a typical DB1 query while remaining
 #: marginal for the much more expensive DB4 queries — i.e. the calibration
 #: preserves the paper's *relative* overhead, which is what Table 4.2 is
-#: about.  Pass ``overhead_units_per_second=0`` for pure execution ratios.
-DEFAULT_OVERHEAD_UNITS_PER_SECOND = 200_000.0
+#: about.  The factor moves against the optimizer's own speed: it was
+#: 200 000 while a transformation took ~0.2–0.4 ms, before formulation
+#: priced a query once.  Pass ``overhead_units_per_second=0`` for pure
+#: execution ratios.
+DEFAULT_OVERHEAD_UNITS_PER_SECOND = 300_000.0
 
 #: Bucket labels of the paper's Table 4.2 (upper bound of each 10% bucket).
 BUCKET_LABELS = [f"{low}%" for low in range(0, 120, 10)]

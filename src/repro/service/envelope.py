@@ -99,7 +99,9 @@ class ServiceStats:
     repository_generation: int = 0
     #: Number of declared (pre-closure) constraints.
     repository_constraints: int = 0
-    #: ``mode/join_strategy`` labels of the warm cached executors.
+    #: ``mode/join_strategy`` labels of the executors the service keeps:
+    #: the parallel ones (each owns a worker pool); in-process executors
+    #: are built per call.
     executors: Tuple[str, ...] = ()
     #: Whether an object store is attached (``execute`` is available).
     store_attached: bool = False

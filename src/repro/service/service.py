@@ -143,9 +143,9 @@ class OptimizationService:
         # touching a tracked class re-derives only that class's rules.
         self._dynamic_config: Optional[DerivationConfig] = None
         self._dynamic_classes: Optional[set] = None
-        # One executor per (mode, strategy, width).  The in-process
-        # executors hold no state and could be built per call; the map
-        # exists for the parallel executor, which owns forked workers.
+        # The parallel executors, one per (mode, strategy, width): each
+        # owns forked workers that must survive between requests.  The
+        # in-process executors hold no state and are built per call.
         self._executors: Dict[Tuple, object] = {}
         # Guards check-then-create on the executor map: concurrent first
         # requests (gateway worker threads) must not build duplicate
@@ -606,21 +606,19 @@ class OptimizationService:
         self.close()
 
     def _drop_executors(self) -> None:
-        """Forget cached executors, shutting down any worker pools."""
+        """Forget the parallel executors, shutting down their worker pools."""
         with self._executor_lock:
             executors = list(self._executors.values())
             self._executors.clear()
         for executor in executors:
-            close = getattr(executor, "close", None)
-            if close is not None:
-                close()
+            executor.close()
 
     def _executor(self, execution_mode, join_strategy: str, workers=None):
         """The executor for one (mode, strategy, workers) triple.
 
-        Reused across calls so the parallel engine's forked worker pool
-        survives between requests; the in-process engines are stateless
-        and merely ride along in the same map.
+        A parallel executor is kept and reused so its forked worker pool
+        survives between requests; the in-process engines are stateless and
+        built for the call.
         """
         from ..engine.modes import (
             ExecutionMode,
@@ -636,14 +634,13 @@ class OptimizationService:
             )
         mode = execution_mode if execution_mode is not None else self.execution_mode
         resolved = resolve_execution_mode(mode)
-        # Worker width only means anything to the parallel engine; keying
-        # the in-process engines on it would needlessly duplicate them.
-        if resolved is ExecutionMode.PARALLEL:
-            width = resolve_worker_count(
-                workers if workers is not None else self.engine_workers
+        if resolved is not ExecutionMode.PARALLEL:
+            return create_executor(
+                self.schema, self.store, mode=resolved, join_strategy=join_strategy
             )
-        else:
-            width = 0
+        width = resolve_worker_count(
+            workers if workers is not None else self.engine_workers
+        )
         key = (resolved.value, join_strategy, width)
         with self._executor_lock:
             executor = self._executors.get(key)
@@ -653,7 +650,7 @@ class OptimizationService:
                     self.store,
                     mode=resolved,
                     join_strategy=join_strategy,
-                    workers=width or None,
+                    workers=width,
                     min_partition_rows=self.engine_min_partition_rows,
                 )
                 self._executors[key] = executor

@@ -1,16 +1,22 @@
 """Unit tests for query formulation, profitability and class elimination."""
 
+import hashlib
+
 import pytest
 
 from repro.constraints import Predicate
 from repro.core import (
+    OptimizerConfig,
     ProfitabilityAnalyzer,
     QueryFormulator,
     SemanticQueryOptimizer,
     initialize,
     TransformationEngine,
 )
-from repro.query import Query
+from repro.data import TABLE_4_1_SPECS, build_evaluation_setup, build_workload
+from repro.engine import CostModel, CostWeights
+from repro.query import Query, equivalence_key, format_query
+from repro.service import OptimizationService
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +171,109 @@ def test_class_elimination_can_be_disabled(schema):
 def test_optimizer_requires_constraints_or_repository(schema):
     with pytest.raises(ValueError):
         SemanticQueryOptimizer(schema)
+
+
+# ----------------------------------------------------------------------
+# Pricing inside formulation: one snapshot, the parent's exact numbers
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def formulations(monkeypatch):
+    """Every ``FormulationResult`` produced while the fixture is live."""
+    captured = []
+    formulate = QueryFormulator.formulate
+
+    def recording(self, *args, **kwargs):
+        result = formulate(self, *args, **kwargs)
+        captured.append(result)
+        return result
+
+    monkeypatch.setattr(QueryFormulator, "formulate", recording)
+    return captured
+
+
+def _decision_lines(formulation):
+    return [
+        "%s|%s|%s|%s"
+        % (key, d.profitable, d.cost_with.hex(), d.cost_without.hex())
+        for key, d in formulation.decisions.items()
+    ]
+
+
+#: sha256 over the optimized text and every decision's two costs (as
+#: ``float.hex``) of the 393 spine queries, recorded at the commit before
+#: pricing became a value computed once (PR 12, 81212a2).
+SPINE_DIGEST = "d369e60fcdde9ada1841de46865c08f246b79a311efb2f39911237e4f664d27c"
+
+
+def test_spine_queries_optimize_to_the_recorded_costs(formulations):
+    """The ``optimize_cold`` workload, decision by decision, bit for bit."""
+    setup = build_evaluation_setup(TABLE_4_1_SPECS["DB4"], query_count=1)
+    service = OptimizationService(
+        setup.schema,
+        repository=setup.repository,
+        cost_model=setup.cost_model,
+        store=setup.store,
+    )
+    service.enable_dynamic_rules()
+    distinct = {}
+    for query in build_workload(
+        setup.schema,
+        setup.database.value_catalog,
+        count=400,
+        seed=7,
+        constraints=setup.constraints,
+    ):
+        distinct.setdefault(equivalence_key(query), query)
+    assert len(distinct) == 393
+    digest = hashlib.sha256()
+    for query in distinct.values():
+        del formulations[:]
+        optimized = service.optimize(query, use_cache=False).optimized
+        (formulation,) = formulations
+        lines = [format_query(optimized)] + _decision_lines(formulation)
+        digest.update("\n".join(lines).encode() + b"\0")
+    service.close()
+    assert digest.hexdigest() == SPINE_DIGEST
+
+
+def test_weight_swap_mid_formulation_cannot_split_a_decision(
+    small_setup, formulations
+):
+    schema, statistics = small_setup.schema, small_setup.statistics
+    generations = [
+        CostWeights(),
+        CostWeights(instance_retrieval=0.02, predicate_evaluation=0.5),
+    ]
+    model = CostModel(schema, statistics)
+
+    def swapping_statistics():
+        # A calibrator landing a new fit whenever pricing looks at the store.
+        model.set_weights(generations[model.weights_generation % 2])
+        return statistics
+
+    model.bind_statistics(swapping_statistics)
+
+    def decisions(cost_model, query):
+        del formulations[:]
+        SemanticQueryOptimizer(
+            schema,
+            repository=small_setup.repository,
+            cost_model=cost_model,
+            config=OptimizerConfig(record_access_statistics=False),
+        ).optimize(query)
+        (formulation,) = formulations
+        return _decision_lines(formulation)
+
+    told_apart = 0
+    for query in small_setup.queries:
+        under = [
+            decisions(CostModel(schema, statistics, weights), query)
+            for weights in generations
+        ]
+        swaps_before = model.weights_generation
+        assert decisions(model, query) in under
+        # One statistics read (one swap) per formulation, however many
+        # decisions it takes.
+        assert model.weights_generation == swaps_before + 1
+        told_apart += under[0] != under[1]
+    assert told_apart

@@ -101,11 +101,11 @@ def test_executor_cache_is_keyed_by_worker_width(service_setup):
     assert two is again
     assert two is not three
     assert two.workers == 2 and three.workers == 3
-    # In-process engines ignore the width: one warm executor per
-    # (mode, strategy), whatever workers value the caller passes.
-    assert service._executor("vectorized", "hash", 2) is (
-        service._executor("vectorized", "hash", 5)
+    # In-process engines hold no state: built per call, never kept.
+    assert not isinstance(
+        service._executor("vectorized", "hash", 2), ParallelExecutor
     )
+    assert {mode for mode, _, _ in service._executors} == {"parallel"}
 
 
 def test_attach_store_closes_worker_pools(service_setup):

@@ -7,6 +7,8 @@ cache epochs, so results priced under the old state age out instead of
 being served as current.
 """
 
+import json
+
 import pytest
 
 from repro.constraints import ConstraintRepository
@@ -28,6 +30,12 @@ def _build_service(setup, **kwargs):
         store=setup.store,
         **kwargs,
     )
+
+
+def _row_multiset(rows):
+    """Full rows as a sorted multiset: the order rows come back in belongs
+    to the plan, and a weight swap may pick a different equivalent one."""
+    return sorted(json.dumps(row, sort_keys=True, default=str) for row in rows)
 
 
 @pytest.fixture()
@@ -61,7 +69,7 @@ def test_calibration_swaps_weights_and_invalidates_pricing(setup):
         cost_model = service.optimizer.cost_model
         generation_before = cost_model.weights_generation
         reference = [
-            service.execute(query, execution_mode="rowwise").rows
+            _row_multiset(service.execute(query, execution_mode="rowwise").rows)
             for query in setup.queries
         ]
         for _ in range(8):
@@ -71,9 +79,11 @@ def test_calibration_swaps_weights_and_invalidates_pricing(setup):
         assert cost_model.weights_generation > generation_before
         assert manager.last_calibration is not None
         assert manager.last_calibration.mode == "rowwise"
-        # Calibrated pricing never changes answers.
+        # Calibrated pricing never changes answers: the same full rows,
+        # each as many times, in whatever order the chosen plan yields.
         for query, rows in zip(setup.queries, reference):
-            assert service.execute(query, execution_mode="rowwise").rows == rows
+            result = service.execute(query, execution_mode="rowwise")
+            assert _row_multiset(result.rows) == rows
     finally:
         service.close()
 
