@@ -8,17 +8,18 @@ a query in the Table 4.2 reproduction — the same role the relational DBMS
 played in the paper's experiments, where it was used "to simulate the cost
 ratios of the optimized and original queries".
 
-Result rows carry *all* attributes of every bound class in qualified
-``class.attribute`` form; the projection list is remembered on the result so
-callers can view the projected answer, while the semantic-equivalence checks
-can compare answers on whichever attribute set they need.
+Result rows are the query's answer: exactly the plan's projection list, in
+qualified ``class.attribute`` form and in projection-list order.  They are
+built once, by :func:`build_rows`, from the bindings the last operator
+produced — the one place in the engine that constructs a result row, shared
+by all three executors.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..constraints.predicate import Predicate
 from ..query.query import Query
@@ -80,7 +81,12 @@ class ShardReport:
 
 @dataclass
 class ExecutionResult:
-    """Rows plus metrics from executing one plan.
+    """The answer rows plus metrics from executing one plan.
+
+    ``rows`` is the projection (see :func:`build_rows`): one row per
+    binding, in binding order, duplicates kept, each holding exactly the
+    plan's projection list.  An attribute the query did not project is not
+    in the rows; a caller who wants it projects it.
 
     ``shard_reports`` is only populated by the parallel engine when the
     plan actually fanned out (one report per non-empty shard); in-process
@@ -89,7 +95,6 @@ class ExecutionResult:
 
     rows: List[Dict[str, Any]]
     metrics: ExecutionMetrics
-    projections: Tuple[str, ...] = ()
     plan: Optional[QueryPlan] = None
     shard_reports: Optional[List[ShardReport]] = None
 
@@ -98,18 +103,40 @@ class ExecutionResult:
         """Number of result rows."""
         return len(self.rows)
 
-    def projected_rows(self) -> List[Dict[str, Any]]:
-        """Rows restricted to the projection list (all attributes if empty)."""
-        if not self.projections:
-            return [dict(row) for row in self.rows]
-        return [
-            {attribute: row.get(attribute) for attribute in self.projections}
-            for row in self.rows
-        ]
-
 
 #: A partial result during execution: class name -> bound instance.
 Binding = Dict[str, ObjectInstance]
+
+
+def build_rows(
+    plan: QueryPlan, columns: Mapping[str, Sequence[ObjectInstance]]
+) -> List[Dict[str, Any]]:
+    """The answer rows of ``plan`` over its final bindings.
+
+    ``columns`` holds the bindings column-wise: one equally long sequence of
+    instances per bound class, in binding order.  Each row carries the
+    projection list of the plan's root :class:`ProjectNode`, in list order
+    (an attribute an instance lacks reads ``None``).  An empty projection
+    list — or a plan without a projection root — means every attribute of
+    every bound class, classes in binding order.
+    """
+    root = plan.root
+    projections = root.projections if isinstance(root, ProjectNode) else ()
+    if not projections:
+        rows = []
+        for binding in zip(*columns.values()):
+            row: Dict[str, Any] = {}
+            for instance in binding:
+                row.update(instance.qualified_values())
+            rows.append(row)
+        return rows
+    values = []
+    for projection in projections:
+        class_name, attribute = projection.split(".", 1)
+        values.append(
+            [instance.values.get(attribute) for instance in columns[class_name]]
+        )
+    return [dict(zip(projections, row)) for row in zip(*values)]
 
 
 class QueryExecutor:
@@ -156,12 +183,16 @@ class QueryExecutor:
     def execute_plan(self, plan: QueryPlan) -> ExecutionResult:
         """Execute ``plan`` and return rows plus metrics."""
         metrics = ExecutionMetrics()
-        bindings, projections = self._run(plan.root, metrics)
-        rows = [self._binding_to_row(binding) for binding in bindings]
+        bindings = self._run(plan.root, metrics)
+        rows: List[Dict[str, Any]] = []
+        if bindings:
+            columns = {
+                class_name: [binding[class_name] for binding in bindings]
+                for class_name in bindings[0]
+            }
+            rows = build_rows(plan, columns)
         metrics.rows_output = len(rows)
-        return ExecutionResult(
-            rows=rows, metrics=metrics, projections=projections, plan=plan
-        )
+        return ExecutionResult(rows=rows, metrics=metrics, plan=plan)
 
     def execute(self, query: Query) -> ExecutionResult:
         """Plan and execute ``query`` in one call."""
@@ -174,20 +205,18 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Node evaluation
     # ------------------------------------------------------------------
-    def _run(
-        self, node: PlanNode, metrics: ExecutionMetrics
-    ) -> Tuple[List[Binding], Tuple[str, ...]]:
+    def _run(self, node: PlanNode, metrics: ExecutionMetrics) -> List[Binding]:
         if isinstance(node, ScanNode):
-            return self._run_scan(node, metrics), ()
+            return self._run_scan(node, metrics)
         if isinstance(node, TraverseNode):
-            bindings, projections = self._run(node.child, metrics)
-            return self._run_traverse(node, bindings, metrics), projections
+            bindings = self._run(node.child, metrics)
+            return self._run_traverse(node, bindings, metrics)
         if isinstance(node, FilterNode):
-            bindings, projections = self._run(node.child, metrics)
-            return self._run_filter(node, bindings, metrics), projections
+            bindings = self._run(node.child, metrics)
+            return self._run_filter(node, bindings, metrics)
         if isinstance(node, ProjectNode):
-            bindings, _ = self._run(node.child, metrics)
-            return bindings, node.projections
+            # The last operator: its bindings are what build_rows projects.
+            return self._run(node.child, metrics)
         raise TypeError(f"unknown plan node type {type(node).__name__}")
 
     def _candidate_instances(
@@ -346,13 +375,3 @@ class QueryExecutor:
             if keep:
                 results.append(binding)
         return results
-
-    # ------------------------------------------------------------------
-    # Row construction
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _binding_to_row(binding: Binding) -> Dict[str, Any]:
-        row: Dict[str, Any] = {}
-        for instance in binding.values():
-            row.update(instance.qualified_values())
-        return row

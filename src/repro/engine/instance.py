@@ -23,10 +23,9 @@ class ObjectInstance:
     values:
         Attribute name -> value.  Pointer attributes store the target OID.
 
-    Two values derived from ``values`` alone — the qualified row fragment
-    and the normalized pointer lists — are memoized on the instance
-    (:meth:`fragment`, :meth:`pointers`).  The memo is no part of the
-    instance's identity: equality, ``repr`` and :meth:`copy` ignore it.
+    One value derived from ``values`` alone — the normalized pointer lists
+    — is memoized on the instance (:meth:`pointers`).  The memo is no part
+    of the instance's identity: equality, ``repr`` and :meth:`copy` ignore it.
     Whoever changes ``values`` must call :meth:`forget_derived`; the store
     does, in the only two places stored values change
     (:meth:`~repro.engine.storage.StoreShard.update` and
@@ -34,8 +33,8 @@ class ObjectInstance:
     """
 
     # Slots, not a __dict__: a store holds one instance per row, and the
-    # two memo fields must not cost a per-row dictionary.
-    __slots__ = ("class_name", "oid", "values", "_fragment", "_pointers")
+    # memo field must not cost a per-row dictionary.
+    __slots__ = ("class_name", "oid", "values", "_pointers")
 
     # Mutable, so unhashable (as the dataclass this replaces was).
     __hash__ = None  # type: ignore[assignment]
@@ -46,7 +45,6 @@ class ObjectInstance:
         self.class_name = class_name
         self.oid = oid
         self.values: Dict[str, Any] = {} if values is None else values
-        self._fragment: Optional[Dict[str, Any]] = None
         self._pointers: Optional[Dict[str, List[int]]] = None
 
     def __eq__(self, other: object) -> bool:
@@ -118,15 +116,8 @@ class ObjectInstance:
         }
 
     # ------------------------------------------------------------------
-    # Memoized derivations (read by the batch executors)
+    # Memoized derivation (read by the batch executors)
     # ------------------------------------------------------------------
-    def fragment(self) -> Dict[str, Any]:
-        """:meth:`qualified_values`, built once; shared, so read-only."""
-        fragment = self._fragment
-        if fragment is None:
-            fragment = self._fragment = self.qualified_values()
-        return fragment
-
     def pointers(self, attribute_name: str) -> List[int]:
         """:meth:`pointer_oids`, built once per attribute; read-only."""
         memo = self._pointers
@@ -139,7 +130,6 @@ class ObjectInstance:
 
     def forget_derived(self) -> None:
         """Drop the memo; call after changing ``values``."""
-        self._fragment = None
         self._pointers = None
 
     def copy(self) -> "ObjectInstance":

@@ -19,10 +19,11 @@ work across a pool of forked worker processes:
    pipeline** (:class:`~repro.engine.vectorized.VectorizedExecutor` over
    the forked store snapshot, whose rows keep their memoized pointer lists
    across plans), and sends back per-class **OID columns** — not
-   materialized rows, which would dominate transport cost — plus its
+   answer rows, which would dominate transport cost — plus its
    metrics and a ledger of once-per-plan charges;
-4. the parent **merges deterministically**: per-shard row batches are
-   rebuilt from the OID columns, materialized from the parent's rows, and
+4. the parent **merges deterministically**: per-shard bindings are
+   rebuilt from the OID columns, projected into answer rows by the shared
+   row builder (:func:`~repro.engine.executor.build_rows`), and
    interleaved by driver position (positions never collide
    across partitions, so the merge reproduces the sequential row order
    bit for bit); worker counters are summed, and ledgered one-off charges
@@ -60,9 +61,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..query.query import Query
 from ..schema.schema import Schema
-from .executor import ExecutionMetrics, ExecutionResult, ShardReport
+from .executor import ExecutionMetrics, ExecutionResult, ShardReport, build_rows
 from .modes import ExecutionMode, resolve_worker_count
-from .plan import ProjectNode, QueryPlan, ScanNode
+from .plan import QueryPlan, ScanNode
 from .statistics import DatabaseStatistics
 from .storage import ObjectStore
 from .vectorized import BindingBatch, VectorizedExecutor, _PlanContext
@@ -88,7 +89,6 @@ class _ShardOutcome:
     positions: List[int]
     metrics: ExecutionMetrics
     ledger: Dict[Tuple, Tuple[int, int, int]]
-    projections: Tuple[str, ...]
     driver_rows: int
     elapsed: float
 
@@ -185,7 +185,7 @@ def _execute_shard_chunk(tasks: List[_ShardTask]) -> List[_ShardOutcome]:
             {driver_class: [oid_index[oid] for oid in driver_oids]},
             positions=list(positions),
         )
-        batch, projections = executor._run(plan.root, context, scan_override=batch)
+        batch = executor._run(plan.root, context, scan_override=batch)
         columns = {
             name: [instance.oid for instance in column]
             for name, column in batch.columns.items()
@@ -197,7 +197,6 @@ def _execute_shard_chunk(tasks: List[_ShardTask]) -> List[_ShardOutcome]:
                 positions=list(batch.positions or []),
                 metrics=metrics,
                 ledger=ledger,
-                projections=projections,
                 driver_rows=len(driver_oids),
                 elapsed=time.perf_counter() - start,
             )
@@ -211,7 +210,6 @@ class _PreparedExecution:
 
     plan: QueryPlan
     context: _PlanContext
-    projections: Tuple[str, ...]
     #: ``(chunk future, index into its outcome list)`` per non-empty shard.
     shard_futures: List[Tuple[Any, int]] = field(default_factory=list)
     #: shard id -> (driver OIDs, driver positions); ``None`` = inline path.
@@ -415,17 +413,7 @@ class ParallelExecutor:
         """Run the driver scan and decide inline vs fan-out per plan."""
         local = self._local
         context = _PlanContext(ExecutionMetrics())
-        projections = next(
-            (
-                node.projections
-                for node in plan.root.walk()
-                if isinstance(node, ProjectNode)
-            ),
-            (),
-        )
-        prepared = _PreparedExecution(
-            plan=plan, context=context, projections=projections
-        )
+        prepared = _PreparedExecution(plan=plan, context=context)
         leaf = plan.partition_leaf()
         if leaf is None:
             prepared.inline_result = local.execute_plan(plan)
@@ -524,13 +512,11 @@ class ParallelExecutor:
         """The fallback: finish the plan in-process on the already-run scan."""
         local = self._local
         batch = BindingBatch({leaf.class_name: list(driver)})
-        batch, projections = local._run(plan.root, context, scan_override=batch)
-        rows = local._materialize(batch)
+        batch = local._run(plan.root, context, scan_override=batch)
+        rows = build_rows(plan, batch.columns)
         metrics = context.metrics
         metrics.rows_output = len(rows)
-        return ExecutionResult(
-            rows=rows, metrics=metrics, projections=projections, plan=plan
-        )
+        return ExecutionResult(rows=rows, metrics=metrics, plan=plan)
 
     def _merge(self, prepared: _PreparedExecution) -> ExecutionResult:
         """Deterministically merge shard outcomes into one result."""
@@ -567,8 +553,6 @@ class ParallelExecutor:
                     charged.add(key)
                     prepared.context.charge(deltas)
 
-        local = self._local
-        merged: List[Tuple[int, Dict[str, Any]]] = []
         streams = []
         reports: List[ShardReport] = []
         for outcome in outcomes:
@@ -576,7 +560,7 @@ class ParallelExecutor:
                 name: [self.store.oid_index(name)[oid] for oid in oids]
                 for name, oids in outcome.columns.items()
             }
-            rows = local._materialize(BindingBatch(columns))
+            rows = build_rows(prepared.plan, columns)
             streams.append(zip(outcome.positions, rows))
             reports.append(
                 ShardReport(
@@ -592,15 +576,9 @@ class ParallelExecutor:
             row for _position, row in _heap_merge(*streams, key=lambda item: item[0])
         ]
         metrics.rows_output = len(merged_rows)
-        projections = prepared.projections
-        for outcome in outcomes:
-            if outcome.projections:
-                projections = outcome.projections
-                break
         return ExecutionResult(
             rows=merged_rows,
             metrics=metrics,
-            projections=projections,
             plan=prepared.plan,
             shard_reports=reports,
         )

@@ -11,7 +11,8 @@ made of four node types:
   join), applying that class's single-class predicates on the way.
 * :class:`FilterNode` — apply cross-class predicates (joins introduced by
   constraints, or explicit join predicates) once both sides are bound.
-* :class:`ProjectNode` — keep only the projected attributes.
+* :class:`ProjectNode` — the plan's root and last operator: the query's
+  projection list, which is exactly what each answer row holds.
 
 Plans are pure descriptions; evaluation lives in
 :mod:`repro.engine.executor` and cost prediction in
@@ -176,7 +177,15 @@ class FilterNode(PlanNode):
 
 @dataclass
 class ProjectNode(PlanNode):
-    """Project result rows onto the requested attributes."""
+    """The last operator: the answer is the projection of its bindings.
+
+    ``projections`` is the first part of the paper's five-part query, the
+    qualified ``class.attribute`` names in the order the query lists them.
+    The executors build one answer row per binding that reaches this node,
+    holding exactly these attributes in this order
+    (:func:`~repro.engine.executor.build_rows`); an empty list means every
+    attribute of every bound class.
+    """
 
     child: PlanNode
     projections: Tuple[str, ...] = ()
@@ -195,7 +204,7 @@ class ProjectNode(PlanNode):
         return tuple(self.projections)
 
     def partition_safe(self) -> bool:
-        """Projection keeps rows intact; it distributes trivially."""
+        """One answer row per input binding; it distributes trivially."""
         return True
 
 

@@ -12,9 +12,8 @@ and re-interprets every predicate per row, this executor:
   once per plan by :mod:`repro.engine.compiled` and then applied to whole
   columns in tight loops;
 * performs pointer traversals via **batched index/pointer lookups** over the
-  hash-join build side, reading each instance's memoized pointer lists and
-  row fragment (:meth:`~repro.engine.instance.ObjectInstance.pointers`,
-  :meth:`~repro.engine.instance.ObjectInstance.fragment`) instead of
+  hash-join build side, reading each instance's memoized pointer lists
+  (:meth:`~repro.engine.instance.ObjectInstance.pointers`) instead of
   re-deriving them per row.
 
 The executor holds no state derived from the store: everything it reuses
@@ -60,7 +59,7 @@ from .compiled import (
     compile_for_binding,
     compile_for_class,
 )
-from .executor import ExecutionMetrics, ExecutionResult
+from .executor import ExecutionMetrics, ExecutionResult, build_rows
 from .instance import ObjectInstance
 from .modes import ExecutionMode
 from .plan import FilterNode, PlanNode, ProjectNode, QueryPlan, ScanNode, TraverseNode
@@ -74,7 +73,7 @@ class BindingBatch:
     ``columns`` maps each bound class name to a column (list) of instances;
     all columns have equal length and row ``i`` across the columns is one
     binding.  Column insertion order matches the order classes were bound,
-    which is what keeps materialized rows identical to the row-wise path.
+    which is what keeps an unprojected row identical to the row-wise path.
 
     ``positions`` is an optional parallel column of global row positions.
     A single-shard execution never needs it; the parallel executor seeds it
@@ -251,12 +250,10 @@ class VectorizedExecutor:
         """Execute ``plan`` and return rows plus metrics."""
         metrics = ExecutionMetrics()
         context = _PlanContext(metrics)
-        batch, projections = self._run(plan.root, context)
-        rows = self._materialize(batch)
+        batch = self._run(plan.root, context)
+        rows = build_rows(plan, batch.columns)
         metrics.rows_output = len(rows)
-        return ExecutionResult(
-            rows=rows, metrics=metrics, projections=projections, plan=plan
-        )
+        return ExecutionResult(rows=rows, metrics=metrics, plan=plan)
 
     def statistics(self) -> DatabaseStatistics:
         """Statistics current for the store's version (the store's cache)."""
@@ -285,9 +282,9 @@ class VectorizedExecutor:
         *current* statistics, because physical plan choice (and therefore
         row order) is stats-dependent and a retained stale plan could
         order rows differently from a fresh execution.  The incremental
-        win is on the rows: a write drops the memoized pointer lists and
-        fragment of the rows it changed and of no other, so the re-probe
-        re-derives per *changed row*.  Returns the result plus the touched
+        win is on the rows: a write drops the memoized pointer lists of the
+        rows it changed and of no other, so the re-probe re-derives per
+        *changed row*.  Returns the result plus the touched
         shard ids (sorted), which the standing-view layer surfaces for
         observability and tests pin.
         """
@@ -302,22 +299,23 @@ class VectorizedExecutor:
         node: PlanNode,
         context: _PlanContext,
         scan_override: Optional[BindingBatch] = None,
-    ) -> Tuple[BindingBatch, Tuple[str, ...]]:
+    ) -> BindingBatch:
         context.node_seq += 1
         node_seq = context.node_seq
         if isinstance(node, ScanNode):
             if scan_override is not None:
-                return scan_override, ()
-            return self._run_scan(node, context), ()
+                return scan_override
+            return self._run_scan(node, context)
         if isinstance(node, TraverseNode):
-            batch, projections = self._run(node.child, context, scan_override)
-            return self._run_traverse(node, batch, context, node_seq), projections
+            batch = self._run(node.child, context, scan_override)
+            return self._run_traverse(node, batch, context, node_seq)
         if isinstance(node, FilterNode):
-            batch, projections = self._run(node.child, context, scan_override)
-            return self._run_filter(node, batch, context), projections
+            batch = self._run(node.child, context, scan_override)
+            return self._run_filter(node, batch, context)
         if isinstance(node, ProjectNode):
-            batch, _ = self._run(node.child, context, scan_override)
-            return batch, node.projections
+            # The last operator: its batch is what build_rows projects (a
+            # parallel worker ships it as OID columns instead).
+            return self._run(node.child, context, scan_override)
         raise TypeError(f"unknown plan node type {type(node).__name__}")
 
     def _derive_candidates(
@@ -548,24 +546,3 @@ class VectorizedExecutor:
         if len(indices) == batch.length:
             return batch
         return batch.take(indices)
-
-    # ------------------------------------------------------------------
-    # Row construction
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _materialize(batch: BindingBatch) -> List[Dict[str, Any]]:
-        """Rows in qualified ``class.attribute`` form.
-
-        Join fan-out repeats the same instance across many rows (and across
-        the queries of a workload); each row merges the instances' memoized
-        fragments instead of re-deriving the qualified keys per row as the
-        row-wise path does.
-        """
-        columns = list(batch.columns.values())
-        rows: List[Dict[str, Any]] = []
-        for i in range(batch.length):
-            row: Dict[str, Any] = {}
-            for column in columns:
-                row.update(column[i].fragment())
-            rows.append(row)
-        return rows

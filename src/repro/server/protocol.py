@@ -14,6 +14,16 @@ connection).  ``op`` selects the RPC:
     ``query`` (paper five-part notation) → optimization payload.
 ``execute``
     ``query`` → execution payload (rows, metrics, timings, provenance).
+    ``rows`` is the answer: one JSON object per result binding holding
+    exactly the query's projection list as ``class.attribute`` keys
+    (duplicates kept, so ``row_count`` is the number of bindings; the
+    engine builds a row in projection-list order, and
+    :func:`encode_frame` sorts the keys of every object it serializes).
+    An attribute that is not projected — pointer
+    attributes included — is not sent; a query with an empty projection
+    list gets every attribute of every bound class.  The same holds for
+    every other ``rows``/``row`` below (``execute_batch`` results, the
+    ``subscribe`` snapshot, ``diff`` and ``resync`` push frames).
 ``execute_batch``
     ``queries`` (list of query texts) → per-query execution payloads plus
     batch statistics.
@@ -108,7 +118,9 @@ from ..service.envelope import ExecutionEnvelope, ServiceResult
 from .errors import GatewayError, ProtocolError
 
 #: Bumped when a frame field changes meaning; echoed by the stats RPC.
-PROTOCOL_VERSION = 1
+#: 2: ``rows`` is the query's projection (1 sent the full-width row of
+#: every bound class whatever was projected).
+PROTOCOL_VERSION = 2
 
 #: The RPCs a request frame may name.
 OPS = (
@@ -269,7 +281,11 @@ def _parse_options(raw: Any) -> Dict[str, Any]:
                 "option 'join_strategy' must be 'hash' or 'nested_loop'"
             )
     if "workers" in options:
-        if not isinstance(options["workers"], int) or options["workers"] < 1:
+        if (
+            not isinstance(options["workers"], int)
+            or isinstance(options["workers"], bool)
+            or options["workers"] < 1
+        ):
             raise ProtocolError("option 'workers' must be an integer >= 1")
     if "timeout" in options:
         if (
@@ -451,9 +467,10 @@ def optimization_payload(envelope: ServiceResult) -> Dict[str, Any]:
 def execution_payload(envelope: ExecutionEnvelope) -> Dict[str, Any]:
     """The ``result`` object of an ``execute`` response.
 
-    Carries the answer rows, the engine's cost counters, wall-clock
-    timings, cache provenance of the optimization half, and per-shard
-    reports when the parallel engine fanned out.
+    Carries the answer rows (the projection, exactly as the engine built
+    them), the engine's cost counters, wall-clock timings, cache
+    provenance of the optimization half, and per-shard reports when the
+    parallel engine fanned out.
     """
     optimization = envelope.optimization
     shard_timings = envelope.shard_timings

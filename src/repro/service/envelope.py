@@ -203,7 +203,8 @@ class ExecutionEnvelope:
     Bundles the optimization envelope (``None`` when the caller asked for
     raw execution of the query as written) with the execution result of the
     chosen engine, so a server handler gets answer rows, cost counters,
-    provenance and timings from one call.
+    provenance and timings from one call.  The rows are the query's
+    projection — exactly the projected attributes, in projection-list order.
 
     >>> from repro.constraints import ConstraintRepository, build_example_constraints
     >>> from repro.data import DatabaseGenerator, DatabaseSpec
@@ -227,6 +228,8 @@ class ExecutionEnvelope:
     'computed'
     >>> envelope.rows == envelope.execution.rows
     True
+    >>> {tuple(row) for row in envelope.rows}
+    {('cargo.desc',)}
     """
 
     query: Query
@@ -244,7 +247,12 @@ class ExecutionEnvelope:
 
     @property
     def rows(self) -> List[Dict[str, Any]]:
-        """The answer rows."""
+        """The answer rows: one per result binding, each the projection list.
+
+        What the engine built is what the wire ships — the gateway's
+        ``execute`` payload and a standing view's diff stream carry these
+        rows unchanged.
+        """
         return self.execution.rows
 
     @property

@@ -1,5 +1,7 @@
 """Integration tests for the planner, executor and cost model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.constraints import Predicate
@@ -45,15 +47,16 @@ def test_single_class_plan_and_execution(database):
 
 def test_two_class_traversal_execution(database):
     schema, store, statistics = database
-    query = two_class_query()
+    query = replace(
+        two_class_query(),
+        projections=("cargo.code", "vehicle.vehicle_no", "cargo.desc"),
+    )
     executor = QueryExecutor(schema, store)
     result = executor.execute(query)
     assert result.row_count == 2
     for row in result.rows:
         assert row["cargo.desc"] == "frozen food"
-        assert "vehicle.vehicle_no" in row
-    projected = result.projected_rows()
-    assert set(projected[0]) == {"cargo.code", "vehicle.vehicle_no"}
+        assert list(row) == ["cargo.code", "vehicle.vehicle_no", "cargo.desc"]
 
 
 def test_nested_loop_strategy_matches_hash_results(database):

@@ -68,7 +68,7 @@ def test_stats_rpc_shape(build_service, workload_texts, harness):
             client = AsyncGatewayClient.in_process(gateway)
             await client.execute(workload_texts[0])
             stats = await client.stats()
-            assert stats["protocol_version"] == 1
+            assert stats["protocol_version"] == 2
             service_stats = stats["service"]
             assert service_stats["store_attached"] is True
             assert service_stats["single_flight"]["leaders"] >= 1

@@ -84,6 +84,7 @@ def test_parse_request_rejects_unknown_option(evaluation_schema):
         ({"execution_mode": "warp"}, "unknown execution mode"),
         ({"workers": 0}, "workers"),
         ({"workers": "four"}, "workers"),
+        ({"workers": True}, "workers"),
         ({"timeout": -1}, "timeout"),
         ({"optimize": "yes"}, "optimize"),
         ({"join_strategy": "merge"}, "join_strategy"),

@@ -5,7 +5,8 @@ followed by version-ordered ``diff`` frames that fold to the fresh
 result, standing plans freed by *both* ``unsubscribe`` and client
 disconnect (asserted through gateway stats), rule churn surfacing as a
 ``resync`` frame, and malformed subscribe frames mapping to stable wire
-codes without taking the session down.
+codes without taking the session down.  Every ``rows`` on the wire is the
+query's projection, so a view's diff stream is a diff of its answer.
 """
 
 import asyncio
@@ -15,11 +16,16 @@ import pytest
 from repro.constraints import ConstraintRepository
 from repro.data import build_evaluation_constraints
 from repro.engine import ObjectStore
+from repro.query import parse_query
 from repro.server import AsyncGatewayClient, GatewayRequestError, QueryGateway
 from repro.service import OptimizationService
 from repro.subscriptions import apply_changes
 
 QUERY = '(SELECT {cargo.code, cargo.quantity} { } {cargo.quantity >= 30} { } {cargo})'
+#: The same answer set with a pointer attribute asked for, first.
+POINTER_QUERY = (
+    '(SELECT {cargo.collects, cargo.code} { } {cargo.quantity >= 30} { } {cargo})'
+)
 
 
 @pytest.fixture()
@@ -207,3 +213,69 @@ def test_malformed_subscribe_frames_keep_the_session_alive(mutable_service):
     }
     assert rows["row_count"] > 0
     assert stats["subscriptions"]["active"] == 1
+
+
+def _key_lists(rows):
+    return {tuple(row) for row in rows}
+
+
+def test_wire_rows_carry_exactly_the_projection(mutable_service):
+    service, store = mutable_service
+    store.update("cargo", store.instances("cargo")[-1].oid, {"collects": 7})
+    service.enable_dynamic_rules(class_names=["cargo"])
+
+    async def scenario():
+        gateway = QueryGateway(service)
+        client = AsyncGatewayClient.in_process(gateway)
+        plain = await client.execute(QUERY)
+        pointer = await client.execute(POINTER_QUERY)
+        batch = await client.execute_batch([QUERY, POINTER_QUERY])
+        snapshot = await client.subscribe(POINTER_QUERY)
+        # Moves the cargo rules, so the view resyncs with a full row list.
+        await client.insert("cargo", _row("HUGE", 10_000))
+        frame = await client.next_push(snapshot["subscription"], timeout=5)
+        await gateway.stop()
+        return plain, pointer, batch, snapshot, frame
+
+    plain, pointer, batch, snapshot, frame = asyncio.run(scenario())
+    assert frame["push"] == "resync"
+    plain_keys = {("cargo.code", "cargo.quantity")}
+    pointer_keys = {("cargo.collects", "cargo.code")}
+    assert _key_lists(plain["rows"]) == plain_keys
+    assert _key_lists(batch["results"][0]["rows"]) == plain_keys
+    for rows in (
+        pointer["rows"],
+        batch["results"][1]["rows"],
+        snapshot["rows"],
+        frame["rows"],
+    ):
+        assert _key_lists(rows) == pointer_keys
+    assert 7 in [row["cargo.collects"] for row in pointer["rows"]]
+    assert plain["row_count"] == pointer["row_count"] == 3
+
+
+@pytest.mark.parametrize("engine", ["rowwise", "vectorized", "parallel"])
+def test_view_diffs_are_diffs_of_the_answer(mutable_service, engine):
+    service, store = mutable_service
+    registry = service.subscription_registry()
+    frames = []
+    snapshot = registry.subscribe(
+        parse_query(QUERY),
+        options={"execution_mode": engine},
+        emit=frames.append,
+    )
+    in_view = store.instances("cargo")[-1].oid  # quantity 50: in the answer
+
+    # Unprojected and unfiltered: the row is re-read, the answer is not moved.
+    service.mutate("update", "cargo", oid=in_view, values={"category": "moved"})
+    assert registry.pump() == {"views": 1, "diffs": 0, "resyncs": 0, "skipped": 1}
+    assert frames == []
+
+    service.mutate("update", "cargo", oid=in_view, values={"quantity": 51})
+    assert registry.pump()["diffs"] == 1
+    (frame,) = frames
+    (change,) = frame["changes"]
+    assert change["kind"] == "changed"
+    assert change["row"] == {"cargo.code": "C3", "cargo.quantity": 51}
+    folded = apply_changes(snapshot["rows"], frame["changes"])
+    assert folded == service.execute(parse_query(QUERY)).rows
