@@ -13,7 +13,7 @@ and the Table 4.2 reproduction would be meaningless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..engine.storage import ObjectStore
 from ..schema.schema import Schema
@@ -66,7 +66,18 @@ def _bindings_for_classes(
     relationship's pointer attributes; unconnected classes would produce a
     cross product, so they are bound independently only when the class list
     has a single member.  The generator yields dictionaries mapping class
-    name to the instance's attribute values (plus ``__oid__`` bookkeeping).
+    name to the bound :class:`~repro.engine.instance.ObjectInstance`.
+
+    The order of the bindings is part of the contract (the data generator
+    repairs values while it iterates): for each bound instance, the joined
+    class's candidates are the targets of its own pointer, in pointer order,
+    then the instances that reference it only from the other side, in extent
+    order, none twice.  The reverse side is read from
+    :meth:`~repro.engine.storage.ShardedObjectStore.referrer_map`, built on
+    first use and held for this one enumeration, so it relies on one
+    condition: pointer attributes and extents do not change while the
+    enumeration is in flight.  Value attributes may (repairs touch only
+    those).
     """
     if not class_names:
         return
@@ -75,10 +86,12 @@ def _bindings_for_classes(
     if limit_per_class is not None:
         first_instances = first_instances[:limit_per_class]
 
+    # (class, pointer attribute) -> store.referrer_map of that side.
+    referrer_maps: Dict[Tuple[str, str], Dict[int, List]] = {}
     for instance in first_instances:
         binding = {first: instance}
         yield from _extend_binding(
-            schema, store, class_names, 1, binding, limit_per_class
+            schema, store, class_names, 1, binding, limit_per_class, referrer_maps
         )
 
 
@@ -89,6 +102,7 @@ def _extend_binding(
     index: int,
     binding,
     limit_per_class: Optional[int],
+    referrer_maps,
 ):
     if index >= len(class_names):
         yield dict(binding)
@@ -109,12 +123,15 @@ def _extend_binding(
         candidates = [instance for instance in forward if instance is not None]
         # Also pick up links stored only on the other side of the
         # relationship (reverse pointers).
+        side = (next_class, back_pointer)
+        if side not in referrer_maps:
+            referrer_maps[side] = store.referrer_map(next_class, back_pointer)
         seen = {instance.oid for instance in candidates}
-        for candidate in store.instances(next_class):
-            if candidate.oid in seen:
-                continue
-            if bound_instance.oid in candidate.pointer_oids(back_pointer):
-                candidates.append(candidate)
+        candidates.extend(
+            candidate
+            for candidate in referrer_maps[side].get(bound_instance.oid, ())
+            if candidate.oid not in seen
+        )
         break
     if candidates is None:
         # No relationship to any bound class: fall back to all instances.
@@ -124,7 +141,13 @@ def _extend_binding(
     for candidate in candidates:
         binding[next_class] = candidate
         yield from _extend_binding(
-            schema, store, class_names, index + 1, binding, limit_per_class
+            schema,
+            store,
+            class_names,
+            index + 1,
+            binding,
+            limit_per_class,
+            referrer_maps,
         )
         del binding[next_class]
 

@@ -951,21 +951,27 @@ class ShardedObjectStore:
             return None
         return self.get(target_class, oid)
 
-    def referrers(
-        self, target: ObjectInstance, source_class: str, pointer_attribute: str
-    ) -> List[ObjectInstance]:
-        """All instances of ``source_class`` whose pointer references ``target``.
+    def referrer_map(
+        self, source_class: str, pointer_attribute: str
+    ) -> Dict[int, List[ObjectInstance]]:
+        """Target OID -> the ``source_class`` instances whose pointer holds it.
 
-        This is the reverse traversal of a relationship and requires a scan
-        of the source extent; the executor accounts for that cost.
+        The reverse traversal of a relationship, for every target at once:
+        one pass over the source extent, each list in extent order.  Scalar
+        and list-valued pointers are read through
+        :meth:`~repro.engine.instance.ObjectInstance.pointer_oids`, which
+        raises ``TypeError`` on a non-OID value.  The map is built from the
+        store as it is now and not kept; a caller that holds one across
+        pointer writes holds a stale one.
         """
         if source_class not in self._next_oid:
-            return []
-        return [
-            instance
-            for instance in self.instances(source_class)
-            if instance.values.get(pointer_attribute) == target.oid
-        ]
+            return {}
+        result: Dict[int, List[ObjectInstance]] = {}
+        for instance in self.instances(source_class):
+            # dict.fromkeys: an OID repeated in one pointer list is one link.
+            for oid in dict.fromkeys(instance.pointer_oids(pointer_attribute)):
+                result.setdefault(oid, []).append(instance)
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         summary = ", ".join(

@@ -66,8 +66,21 @@ def test_dereference_and_referrers(store):
     vehicle = store.insert("vehicle", {"desc": "van"})
     cargo = store.insert("cargo", {"desc": "frozen food", "collects": vehicle.oid})
     assert store.dereference(cargo, "collects", "vehicle") is vehicle
-    referrers = store.referrers(vehicle, "cargo", "collects")
-    assert referrers == [cargo]
+    assert store.referrer_map("cargo", "collects") == {vehicle.oid: [cargo]}
+    # List-valued pointers (what every generated store holds), a repeated
+    # OID, an unlinked instance; each list in extent order.
+    lorry = store.insert("vehicle", {"desc": "lorry"})
+    bulk = store.insert(
+        "cargo", {"desc": "bulk", "collects": [lorry.oid, vehicle.oid, lorry.oid]}
+    )
+    store.insert("cargo", {"desc": "unlinked"})
+    referrers = store.referrer_map("cargo", "collects")
+    assert referrers == {vehicle.oid: [cargo, bulk], lorry.oid: [bulk]}
+    assert referrers[vehicle.oid][1] is bulk
+    assert store.referrer_map("warehouse", "collects") == {}
+    store.insert("cargo", {"desc": "broken", "collects": "not an oid"})
+    with pytest.raises(TypeError):
+        store.referrer_map("cargo", "collects")
 
 
 def test_pointer_oids_handles_lists(store):
