@@ -1,20 +1,26 @@
 """Benchmark: the O(m·n) transformation-complexity claim (Section 4).
 
 Beside it, the same kind of claim about the data the claim is measured on:
-generating a constraint-consistent database is linear in its size.
+generating a constraint-consistent database is linear in its size, and a
+join from one row costs the same whatever the size of the extent it joins
+into.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.core import TransformationEngine, initialize
 from repro.data import DatabaseGenerator, DatabaseSpec
-from repro.engine import ObjectInstance
+from repro.engine import ObjectInstance, VectorizedExecutor
+from repro.engine.plan import TraverseNode
 from repro.experiments import (
     build_chain_constraints,
     build_chain_query,
     build_chain_schema,
     run_complexity,
 )
+from repro.query import parse_query
 
 
 @pytest.mark.parametrize("constraint_count", [16, 64, 256])
@@ -74,3 +80,52 @@ def test_generation_work_is_linear_in_the_data(monkeypatch):
         counts.append(calls)
     assert counts[0] > 0
     assert counts[1] <= 6 * counts[0], counts
+
+
+def test_traversal_work_does_not_grow_with_the_target_extent(monkeypatch):
+    """A one-row driver joins into an unfiltered extent without reading it.
+
+    Counted, not timed: the pointer reads (``pointers`` + ``pointer_oids``)
+    of one warm execution are the same at 104 and at 416 instances per
+    class, because the join probes the store's reverse-pointer index per
+    source row.  When it built its reverse table from the target
+    candidates on every execution it read one pointer list per target
+    instance, ~4x.
+    """
+    calls = 0
+
+    def counting(method):
+        def counted(self, attribute_name):
+            nonlocal calls
+            calls += 1
+            return method(self, attribute_name)
+
+        return counted
+
+    monkeypatch.setattr(ObjectInstance, "pointers", counting(ObjectInstance.pointers))
+    monkeypatch.setattr(
+        ObjectInstance, "pointer_oids", counting(ObjectInstance.pointer_oids)
+    )
+    counts = []
+    for class_cardinality in (104, 416):
+        spec = DatabaseSpec("slope", class_cardinality, class_cardinality * 3)
+        database = DatabaseGenerator(seed=7).generate(spec)
+        codes = Counter(
+            instance.values["code"] for instance in database.store.instances("cargo")
+        )
+        key = next(code for code, count in sorted(codes.items()) if count == 1)
+        query = parse_query(
+            "(SELECT {cargo.code, vehicle.vehicle_no} { } "
+            f'{{cargo.code = "{key}"}} {{collects}} {{cargo, vehicle}})'
+        )
+        executor = VectorizedExecutor(database.schema, database.store)
+        warm = executor.execute(query)
+        traverse = warm.plan.root.child
+        assert isinstance(traverse, TraverseNode) and not traverse.predicates
+        assert traverse.child.index_predicate is not None
+        assert warm.metrics.pointer_traversals == 1 and warm.rows
+        calls = 0
+        assert executor.execute(query).rows == warm.rows
+        counts.append(calls)
+    assert counts[0] > 0
+    assert counts[0] == counts[1], counts

@@ -30,6 +30,12 @@ class ObjectInstance:
     does, in the only two places stored values change
     (:meth:`~repro.engine.storage.StoreShard.update` and
     :meth:`~repro.engine.storage.StoreShard.rebuild_indexes`).
+
+    The instance knows its own pointers only.  Who points *at* it is kept
+    by the store (:meth:`~repro.engine.storage.ShardedObjectStore.referrer_oids`),
+    maintained by the same write calls — so a pointer written into
+    ``values`` directly is, like any value written that way, visible to the
+    indexes after ``rebuild_indexes``.
     """
 
     # Slots, not a __dict__: a store holds one instance per row, and the

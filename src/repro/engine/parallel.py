@@ -37,7 +37,8 @@ ships the store's **mutation journal delta**
 live worker, which replays it into its forked snapshot
 (:meth:`~repro.engine.storage.ShardedObjectStore.apply_journal`) instead
 of being torn down and re-forked.  Replay goes through the replica's own
-``update``, so exactly the rows it changes drop their memoized derivations.
+``update``, so exactly the rows it changes drop their memoized derivations
+and the replica's reverse-pointer index follows the same writes.
 A worker is re-forked only when the journal cannot bridge the gap (bounded
 retention overflow, or an index rebuild after un-journaled in-place
 repairs).  When forking is unavailable, the pool width is 1, the plan has

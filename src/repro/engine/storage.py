@@ -22,10 +22,22 @@ only shard and no merging ever happens.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
-from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..constraints.predicate import ComparisonOperator, Predicate
 from ..schema.attribute import DomainType
@@ -50,6 +62,33 @@ DATA_OPS = ("insert", "update", "delete")
 
 class StorageError(Exception):
     """Raised on inconsistent store operations."""
+
+
+#: One bucket of the reverse-pointer index: the OID of a target's only
+#: referrer, or an ascending tuple of OIDs when it has several.  A store
+#: holds about one bucket per link end, so the single referrer is stored
+#: bare (see :meth:`ShardedObjectStore.referrer_oids`).
+ReferrerBucket = Union[int, Tuple[int, ...]]
+
+
+_OID_TYPES = frozenset((int,))
+
+
+def _is_pointer_value(value: Any) -> bool:
+    """Whether ``value`` is ``None``, an OID, or a list/tuple of OIDs.
+
+    Exact types (a ``bool`` is not an OID), compared without a Python-level
+    call per OID: rebuilds and restores check every stored pointer.
+    """
+    kind = type(value)
+    if value is None or kind is int:
+        return True
+    return kind in (list, tuple) and _OID_TYPES.issuperset(map(type, value))
+
+
+def _distinct_targets(value: Any) -> Iterable[int]:
+    """The OIDs a set, well-formed pointer value links to (a repeat is one link)."""
+    return (value,) if isinstance(value, int) else dict.fromkeys(value)
 
 
 @dataclass(frozen=True)
@@ -219,8 +258,7 @@ class _ShardedIndexView:
     merge the per-shard OID lists into one deterministic global order:
     ascending OID for hash lookups, ``(value, oid)`` order for range
     lookups — the same orders a single-shard index produces for data that
-    entered the store through inserts (per-shard buckets are then already
-    sorted, so the merge is a cheap k-way heap merge).
+    entered the store through inserts.
     """
 
     def __init__(self, store: "ShardedObjectStore") -> None:
@@ -249,18 +287,22 @@ class _ShardedIndexView:
         """
         if not self.can_answer(predicate):
             return None
+        # Extend-and-sort, not a k-way generator merge: OIDs are unique and
+        # ``(value, oid)`` entries totally ordered, so sorting the
+        # concatenation *is* the merge, without a generator resumption per
+        # answer.
         shards = self._store.shards
         if predicate.operator is ComparisonOperator.EQ:
-            # Hash buckets are maintained in ascending-OID order (the
-            # HashIndex determinism contract), so the per-shard answers
-            # feed the k-way merge directly.
-            return list(
-                _heap_merge(*(shard.indexes.lookup(predicate) for shard in shards))
-            )
-        merged = _heap_merge(
-            *(shard.indexes.range_entries_for(predicate) for shard in shards)
-        )
-        return [oid for _value, oid in merged]
+            oids: List[int] = []
+            for shard in shards:
+                oids.extend(shard.indexes.lookup(predicate))
+            oids.sort()
+            return oids
+        entries: List[Tuple[Any, int]] = []
+        for shard in shards:
+            entries.extend(shard.indexes.range_entries_for(predicate))
+        entries.sort()
+        return [oid for _value, oid in entries]
 
     def distinct_count(self, class_name: str, attribute_name: str) -> Optional[int]:
         """Distinct indexed values for an attribute across all shards."""
@@ -322,6 +364,17 @@ class ShardedObjectStore:
                 if attribute.indexed and not attribute.is_pointer
             }
             for cls in schema.classes()
+        }
+        # The reverse-pointer index (see :meth:`referrer_oids`): one map per
+        # (class, pointer attribute), kept by the mutation methods below.
+        self._pointer_attributes: Dict[str, Tuple[str, ...]] = {
+            cls.name: tuple(a.name for a in cls.pointer_attributes)
+            for cls in schema.classes()
+        }
+        self._referrers: Dict[Tuple[str, str], Dict[int, ReferrerBucket]] = {
+            (class_name, name): {}
+            for class_name, names in self._pointer_attributes.items()
+            for name in names
         }
         # Merged per-class views (extent list, OID map), rebuilt lazily when
         # any shard's version moves; for one shard they alias shard state.
@@ -430,24 +483,33 @@ class ShardedObjectStore:
         self._next_oid[class_name] += 1
         instance = ObjectInstance(class_name, oid, dict(values))
         self.shards[self.shard_of(oid)].insert(instance)
+        self._link(class_name, oid, instance.values, self._pointer_attributes[class_name])
         self._record("insert", class_name, oid, dict(values))
         return instance
 
     def _validate_values(self, class_name: str, values: Mapping[str, Any]) -> None:
-        """Reject unknown attributes and wrong-typed indexed values up front.
+        """Reject unknown attributes and malformed indexed or pointer values.
 
         Index maintenance requires every value of one indexed attribute to
-        be mutually comparable (sorted-index inserts compare values).  The
-        check runs before *any* state changes, so a malformed write is a
-        clean :class:`StorageError` — never a half-applied mutation that
-        left the extent and the indexes disagreeing.
+        be mutually comparable (sorted-index inserts compare values), and
+        every traversal requires a pointer to be ``None``, an OID or a
+        list/tuple of OIDs.  The check runs before *any* state changes, so
+        a malformed write is a clean :class:`StorageError` — never a
+        half-applied mutation that left the extent and the indexes
+        disagreeing, and never a value that raises out of every later read.
         """
         cls = self.schema.object_class(class_name)
         indexed = self._indexed_domains[class_name]
+        pointers = self._pointer_attributes[class_name]
         for attribute_name, value in values.items():
             if not cls.has_attribute(attribute_name):
                 raise StorageError(
                     f"class {class_name!r} has no attribute {attribute_name!r}"
+                )
+            if attribute_name in pointers and not _is_pointer_value(value):
+                raise StorageError(
+                    f"pointer attribute {class_name}.{attribute_name} expects "
+                    f"an OID or a list of OIDs, got {value!r}"
                 )
             domain = indexed.get(attribute_name)
             if domain is None or value is None:
@@ -473,7 +535,8 @@ class ShardedObjectStore:
         """Remove an instance (reachable through the service's write path)."""
         if class_name not in self._next_oid:
             raise StorageError(f"no instance {class_name}#{oid}")
-        self.shards[self.shard_of(oid)].delete(class_name, oid)
+        instance = self.shards[self.shard_of(oid)].delete(class_name, oid)
+        self._unlink(class_name, oid, instance.values, self._pointer_attributes[class_name])
         self._record("delete", class_name, oid, None)
 
     def update(
@@ -488,9 +551,82 @@ class ShardedObjectStore:
         if class_name not in self._next_oid:
             raise StorageError(f"no instance {class_name}#{oid}")
         self._validate_values(class_name, values)
-        instance = self.shards[self.shard_of(oid)].update(class_name, oid, values)
+        shard = self.shards[self.shard_of(oid)]
+        # Only a write that names a pointer attribute touches the reverse
+        # index: the old targets are unlinked before the values change.
+        written = [n for n in self._pointer_attributes[class_name] if n in values]
+        if written:
+            current = shard.by_oid[class_name].get(oid)
+            if current is not None:
+                self._unlink(class_name, oid, current.values, written)
+        instance = shard.update(class_name, oid, values)
+        if written:
+            self._link(class_name, oid, instance.values, written)
         self._record("update", class_name, oid, dict(values))
         return instance
+
+    # ------------------------------------------------------------------
+    # Reverse-pointer index maintenance
+    # ------------------------------------------------------------------
+    def _link(
+        self, class_name: str, oid: int, values: Mapping[str, Any], names: Sequence[str]
+    ) -> None:
+        """Enter ``class_name#oid`` under every target its ``names`` pointers hold."""
+        for name in names:
+            value = values.get(name)
+            if value is None:
+                continue
+            buckets = self._referrers[class_name, name]
+            for target in _distinct_targets(value):
+                held = buckets.get(target)
+                if held is None:
+                    buckets[target] = oid
+                elif isinstance(held, int):
+                    if held != oid:
+                        buckets[target] = (held, oid) if held < oid else (oid, held)
+                else:
+                    at = bisect_left(held, oid)
+                    if at == len(held) or held[at] != oid:
+                        buckets[target] = held[:at] + (oid,) + held[at:]
+
+    def _unlink(
+        self, class_name: str, oid: int, values: Mapping[str, Any], names: Sequence[str]
+    ) -> None:
+        """Undo :meth:`_link` for the values the instance holds now.
+
+        Like :meth:`HashIndex.remove <repro.engine.indexes.HashIndex.remove>`
+        it removes what is present: values edited around :meth:`update` may
+        name links the index never saw (they are picked up by
+        :meth:`rebuild_indexes`) or hold no pointer at all (never linked,
+        and an ``update`` is how such a row is repaired).
+        """
+        for name in names:
+            value = values.get(name)
+            if value is None or not _is_pointer_value(value):
+                continue
+            buckets = self._referrers[class_name, name]
+            for target in _distinct_targets(value):
+                held = buckets.get(target)
+                if held is None:
+                    continue
+                if isinstance(held, int):
+                    if held == oid:
+                        del buckets[target]
+                    continue
+                rest = tuple(other for other in held if other != oid)
+                buckets[target] = rest[0] if len(rest) == 1 else rest
+
+    def _check_pointers(
+        self, class_name: str, oid: int, values: Mapping[str, Any]
+    ) -> None:
+        """Reject a replayed, restored or rebuilt row holding a malformed pointer."""
+        for name in self._pointer_attributes[class_name]:
+            value = values.get(name)
+            if not _is_pointer_value(value):
+                raise StorageError(
+                    f"{class_name}#{oid}: pointer attribute {name!r} holds a "
+                    f"non-OID value {value!r}"
+                )
 
     # ------------------------------------------------------------------
     # Index lifecycle (runtime create/drop, journaled)
@@ -611,7 +747,9 @@ class ShardedObjectStore:
         """Rebuild every shard's secondary indexes from the stored extents.
 
         Used after bulk in-place value repairs that bypass :meth:`update`
-        (the constraint-enforcing data generator does this).  Because the
+        (the constraint-enforcing data generator does this, and links its
+        instances the same way): the reverse-pointer index
+        (:meth:`referrer_oids`) is rebuilt from the extents too.  Because the
         repaired values were never journaled, the journal cannot bridge a
         replica across a rebuild: it is truncated and its floor raised so
         :meth:`journal_since` reports the gap and replicas re-snapshot.
@@ -622,8 +760,21 @@ class ShardedObjectStore:
         the un-journaled repairs), so exactly-at-version catch-up requests
         must report the gap too, not an empty delta.
         """
+        # In-place edits were never validated; refuse a malformed pointer
+        # before anything is rebuilt, as a write would have.
+        for shard in self.shards:
+            for class_name, extent in shard.extents.items():
+                for instance in extent:
+                    self._check_pointers(class_name, instance.oid, instance.values)
         for shard in self.shards:
             shard.rebuild_indexes(self._index_overrides)
+        for buckets in self._referrers.values():
+            buckets.clear()
+        for class_name, names in self._pointer_attributes.items():
+            if names:
+                # Ascending OIDs, so every bucket grows at its end.
+                for instance in self.instances(class_name):
+                    self._link(class_name, instance.oid, instance.values, names)
         self._journal.clear()
         self._journal_floor = self.version + 1
 
@@ -754,8 +905,10 @@ class ShardedObjectStore:
         """Insert an instance under a journal-dictated OID (replay only)."""
         if class_name not in self._next_oid:
             raise StorageError(f"unknown object class {class_name!r}")
+        self._check_pointers(class_name, oid, values)
         instance = ObjectInstance(class_name, oid, values)
         self.shards[self.shard_of(oid)].insert(instance)
+        self._link(class_name, oid, values, self._pointer_attributes[class_name])
         if oid >= self._next_oid[class_name]:
             self._next_oid[class_name] = oid + 1
         self._record("insert", class_name, oid, dict(values))
@@ -843,7 +996,11 @@ class ShardedObjectStore:
             if not isinstance(oid, int) or isinstance(oid, bool) or oid < 1:
                 raise StorageError(f"snapshot row has invalid oid {oid!r}")
             instance = ObjectInstance(class_name, oid, dict(values))
+            store._check_pointers(class_name, oid, instance.values)
             store.shards[store.shard_of(oid)].insert(instance)
+            store._link(
+                class_name, oid, instance.values, store._pointer_attributes[class_name]
+            )
         shard_versions = header.get("shard_versions")
         if (
             not isinstance(shard_versions, (list, tuple))
@@ -951,18 +1108,42 @@ class ShardedObjectStore:
             return None
         return self.get(target_class, oid)
 
+    def referrer_oids(
+        self, source_class: str, pointer_attribute: str
+    ) -> Mapping[int, ReferrerBucket]:
+        """Target OID -> the OIDs of the ``source_class`` instances pointing at it.
+
+        The maintained reverse-pointer index, read by the batch executors:
+        a target with one referrer maps to that OID bare, one with several
+        to an ascending tuple of them (an OID repeated in one pointer list
+        counts once).  It is an index, not a memo: ``insert``, ``update``
+        (when the written values name a pointer attribute), ``delete``,
+        journal replay, ``restore`` and :meth:`rebuild_indexes` keep it in
+        the same call that changes the stored values, so it has no version
+        key and is never stale — except, like every other index, for a
+        pointer written into ``values`` around :meth:`update`, which is
+        visible after :meth:`rebuild_indexes`.  It equals
+        :meth:`referrer_map` (as OIDs) at every point; the tests pin that.
+        Read-only and shared; an undeclared class or attribute has no
+        referrers.
+        """
+        return self._referrers.get((source_class, pointer_attribute), {})
+
     def referrer_map(
         self, source_class: str, pointer_attribute: str
     ) -> Dict[int, List[ObjectInstance]]:
         """Target OID -> the ``source_class`` instances whose pointer holds it.
 
-        The reverse traversal of a relationship, for every target at once:
-        one pass over the source extent, each list in extent order.  Scalar
-        and list-valued pointers are read through
+        The reverse traversal of a relationship, for every target at once,
+        *by definition*: one pass over the source extent, each list in
+        extent order.  Scalar and list-valued pointers are read through
         :meth:`~repro.engine.instance.ObjectInstance.pointer_oids`, which
-        raises ``TypeError`` on a non-OID value.  The map is built from the
-        store as it is now and not kept; a caller that holds one across
-        pointer writes holds a stale one.
+        raises ``TypeError`` on a non-OID value.  It reads ``values`` as
+        they are now, so it sees pointers edited in place — which is why
+        database generation (it links instances in place before its one
+        :meth:`rebuild_indexes`) uses it, and why it is the oracle
+        :meth:`referrer_oids` is tested against.  The map is not kept; a
+        caller that holds one across pointer writes holds a stale one.
         """
         if source_class not in self._next_oid:
             return {}

@@ -11,10 +11,12 @@ and re-interprets every predicate per row, this executor:
 * evaluates predicates as **compiled closures** — each predicate is lowered
   once per plan by :mod:`repro.engine.compiled` and then applied to whole
   columns in tight loops;
-* performs pointer traversals via **batched index/pointer lookups** over the
-  hash-join build side, reading each instance's memoized pointer lists
-  (:meth:`~repro.engine.instance.ObjectInstance.pointers`) instead of
-  re-deriving them per row.
+* performs pointer traversals as **probes per source row**: forward through
+  the row's memoized pointer lists
+  (:meth:`~repro.engine.instance.ObjectInstance.pointers`), backward through
+  the store's reverse-pointer index
+  (:meth:`~repro.engine.storage.ShardedObjectStore.referrer_oids`) — a hash
+  join builds nothing per execution that the store already keeps.
 
 The executor holds no state derived from the store: everything it reuses
 across executions lives on the row or the store it was derived from and is
@@ -47,7 +49,6 @@ worker metrics plus the deduplicated ledger equal a single-shard run.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.predicate import Predicate
@@ -403,6 +404,16 @@ class VectorizedExecutor:
         context: _PlanContext,
         node_seq: int,
     ) -> BindingBatch:
+        """Extend every binding of ``batch`` with its linked target instances.
+
+        A source row is linked to the candidates its own pointer names and
+        to the candidates whose pointer names it; the hash strategy finds
+        the first in the row's pointer list and the second in
+        ``store.referrer_oids`` — both O(links of the row).  The candidate
+        set is derived and charged exactly as the row-wise engine charges
+        it, but only a *filtered* one is turned into a lookup table: the
+        join costs what its source batch reaches, not the target extent.
+        """
         relationship = self.schema.relationship(node.relationship)
         source_attribute = relationship.attribute_for(node.source_class)
         target_attribute = relationship.attribute_for(node.target_class)
@@ -412,41 +423,68 @@ class VectorizedExecutor:
                 node, batch, context, source_attribute, target_attribute
             )
 
-        # Hash-join style: build the target candidate set once, with the
+        # Hash-join style: derive the target candidate set once, with the
         # target's local predicates applied through compiled kernels, then
-        # probe it with the whole source column.  The build is a
-        # once-per-plan charge, so in parallel-worker mode it goes to the
-        # one-off ledger — keyed by the node's deterministic sequence
-        # number (assigned at descent, identical in every shard) —
-        # instead of the shard-local counters.
+        # probe per source row.  The derivation is a once-per-plan charge,
+        # so in parallel-worker mode it goes to the one-off ledger — keyed
+        # by the node's deterministic sequence number (assigned at descent,
+        # identical in every shard) — instead of the shard-local counters.
         candidates, deltas = self._derive_candidates(
             node.target_class, node.predicates, None, context
         )
         context.charge_one_off((node_seq, "build"), deltas)
-        by_oid: Dict[int, ObjectInstance] = {c.oid: c for c in candidates}
-        by_back_pointer: Dict[int, List[ObjectInstance]] = defaultdict(list)
-        for candidate in candidates:
-            for back in candidate.pointers(target_attribute):
-                by_back_pointer[back].append(candidate)
-
         source_column = batch.columns.get(node.source_class)
-        if source_column is None:
+        if not source_column:
             return self._extend(batch, [], node.target_class, [])
 
-        metrics = context.metrics
+        # Nothing below is proportional to the target extent unless the
+        # node filters it: an unfiltered candidate set *is* the extent, so
+        # the store's OID map resolves it, and reverse pointers come from
+        # the index the store maintains (never from the candidates).
+        filtered = bool(node.predicates)
+        by_oid: Mapping[int, ObjectInstance] = (
+            {candidate.oid: candidate for candidate in candidates}
+            if filtered
+            else self.store.oid_index(node.target_class)
+        )
+        resolve = by_oid.get
+        referrers_of = self.store.referrer_oids(node.target_class, target_attribute).get
+        # Candidate order is extent (ascending-OID) order, the order of an
+        # index bucket, unless a sorted-index range answered a target
+        # predicate; ranks are built only if a row then has several
+        # reverse-only referrers to put in that order.
+        rank: Optional[Dict[int, int]] = None
+
+        context.metrics.pointer_traversals += len(source_column)
         row_indices: List[int] = []
         target_column: List[ObjectInstance] = []
         for i, source_instance in enumerate(source_column):
-            metrics.pointer_traversals += 1
+            # Forward pointers in pointer order, then reverse-only
+            # referrers in candidate order, none twice (the row-wise
+            # discipline, which reads both off the rows themselves).
             matches: Dict[int, ObjectInstance] = {}
             for forward_oid in source_instance.pointers(source_attribute):
-                if forward_oid in by_oid:
-                    matches[forward_oid] = by_oid[forward_oid]
-            for candidate in by_back_pointer.get(source_instance.oid, ()):
-                matches[candidate.oid] = candidate
-            for candidate in matches.values():
-                row_indices.append(i)
-                target_column.append(candidate)
+                candidate = resolve(forward_oid)
+                if candidate is not None:
+                    matches[forward_oid] = candidate
+            held = referrers_of(source_instance.oid)
+            if held is not None:
+                reverse_only = 0
+                for oid in (held,) if held.__class__ is int else held:
+                    if oid not in matches:
+                        candidate = resolve(oid)
+                        if candidate is not None:
+                            matches[oid] = candidate
+                            reverse_only += 1
+                if reverse_only > 1 and filtered:
+                    if rank is None:
+                        rank = {oid: n for n, oid in enumerate(by_oid)}
+                    tail = sorted(list(matches)[-reverse_only:], key=rank.__getitem__)
+                    for oid in tail:
+                        matches[oid] = matches.pop(oid)
+            if matches:
+                row_indices.extend([i] * len(matches))
+                target_column.extend(matches.values())
         return self._extend(batch, row_indices, node.target_class, target_column)
 
     def _run_traverse_nested_loop(

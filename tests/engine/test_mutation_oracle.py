@@ -4,7 +4,8 @@ The live write path opens the system to interleaved reads and writes —
 exactly where warm derived state (the rows' memoized pointer lists and
 fragments, the parallel engine's journal-synced forked workers, the service
 result cache) can go quietly stale.  This harness drives **seeded random schedules** of
-``{insert, update, delete, optimize, execute}`` through a persistent
+``{insert, update, delete, optimize, execute}`` — value writes and pointer
+writes on both sides of a relationship — through a persistent
 :class:`~repro.service.OptimizationService` (so every cache layer stays
 warm across steps) and, after *every* execute step, asserts that rows
 **and** :class:`~repro.engine.executor.ExecutionMetrics` are byte-identical
@@ -100,31 +101,50 @@ def _base_rows(rng):
     return rows
 
 
+def _pointer(rng):
+    """A pointer write: scalar, list, repeated OID, dangling OID, emptied, unset."""
+    return rng.choice([1, 2, 3, [2, 1], [1, 1, 3], [2, 40], 40, [], None])
+
+
+#: The pointer attributes the schedules re-point, both sides of both
+#: relationships the queries traverse: a write on the far side makes a link
+#: one-sided, which is the case the batch engines answer from the store's
+#: reverse-pointer index and the row-wise oracle reads off the rows.
+POINTERS = [
+    ("cargo", "collects"),
+    ("cargo", "supplies"),
+    ("vehicle", "collects"),
+    ("supplier", "supplies"),
+]
+
+
 def _build_schedule(rng):
     """An abstract op list: valid to apply in full or any subsequence."""
     ops = []
     for _ in range(rng.randint(5, 12)):
         kind = rng.choices(
-            ["insert", "update", "delete", "execute", "optimize"],
-            weights=[25, 20, 10, 35, 10],
+            ["insert", "update", "repoint", "delete", "execute", "optimize"],
+            weights=[22, 15, 15, 10, 30, 8],
         )[0]
         if kind == "insert":
-            ops.append(
-                (
-                    "insert",
-                    "cargo",
-                    {
-                        "code": f"N{rng.randint(0, 999)}",
-                        "desc": rng.choice(DESCS),
-                        "quantity": rng.randint(5, 120),
-                        "category": "general",
-                    },
-                )
-            )
+            values = {
+                "code": f"N{rng.randint(0, 999)}",
+                "desc": rng.choice(DESCS),
+                "quantity": rng.randint(5, 120),
+                "category": "general",
+            }
+            if rng.random() < 0.5:
+                values["collects"] = _pointer(rng)
+                values["supplies"] = _pointer(rng)
+            ops.append(("insert", "cargo", values))
         elif kind == "update":
             ops.append(("update", "cargo", rng.randrange(64), {"quantity": rng.randint(5, 120)}))
+        elif kind == "repoint":
+            class_name, attribute = rng.choice(POINTERS)
+            ops.append(("update", class_name, rng.randrange(64), {attribute: _pointer(rng)}))
         elif kind == "delete":
-            ops.append(("delete", "cargo", rng.randrange(64)))
+            # A deleted vehicle leaves the cargo pointing at it dangling.
+            ops.append(("delete", rng.choice(["cargo", "cargo", "vehicle"]), rng.randrange(64)))
         else:
             ops.append((kind, rng.randrange(len(QUERY_TEXTS))))
     # Every schedule ends with an execute so mutations at the tail are

@@ -78,7 +78,9 @@ def test_dereference_and_referrers(store):
     assert referrers == {vehicle.oid: [cargo, bulk], lorry.oid: [bulk]}
     assert referrers[vehicle.oid][1] is bulk
     assert store.referrer_map("warehouse", "collects") == {}
-    store.insert("cargo", {"desc": "broken", "collects": "not an oid"})
+    # The scan reads ``values`` as they are: a pointer spoiled in place
+    # (the write path rejects one) raises out of ``pointer_oids``.
+    store.insert("cargo", {"desc": "broken"}).values["collects"] = "not an oid"
     with pytest.raises(TypeError):
         store.referrer_map("cargo", "collects")
 
@@ -95,9 +97,46 @@ def test_pointer_oids_handles_lists(store):
 
 
 def test_pointer_type_errors(store):
-    cargo = store.insert("cargo", {"desc": "bulk", "collects": "not an oid"})
+    cargo = store.insert("cargo", {"desc": "bulk"})
+    cargo.values["collects"] = "not an oid"
     with pytest.raises(TypeError):
         cargo.pointer_oids("collects")
+
+
+@pytest.mark.parametrize(
+    "pointer", ["not an oid", 1.5, True, [1, "2"], (1, None), {"oid": 1}]
+)
+def test_malformed_pointer_is_a_clean_write_error(store, pointer):
+    """A non-OID pointer never enters the store, the journal or a replica."""
+    from repro.engine.storage import MutationRecord
+
+    vehicle = store.insert("vehicle", {"desc": "van"})
+    cargo = store.insert("cargo", {"desc": "bulk", "collects": vehicle.oid})
+    before = (store.version, store.journal_since(0), dict(cargo.values))
+    with pytest.raises(StorageError, match="cargo.collects"):
+        store.insert("cargo", {"desc": "broken", "collects": pointer})
+    with pytest.raises(StorageError, match="cargo.collects"):
+        store.update("cargo", cargo.oid, {"collects": pointer})
+    assert (store.version, store.journal_since(0), cargo.values) == before
+    assert store.count("cargo") == 1
+    assert store.referrer_oids("cargo", "collects") == {vehicle.oid: cargo.oid}
+    # A journal record or a snapshot row that carries one names the row.
+    record = MutationRecord(store.version + 1, "insert", "cargo", 7, {"collects": pointer})
+    with pytest.raises(StorageError, match="cargo#7"):
+        store.apply_journal([record])
+    assert store.count("cargo") == 1 and store.version == before[0]
+    rows = list(store.snapshot_rows()) + [("cargo", 7, {"collects": pointer})]
+    with pytest.raises(StorageError, match="cargo#7"):
+        ObjectStore.restore(store.schema, store.snapshot_header(), rows)
+    # Spoiled in place, it is refused by the rebuild that would index it.
+    cargo.values["collects"] = pointer
+    with pytest.raises(StorageError, match=f"cargo#{cargo.oid}"):
+        store.rebuild_indexes()
+    assert store.version == before[0] and store.journal_since(0) == before[1]
+    # Well-formed pointers: None, an OID, a list or tuple of OIDs (dangling
+    # OIDs included — the store does not check that a target exists).
+    for value in (None, 99, [vehicle.oid, 99], (vehicle.oid,), []):
+        store.update("cargo", cargo.oid, {"collects": value})
 
 
 def test_qualified_values_and_copy(store):

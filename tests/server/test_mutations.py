@@ -141,23 +141,32 @@ def test_mutation_error_codes_are_stable(mutable_service):
             ("bad_oid", {"op": "delete", "class": "cargo", "oid": "seven"}),
             ("missing_rows", {"op": "insert_many", "class": "cargo"}),
             ("unknown_oid", {"op": "delete", "class": "cargo", "oid": 10_000}),
+            ("bad_pointer", {"op": "insert", "class": "cargo",
+                             "values": {"collects": "not an oid"}}),
+            ("bad_pointer_update", {"op": "update", "class": "cargo", "oid": 1,
+                                    "values": {"collects": [1, "2"]}}),
         ]:
             try:
                 await client.request(dict(frame))
             except GatewayRequestError as exc:
                 outcomes[label] = exc.code
-        # A mutation error never takes the session down: reads still work.
+        # A mutation error never takes the session down: reads still work,
+        # and a refused pointer never reaches a later traversal of its class.
         rows = await client.execute(QUERY)
+        joined = await client.execute(JOIN_QUERY)
         await gateway.stop()
-        return outcomes, rows
+        return outcomes, rows, joined
 
-    outcomes, rows = asyncio.run(scenario())
+    outcomes, rows, joined = asyncio.run(scenario())
+    assert joined["row_count"] == 6
     assert outcomes == {
         "unknown_class": "protocol_error",
         "unknown_attr": "protocol_error",
         "bad_oid": "protocol_error",
         "missing_rows": "protocol_error",
         "unknown_oid": "mutation_error",
+        "bad_pointer": "mutation_error",
+        "bad_pointer_update": "mutation_error",
     }
     assert rows["row_count"] > 0
 
