@@ -6,8 +6,8 @@ That design gives three statically checkable obligations:
 
 * ``mutate-outside-write-lock`` — in ``service/`` modules, any call that
   mutates :class:`ShardedObjectStore` state (``store.insert`` /
-  ``update`` / ``delete`` / ``insert_many`` / ``rebuild_indexes`` /
-  ``apply_journal``) or :class:`ConstraintRepository` state
+  ``update`` / ``delete`` / ``insert_many`` / ``apply`` /
+  ``rebuild_indexes`` / ``apply_journal``) or :class:`ConstraintRepository` state
   (``repository.add`` / ``add_all`` / ``remove`` / ``replace_derived``)
   must happen lexically inside ``with <lock>.write():`` — or inside a
   helper whose docstring carries the ``write lock held`` marker, the
@@ -39,7 +39,7 @@ from ..framework import AnalysisContext, AnalysisPass, Finding
 SERVICE_PREFIX = "service/"
 PARALLEL_MODULE = "engine/parallel.py"
 STORE_MUTATORS = frozenset(
-    {"insert", "insert_many", "update", "delete", "rebuild_indexes", "apply_journal"}
+    "insert insert_many update delete apply rebuild_indexes apply_journal".split()
 )
 REPOSITORY_MUTATORS = frozenset({"add", "add_all", "remove", "replace_derived"})
 LOCK_HELD_MARKER = "write lock held"

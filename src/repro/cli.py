@@ -334,19 +334,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--wal-fsync",
         choices=["always", "batch", "off"],
         default=None,
-        help=(
-            "WAL fsync policy with --data-dir "
-            "(default: REPRO_WAL_FSYNC, else batch)"
-        ),
+        help="WAL fsync policy with --data-dir (default: batch)",
     )
     parser.add_argument(
         "--wal-fsync-interval",
         type=int,
         default=None,
-        help=(
-            "commits per group fsync under the batch policy "
-            "(default: REPRO_WAL_FSYNC_INTERVAL, else 8)"
-        ),
+        help="commits per group fsync under the batch policy (default: 8)",
     )
     parser.add_argument(
         "--snapshot-frames",
@@ -354,17 +348,14 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "WAL frames that trigger a snapshot + segment rotation "
-            "(default: REPRO_SNAPSHOT_FRAMES, else 10000)"
+            "(default: 10000)"
         ),
     )
     parser.add_argument(
         "--snapshot-age",
         type=float,
         default=None,
-        help=(
-            "seconds between age-triggered snapshots, 0 = disabled "
-            "(default: REPRO_SNAPSHOT_AGE, else 0)"
-        ),
+        help="seconds between age-triggered snapshots, 0 = disabled (default: 0)",
     )
     parser.add_argument(
         "--replicate-on",
@@ -374,8 +365,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help=(
             "primary mode: also listen on this port (0 = ephemeral) and "
             "stream every applied mutation as checksummed WAL frames to "
-            "subscribed replicas (combine with --data-dir for durability; "
-            "the WAL sink keeps firing first)"
+            "subscribed replicas (combine with --data-dir for durability: "
+            "a frame is then committed to the WAL before it is streamed)"
         ),
     )
     parser.add_argument(
@@ -515,18 +506,10 @@ def run_serve(argv: List[str]) -> int:
             follower.attach(service)
             follower_task = follower.start()
         if args.replicate_on is not None:
-            from .durability import SinkTee
             from .replication import ReplicationFeed
 
             feed = ReplicationFeed(service, host=args.host, port=args.replicate_on)
             feed_host, feed_port = await feed.start()
-            tee = SinkTee()
-            if store.mutation_sink is not None:
-                # Keep the WAL sink first: a record is on disk before any
-                # replica can observe it.
-                tee.attach(store.mutation_sink)
-            tee.attach(feed.sink)
-            store.set_mutation_sink(tee)
             print(
                 f"replication feed on {feed_host}:{feed_port} "
                 f"(epoch {feed.epoch})",

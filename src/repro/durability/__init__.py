@@ -20,7 +20,6 @@ from .snapshot import (
     prune_snapshots,
     write_snapshot,
 )
-from .tee import SinkTee
 from .wal import FSYNC_POLICIES, FrameIssue, WriteAheadLog, read_segment
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "FrameError",
     "FrameIssue",
     "RecoveryReport",
-    "SinkTee",
     "SnapshotError",
     "WriteAheadLog",
     "checksum",

@@ -20,24 +20,20 @@ Lifecycle
   discarded, and the recovered state is immediately re-snapshotted so
   the WAL tail collapses and the next recovery is bounded again.
 
-Either way :meth:`open` attaches itself as the store's mutation sink, so
-from then on every direct mutation lands in the WAL *before* the write
-lock is released.  The service calls :meth:`commit` once per mutation
-batch (still under the write lock): buffered frames are flushed, fsynced
-per policy, and — when the frame-count or age trigger fires — the store
-is snapshotted and the segments rotated.
+Either way :meth:`open` installs :meth:`append` as the store's mutation
+sink, so a bare store + manager pair logs every direct mutation.  A
+serving :class:`~repro.service.OptimizationService` takes the sink over
+(``attach_durability``) and calls :meth:`append` itself, first in its
+commit path; it then calls :meth:`commit` once per mutation batch, still
+under the write lock: buffered frames are flushed, fsynced per policy,
+and — when the frame-count or age trigger fires — the store is
+snapshotted and the segments rotated.
 
-Configuration comes from constructor arguments, falling back to
-``REPRO_*`` environment variables, falling back to defaults:
-
-=========================== ============================= =========
-argument                    environment variable          default
-=========================== ============================= =========
-``fsync_policy``            ``REPRO_WAL_FSYNC``           ``batch``
-``fsync_interval``          ``REPRO_WAL_FSYNC_INTERVAL``  ``8``
-``snapshot_frames``         ``REPRO_SNAPSHOT_FRAMES``     ``10000``
-``snapshot_age``            ``REPRO_SNAPSHOT_AGE``        ``0`` (off)
-=========================== ============================= =========
+Configuration is the constructor's arguments (``serve`` passes its
+``--wal-fsync`` / ``--wal-fsync-interval`` / ``--snapshot-frames`` /
+``--snapshot-age`` flags): ``fsync_policy`` (``batch``),
+``fsync_interval`` (``8``), ``snapshot_frames`` (``10000``) and
+``snapshot_age`` (``0`` = off).
 
 The age trigger reads an injectable monotonic ``clock`` (never the
 calendar clock) and only fires when there are frames to compact.
@@ -62,26 +58,6 @@ DEFAULT_SNAPSHOT_FRAMES = 10_000
 DEFAULT_SNAPSHOT_AGE = 0.0
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
 class DurabilityManager:
     """Write-ahead logging + snapshots + recovery for one data directory."""
 
@@ -94,27 +70,20 @@ class DurabilityManager:
         snapshot_age: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        # ``None`` is what ``serve`` passes for a flag that was not given.
         if fsync_policy is None:
-            fsync_policy = os.environ.get(
-                "REPRO_WAL_FSYNC", DEFAULT_FSYNC_POLICY
-            )
+            fsync_policy = DEFAULT_FSYNC_POLICY
         if fsync_policy not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync policy must be one of {FSYNC_POLICIES}, "
                 f"got {fsync_policy!r}"
             )
         if fsync_interval is None:
-            fsync_interval = _env_int(
-                "REPRO_WAL_FSYNC_INTERVAL", DEFAULT_FSYNC_INTERVAL
-            )
+            fsync_interval = DEFAULT_FSYNC_INTERVAL
         if snapshot_frames is None:
-            snapshot_frames = _env_int(
-                "REPRO_SNAPSHOT_FRAMES", DEFAULT_SNAPSHOT_FRAMES
-            )
+            snapshot_frames = DEFAULT_SNAPSHOT_FRAMES
         if snapshot_age is None:
-            snapshot_age = _env_float(
-                "REPRO_SNAPSHOT_AGE", DEFAULT_SNAPSHOT_AGE
-            )
+            snapshot_age = DEFAULT_SNAPSHOT_AGE
         if snapshot_frames < 1:
             raise ValueError(
                 f"snapshot_frames must be >= 1, got {snapshot_frames}"
@@ -143,8 +112,8 @@ class DurabilityManager:
         A fresh data dir adopts (and snapshots) the provided ``store``;
         an existing one recovers the persisted state instead — the
         provided store is discarded and the *recovered* store returned.
-        Either way the returned store has this manager attached as its
-        mutation sink.
+        Either way the returned store has :meth:`append` installed as
+        its mutation sink.
         """
         if self._store is not None:
             raise RuntimeError("durability manager is already open")
@@ -178,7 +147,7 @@ class DurabilityManager:
             fsync_interval=self.fsync_interval,
         )
         self._last_snapshot_at = self._clock()
-        store.set_mutation_sink(self._on_record)
+        store.set_mutation_sink(self.append)
         return store, report
 
     def _has_persisted_state(self) -> bool:
@@ -202,8 +171,8 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # Write path (all under the service's store write lock)
     # ------------------------------------------------------------------
-    def _on_record(self, record: MutationRecord) -> None:
-        """The store's mutation sink: buffer one frame, routed by shard."""
+    def append(self, record: MutationRecord) -> None:
+        """Buffer one record's frame, routed by shard (a mutation sink)."""
         self._wal.append(self._store.shard_of(record.oid), record.as_dict())
 
     def commit(self) -> Dict[str, Any]:

@@ -470,15 +470,58 @@ class ShardedObjectStore:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def check(
+        self,
+        op: str,
+        class_name: str,
+        oid: Optional[int] = None,
+        values: Optional[Mapping[str, Any]] = None,
+        gone: Iterable[Tuple[str, int]] = (),
+    ) -> None:
+        """Raise :class:`StorageError` unless ``op`` would apply cleanly now.
+
+        The one gate in front of every write: :meth:`insert`,
+        :meth:`update` and :meth:`delete` call it first, and a batch calls
+        it for every op before applying the first (then :meth:`apply`), so
+        a refused batch has changed nothing.  ``gone`` holds the
+        ``(class, oid)`` pairs deleted earlier in the same batch, which is
+        what refuses delete-then-update and a double delete.
+        """
+        if class_name not in self._next_oid:
+            raise StorageError(f"unknown object class {class_name!r}")
+        if op != "insert" and (
+            self.get(class_name, oid) is None or (class_name, oid) in gone
+        ):
+            raise StorageError(f"no instance {class_name}#{oid}")
+        if op != "delete":
+            self._validate_values(class_name, values or {})
+
+    def apply(
+        self,
+        op: str,
+        class_name: str,
+        oid: Optional[int] = None,
+        values: Optional[Mapping[str, Any]] = None,
+    ) -> int:
+        """Apply one op that :meth:`check` has passed; returns the OID written."""
+        if op == "insert":
+            return self._insert(class_name, values or {}).oid
+        if op == "update":
+            self._update(class_name, oid, values or {})
+        else:
+            self._delete(class_name, oid)
+        return oid
+
     def insert(self, class_name: str, values: Mapping[str, Any]) -> ObjectInstance:
         """Insert a new instance of ``class_name`` and return it.
 
         Attribute names are validated against the schema; unknown attributes
         raise :class:`StorageError` so data-generation bugs surface early.
         """
-        if class_name not in self._next_oid:
-            raise StorageError(f"unknown object class {class_name!r}")
-        self._validate_values(class_name, values)
+        self.check("insert", class_name, None, values)
+        return self._insert(class_name, values)
+
+    def _insert(self, class_name: str, values: Mapping[str, Any]) -> ObjectInstance:
         oid = self._next_oid[class_name]
         self._next_oid[class_name] += 1
         instance = ObjectInstance(class_name, oid, dict(values))
@@ -533,8 +576,10 @@ class ShardedObjectStore:
 
     def delete(self, class_name: str, oid: int) -> None:
         """Remove an instance (reachable through the service's write path)."""
-        if class_name not in self._next_oid:
-            raise StorageError(f"no instance {class_name}#{oid}")
+        self.check("delete", class_name, oid)
+        self._delete(class_name, oid)
+
+    def _delete(self, class_name: str, oid: int) -> None:
         instance = self.shards[self.shard_of(oid)].delete(class_name, oid)
         self._unlink(class_name, oid, instance.values, self._pointer_attributes[class_name])
         self._record("delete", class_name, oid, None)
@@ -548,17 +593,18 @@ class ShardedObjectStore:
         :meth:`insert`) so a malformed write surfaces as a
         :class:`StorageError` before any state changes.
         """
-        if class_name not in self._next_oid:
-            raise StorageError(f"no instance {class_name}#{oid}")
-        self._validate_values(class_name, values)
+        self.check("update", class_name, oid, values)
+        return self._update(class_name, oid, values)
+
+    def _update(
+        self, class_name: str, oid: int, values: Mapping[str, Any]
+    ) -> ObjectInstance:
         shard = self.shards[self.shard_of(oid)]
         # Only a write that names a pointer attribute touches the reverse
         # index: the old targets are unlinked before the values change.
         written = [n for n in self._pointer_attributes[class_name] if n in values]
         if written:
-            current = shard.by_oid[class_name].get(oid)
-            if current is not None:
-                self._unlink(class_name, oid, current.values, written)
+            self._unlink(class_name, oid, shard.by_oid[class_name][oid].values, written)
         instance = shard.update(class_name, oid, values)
         if written:
             self._link(class_name, oid, instance.values, written)
@@ -782,27 +828,18 @@ class ShardedObjectStore:
     # Mutation journal
     # ------------------------------------------------------------------
     def set_mutation_sink(self, sink) -> None:
-        """Install (or clear, with ``None``) the durability sink.
+        """Install (or clear, with ``None``) the store's one sink.
 
         The sink is called with every :class:`MutationRecord` produced by a
         direct mutation, in application order, while the mutation's caller
-        still holds whatever lock serialized the write — the write-ahead
-        log appends under the service's exclusive store lock.  Journal
-        *replay* (:meth:`apply_journal`) never feeds the sink: replayed
-        records were already logged by the store that produced them.
+        still holds whatever lock serialized the write.  A store has one:
+        a serving :class:`~repro.service.OptimizationService` installs its
+        own and forwards each record to the write-ahead log, then the
+        replication feed.  Journal *replay* (:meth:`apply_journal`) never
+        feeds the sink: replayed records were already logged by the store
+        that produced them.
         """
         self._mutation_sink = sink
-
-    @property
-    def mutation_sink(self):
-        """The installed sink, or ``None``.
-
-        Exposed so a replicating server can tee an already-installed
-        durability sink with a replication feed
-        (:class:`~repro.durability.tee.SinkTee`) instead of silently
-        replacing it.
-        """
-        return self._mutation_sink
 
     @property
     def journal_floor(self) -> int:

@@ -1,8 +1,9 @@
 """Replicated read path: WAL-frame shipping and consistent-hash routing.
 
-A primary gateway process tees every applied :class:`MutationRecord` into
-a :class:`ReplicationFeed` — a TCP listener that streams the same
-checksummed NDJSON frames the durability layer writes to disk.  Each
+A primary's commit path publishes every applied :class:`MutationRecord`,
+once its WAL commit has returned, to a :class:`ReplicationFeed` — a TCP
+listener that streams the same checksummed NDJSON frames the durability
+layer writes to disk.  Each
 replica process runs a :class:`ReplicaFollower` that bootstraps from a
 snapshot stream, applies the live tail through the store's
 ``apply_journal`` path (so shard-granular cache invalidation and

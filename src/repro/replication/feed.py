@@ -1,13 +1,15 @@
 """The primary's replication feed: initial sync + live WAL-frame tail.
 
 One :class:`ReplicationFeed` fronts one
-:class:`~repro.service.OptimizationService` on the primary.  Its
-``sink`` is attached to the store's mutation sink (teed with the
-durability manager's WAL sink), so every applied
-:class:`~repro.engine.storage.MutationRecord` is encoded exactly once —
-as the same checksummed NDJSON frame format the WAL writes to disk
-(:mod:`repro.durability.frames`) — and fanned out to every subscribed
-replica.
+:class:`~repro.service.OptimizationService` on the primary and registers
+itself there.  The service's commit path hands it every applied
+:class:`~repro.engine.storage.MutationRecord` (:meth:`~ReplicationFeed.stage`,
+after the WAL append) and releases them with
+:meth:`~ReplicationFeed.publish` once the WAL commit has returned — so no
+replica is ever handed a frame the primary could still lose.  A published
+record is encoded exactly once — as the same checksummed NDJSON frame
+format the WAL writes to disk (:mod:`repro.durability.frames`) — and
+fanned out to every subscribed replica.
 
 Wire protocol (one checksummed frame per line, both directions)::
 
@@ -29,10 +31,12 @@ read lock (readers exclude writers), and the subscriber is registered
 *inside* that capture, so no record can fall between the sync payload
 and the live tail.
 
-Slow consumers are bounded: a replica whose pending queue exceeds
-``queue_limit`` is disconnected rather than buffered without limit (or
-silently skipped — ``apply_journal`` does not detect sequence gaps).
-The dropped replica reconnects and resyncs through the same hello path.
+Slow consumers are bounded: each replica's queue is a
+:class:`~repro.subscriptions.queue.PushChannel`, so one whose backlog
+exceeds ``queue_limit`` is disconnected rather than buffered without
+limit (or silently skipped — ``apply_journal`` does not detect sequence
+gaps).  The dropped replica reconnects and resyncs through the same
+hello path.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..durability.frames import FrameError, decode_frame, encode_frame
+from ..subscriptions.queue import PushChannel
 
 __all__ = ["ReplicationFeed"]
 
@@ -52,31 +56,30 @@ DEFAULT_QUEUE_LIMIT = 10_000
 
 
 class _Subscriber:
-    """One connected replica: a bounded queue plus ack bookkeeping."""
+    """One connected replica: its bounded channel plus ack bookkeeping."""
 
-    def __init__(self, peer: str, loop: asyncio.AbstractEventLoop, limit: int):
+    def __init__(self, peer: str, loop: asyncio.AbstractEventLoop, limit: int, writer):
         self.peer = peer
-        self.pending: deque = deque()
-        self.event = asyncio.Event()
-        self.overflowed = False
         self.acked_version = 0
         self.synced_version = 0
-        self._loop = loop
-        self._limit = limit
+        #: Set once the sync payload has shipped: live frames queue behind it.
+        self.synced = asyncio.Event()
+        #: Set when the replica lagged past the bound (or the feed stopped):
+        #: the connection closes and the replica resyncs via hello.
+        self.dropped = asyncio.Event()
+        self._writer = writer
+        self.channel = PushChannel(
+            loop, self._deliver, limit=limit, on_overflow=self._drop
+        )
 
-    def push(self, line: str) -> None:
-        """Enqueue one encoded frame (called from the mutating thread)."""
-        if self.overflowed:
-            return
-        self.pending.append(line)
-        if len(self.pending) > self._limit:
-            self.overflowed = True
-            self.pending.clear()
-        try:
-            self._loop.call_soon_threadsafe(self.event.set)
-        except RuntimeError:
-            # The feed's loop is shutting down; the connection is gone.
-            pass
+    async def _deliver(self, line: str) -> None:
+        await self.synced.wait()
+        if not self.channel.closed:
+            self._writer.write(line.encode("utf-8"))
+            await self._writer.drain()
+
+    async def _drop(self) -> None:
+        self.dropped.set()
 
 
 class ReplicationFeed:
@@ -101,9 +104,13 @@ class ReplicationFeed:
         self._server: Optional[asyncio.AbstractServer] = None
         self._lock = threading.Lock()
         self._subscribers: List[_Subscriber] = []
+        # Records handed over by the service's commit path and not yet
+        # published; only ever touched under the service's write lock.
+        self._staged: List[Any] = []
         self._frames_streamed = 0
         self._syncs = 0
         self._disconnects = 0
+        service.attach_replication(self)
 
     async def start(self) -> Tuple[str, int]:
         """Bind the feed listener; returns ``(host, port)``."""
@@ -123,25 +130,35 @@ class ReplicationFeed:
         with self._lock:
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
-            subscriber.overflowed = True
-            subscriber.event.set()
+            subscriber.channel.close()
+            subscriber.dropped.set()
 
     # ------------------------------------------------------------------
-    # The store-side hook.
+    # The commit path's two calls (both under the service's write lock).
 
-    def sink(self, record) -> None:
-        """Mutation-sink callback: fan one record out to every replica.
+    def stage(self, record) -> None:
+        """Hold one applied record back until :meth:`publish`."""
+        self._staged.append(record)
 
-        Fired inside the store's write-lock span (possibly from a
-        gateway worker thread), so it must stay cheap: encode the frame
-        once, append to each subscriber's queue, wake the writers.
+    def publish(self) -> None:
+        """Fan the staged records out to every replica, in order.
+
+        The service calls this after the WAL commit of the same batch
+        returned, so a frame is on local disk (flushed, and fsynced per
+        policy) before any replica can see it.  May run on a gateway
+        worker thread: encode each frame once, queue it per subscriber,
+        wake the loop.
         """
-        line = encode_frame({"kind": "record", **record.as_dict()})
+        staged, self._staged = self._staged, []
         with self._lock:
             subscribers = list(self._subscribers)
-            self._frames_streamed += len(subscribers)
-        for subscriber in subscribers:
-            subscriber.push(line)
+            self._frames_streamed += len(subscribers) * len(staged)
+        if not subscribers:
+            return
+        for record in staged:
+            line = encode_frame({"kind": "record", **record.as_dict()})
+            for subscriber in subscribers:
+                subscriber.channel.push(line)
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -190,9 +207,7 @@ class ReplicationFeed:
         with self._lock:
             self._subscribers.append(subscriber)
 
-    def _unregister(self, subscriber: Optional[_Subscriber]) -> None:
-        if subscriber is None:
-            return
+    def _unregister(self, subscriber: _Subscriber) -> None:
         with self._lock:
             if subscriber in self._subscribers:
                 self._subscribers.remove(subscriber)
@@ -201,14 +216,19 @@ class ReplicationFeed:
     async def _on_connect(self, reader, writer) -> None:
         peername = writer.get_extra_info("peername")
         peer = f"{peername[0]}:{peername[1]}" if peername else "unknown"
-        subscriber: Optional[_Subscriber] = None
+        subscriber = _Subscriber(
+            peer, asyncio.get_running_loop(), self.queue_limit, writer
+        )
         try:
-            subscriber = await self._sync(reader, writer, peer)
-            if subscriber is not None:
-                await self._serve(subscriber, reader, writer)
+            if await self._sync(reader, writer, subscriber):
+                await self._serve(subscriber, reader)
         except (ConnectionError, OSError, FrameError, asyncio.IncompleteReadError):
             pass
         finally:
+            # Also when the sync itself failed after registering: close
+            # the channel, then release a delivery parked behind the sync.
+            subscriber.channel.close()
+            subscriber.synced.set()
             self._unregister(subscriber)
             writer.close()
             try:
@@ -216,14 +236,14 @@ class ReplicationFeed:
             except (ConnectionError, OSError):
                 pass
 
-    async def _sync(self, reader, writer, peer: str) -> Optional[_Subscriber]:
-        """Handshake: read the hello, ship the sync payload, register."""
+    async def _sync(self, reader, writer, subscriber: _Subscriber) -> bool:
+        """Handshake: read the hello, register, ship the sync payload."""
         line = await reader.readline()
         if not line:
-            return None
+            return False
         hello = decode_frame(line.decode("utf-8"))
         if hello.get("kind") != "hello":
-            return None
+            return False
         version = hello.get("version")
         epoch = hello.get("epoch") or ""
         tail_from = (
@@ -233,12 +253,10 @@ class ReplicationFeed:
             and epoch == self.epoch
             else None
         )
-        loop = asyncio.get_running_loop()
-        subscriber = _Subscriber(peer, loop, self.queue_limit)
         # Capture the sync point and register the subscriber atomically
         # with respect to writers (the capture holds the service's read
-        # lock; the sink fires under the write lock).
-        capture = await loop.run_in_executor(
+        # lock; stage and publish run under the write lock).
+        capture = await asyncio.get_running_loop().run_in_executor(
             None,
             self.service.replication_capture,
             tail_from,
@@ -285,34 +303,19 @@ class ReplicationFeed:
                     encode_frame({"kind": "record", **payload}).encode("utf-8")
                 )
         await writer.drain()
-        return subscriber
+        subscriber.synced.set()
+        return True
 
-    async def _serve(self, subscriber: _Subscriber, reader, writer) -> None:
-        """Run the live tail writer and the ack reader until either ends."""
-        pump = asyncio.ensure_future(self._pump(subscriber, writer))
+    async def _serve(self, subscriber: _Subscriber, reader) -> None:
+        """Read acks while the channel streams; ends on EOF or a drop."""
+        dropped = asyncio.ensure_future(subscriber.dropped.wait())
         acks = asyncio.ensure_future(self._read_acks(subscriber, reader))
         try:
-            await asyncio.wait([pump, acks], return_when=asyncio.FIRST_COMPLETED)
+            await asyncio.wait([dropped, acks], return_when=asyncio.FIRST_COMPLETED)
         finally:
-            for task in (pump, acks):
+            for task in (dropped, acks):
                 task.cancel()
-            await asyncio.gather(pump, acks, return_exceptions=True)
-
-    async def _pump(self, subscriber: _Subscriber, writer) -> None:
-        while True:
-            await subscriber.event.wait()
-            subscriber.event.clear()
-            if subscriber.overflowed:
-                # Lagging consumer: close rather than buffer unboundedly;
-                # the replica reconnects and resyncs via hello.
-                return
-            while True:
-                try:
-                    line = subscriber.pending.popleft()
-                except IndexError:
-                    break
-                writer.write(line.encode("utf-8"))
-            await writer.drain()
+            await asyncio.gather(dropped, acks, return_exceptions=True)
 
     async def _read_acks(self, subscriber: _Subscriber, reader) -> None:
         while True:

@@ -7,9 +7,10 @@ primary store from the snapshot stream
 per-shard version counters and OID allocators all byte-identical), and
 then applies every live ``record`` frame through
 :meth:`OptimizationService.apply_replication` — the same
-``apply_journal`` path forked parallel workers use, so shard-granular
-cache invalidation and dynamic-rule re-derivation behave exactly as
-they do for local writes.  Each applied frame is acked back with the
+``apply_journal`` path forked parallel workers use, followed by the
+primary's own commit path, so shard-granular cache invalidation,
+dynamic-rule re-derivation and the replica's standing views behave
+exactly as they do for local writes.  Each applied frame is acked back with the
 replica's new store version, which is what the primary reports as lag
 and the router polls for read-your-writes.
 
@@ -254,13 +255,6 @@ class ReplicaFollower:
                 None, self.service.apply_replication, [record]
             )
             self.records_applied += applied
-            # Replicas host live subscriptions too: their standing views
-            # advance off the applied WAL frames, so pump after each
-            # apply (still off the event loop — the pump executes
-            # queries).  The ack goes out regardless of pump outcome.
-            registry = getattr(self.service, "subscriptions", None)
-            if registry is not None and registry.active:
-                await loop.run_in_executor(None, registry.pump)
             await self._ack()
 
     async def _ack(self) -> None:

@@ -375,7 +375,7 @@ class QueryGateway:
             # cancels the write if it has not started; once running it
             # commits (at-least-once semantics, see the protocol docs).
             return await self._run_in_pool(
-                lambda: self._mutate_and_pump(request),
+                lambda: mutation_payload(self._mutate(request)),
                 timeout,
                 cancel_on_timeout=True,
             )
@@ -444,47 +444,24 @@ class QueryGateway:
         }
 
     def _mutate(self, request: Request):
-        """Apply one mutation RPC through the service's write path."""
+        """Apply one mutation RPC through the service's commit path.
+
+        That path also advances the standing views, after the WAL commit
+        and on this worker thread, before the RPC answers.
+        """
         service = self.service
         if service.store is None:
             raise MutationError("service has no object store attached")
         try:
-            if request.op == "insert":
-                return service.mutate(
-                    "insert", request.class_name, values=request.values
-                )
-            if request.op == "insert_many":
-                return service.mutate(
-                    "insert_many", request.class_name, rows=request.rows
-                )
-            if request.op == "update":
-                return service.mutate(
-                    "update",
-                    request.class_name,
-                    oid=request.oid,
-                    values=request.values,
-                )
-            return service.mutate("delete", request.class_name, oid=request.oid)
+            return service.mutate(
+                request.op,
+                request.class_name,
+                oid=request.oid,
+                values=request.values,
+                rows=request.rows,
+            )
         except StorageError as exc:
             raise MutationError(str(exc)) from None
-
-    def _mutate_and_pump(self, request: Request) -> Dict[str, Any]:
-        """Apply one mutation, then advance standing views (worker thread).
-
-        The pump runs strictly *after* ``service.mutate`` returns, and the
-        WAL commit happens inside the mutation's write-lock span — so a
-        diff frame is only ever emitted for a write that is already
-        durable.  Pump problems never fail the mutation RPC: affected
-        views self-heal with a resync on the next write.
-        """
-        payload = mutation_payload(self._mutate(request))
-        self._pump_subscriptions()
-        return payload
-
-    def _pump_subscriptions(self) -> None:
-        registry = getattr(self.service, "subscriptions", None)
-        if registry is not None and registry.active:
-            registry.pump()
 
     # ------------------------------------------------------------------
     # Subscriptions

@@ -33,8 +33,6 @@ class ResultSource(enum.Enum):
     RESULT_CACHE = "result_cache"
     #: Shared the result of a structurally-equal query in the same batch.
     BATCH_DEDUP = "batch_dedup"
-    #: Waited on a structurally-equal query already in flight (single-flight).
-    SINGLE_FLIGHT = "single_flight"
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,12 @@ class OptimizationService:
         # side, so a write never interleaves with an execution mid-plan.
         self._store_lock = ReadWriteLock()
         self._mutations_applied = 0
-        # Optional durability layer (attach_durability): when set, every
-        # mutation batch commits its WAL frames before the write lock is
-        # released, and MutationResult/ServiceStats carry its metadata.
+        # What the store's sink feeds once attached (see _commit_write):
+        # the durability manager (attach_durability) logs each record and
+        # commits per batch; the replication feed (attach_replication)
+        # stages each record and publishes after that commit.
         self._durability = None
+        self._replication = None
         # Dynamic (state-derived) rule maintenance: when enabled, a write
         # touching a tracked class re-derives only that class's rules.
         self._dynamic_config: Optional[DerivationConfig] = None
@@ -152,16 +154,14 @@ class OptimizationService:
         # executors — a replaced parallel executor would leak its forked
         # worker pool.
         self._executor_lock = threading.Lock()
-        #: In-flight deduplication map.  :meth:`optimize_coalesced` keys it
-        #: with ``("optimize", structural key, generation)``; the async
-        #: gateway additionally keys whole request payloads with it, so one
-        #: map (and one dedup counter set) covers both layers.  Safe to
-        #: drive from threads and from an event loop alike.
+        #: In-flight deduplication map: the async gateway keys whole
+        #: request payloads with it.  Safe to drive from threads and from
+        #: an event loop alike.
         self.single_flight: SingleFlightMap = SingleFlightMap()
         #: Standing-view registry (:meth:`subscription_registry`), built
         #: lazily on the first ``subscribe`` so services that never serve
-        #: live views pay nothing.  The write path flags it on dynamic-
-        #: rule churn; the gateway (or a follower) pumps it after writes.
+        #: live views pay nothing.  The commit path flags it on dynamic-
+        #: rule churn and pumps it after every write.
         self.subscriptions = None
         #: Self-tuning manager (:meth:`enable_self_tuning`); ``None`` when
         #: the feedback loop is off.
@@ -316,55 +316,6 @@ class OptimizationService:
             query, equivalence_key(query) if caching else None
         )
 
-    def optimize_coalesced(
-        self, query: Query, use_cache: bool = True
-    ) -> ServiceResult:
-        """Optimize one query, sharing work with identical in-flight calls.
-
-        Like :meth:`optimize`, but concurrent calls for structurally-equal
-        queries are **single-flighted**: the first caller (the leader) runs
-        the pipeline — or takes the result-cache hit — while the rest block
-        on the leader's future and receive the same underlying result with
-        ``source`` marked :attr:`~.ResultSource.SINGLE_FLIGHT`.  Where the
-        result cache collapses repeats over time, this collapses repeats
-        happening *right now*, so a thundering herd of N identical requests
-        costs one optimization instead of N.
-
-        The flight key embeds the repository generation: a constraint
-        add/remove during a flight does not let late followers observe a
-        pre-mutation result under a post-mutation key.  A leader failure is
-        propagated to every follower and never cached — the next call
-        retries fresh.
-
-        Layering note: this is the coalescing entry point for *direct*
-        (threaded) service callers.  The gateway does not call it — it
-        coalesces whole request payloads (rows included, options in the
-        key) through the same :attr:`single_flight` map under its own
-        ``"rpc"``-prefixed keys, so each computation is counted once and
-        the map's dedup statistics aggregate both layers.
-        """
-        start = time.perf_counter()
-        caching = use_cache and self._result_cache.maxsize > 0
-        eq_key = equivalence_key(query)
-        flight_key = ("optimize", eq_key, self._cache_epoch(query), use_cache)
-        future, leader = self.single_flight.begin(flight_key)
-        if leader:
-            try:
-                envelope = self._optimize_keyed(query, eq_key if caching else None)
-            except BaseException as exc:
-                self.single_flight.fail(flight_key, exc)
-                raise
-            self.single_flight.resolve(flight_key, envelope)
-            return envelope
-        shared: ServiceResult = future.result()
-        self._record_access(query)
-        return ServiceResult(
-            query=query,
-            result=replace(shared.result, original=query),
-            source=ResultSource.SINGLE_FLIGHT,
-            service_time=time.perf_counter() - start,
-        )
-
     def _cache_epoch(self, query: Query) -> Tuple[int, ...]:
         """The cache epoch of ``query``: its classes' generation counters.
 
@@ -441,12 +392,35 @@ class OptimizationService:
 
         ``manager`` is a :class:`~repro.durability.DurabilityManager`
         whose :meth:`~repro.durability.DurabilityManager.open` already
-        adopted (or recovered) the attached store — from here on every
-        :meth:`mutate` / :meth:`mutate_many` batch calls its ``commit()``
-        under the store's write lock, so acked writes are in the WAL
-        before any reader can observe them.  Pass ``None`` to detach.
+        adopted (or recovered) the attached store — from here on the
+        service owns the store's sink, every record is appended to the
+        WAL first, and every write's ``commit()`` runs under the store's
+        write lock (:meth:`_commit_write`), so acked writes are in the WAL
+        before any reader or replica can observe them.  Pass ``None`` to
+        detach.
         """
         self._durability = manager
+        self._own_sink()
+
+    def attach_replication(self, feed) -> None:
+        """Register the primary's replication feed (it calls this itself).
+
+        The feed is handed each record after the WAL append and told to
+        ``publish()`` after the WAL commit (:meth:`_commit_write`).
+        """
+        self._replication = feed
+        self._own_sink()
+
+    def _own_sink(self) -> None:
+        self._require_store()
+        self.store.set_mutation_sink(self._on_record)
+
+    def _on_record(self, record) -> None:
+        """The store's one sink: local log first, replication feed second."""
+        if self._durability is not None:
+            self._durability.append(record)
+        if self._replication is not None:
+            self._replication.stage(record)
 
     def flush_durability(self) -> None:
         """Force every buffered WAL frame onto stable storage.
@@ -534,28 +508,22 @@ class OptimizationService:
 
         The replica-side write path: records stream in from the
         primary's feed and replay through the store's ``apply_journal``
-        under the exclusive lock — exactly how forked parallel workers
-        catch up — so shard versions advance like the original writes
-        and every shard-granular cache invalidates identically.
-        Dynamic rules of the touched classes are re-derived afterwards,
-        still under the lock, mirroring the primary's own write path.
+        — exactly how forked parallel workers catch up — so shard
+        versions advance like the original writes and every
+        shard-granular cache invalidates identically.  Everything after
+        the apply is the primary's own commit path (:meth:`_commit_write`).
         """
-        if self.store is None:
-            raise ValueError(
-                "OptimizationService has no object store attached; pass "
-                "store= at construction or call attach_store()"
-            )
+        self._require_store()
         records = list(records)
-        with self._store_lock.write():
-            applied = self.store.apply_journal(records)
-            self._mutations_applied += applied
-            touched = {record.class_name for record in records}
-            refreshed, changed = self._refresh_dynamic_rules(
-                self._tracked_classes(touched)
-            )
-            if changed and self.subscriptions is not None:
-                self.subscriptions.note_rule_churn(touched)
-        return applied
+
+        def replay() -> List[int]:
+            """Stage 2 of :meth:`_commit_write` (write lock held)."""
+            version = self.store.version
+            self.store.apply_journal(records)
+            return [record.oid for record in records if record.seq > version]
+
+        touched = {record.class_name for record in records}
+        return self._commit_write("replicate", replay, touched).applied
 
     def subscription_registry(self):
         """The lazily-built standing-view registry of this service.
@@ -576,16 +544,18 @@ class OptimizationService:
 
         Used when the primary's journal can no longer bridge this
         replica's version (bounded retention, or a new feed epoch): the
-        follower rebuilds a complete store off-lock, and this swap —
-        plus a dynamic-rule refresh over every tracked class — happens
-        atomically with respect to readers.
+        follower rebuilds a complete store off-lock, and the swap is the
+        ``apply`` of one :meth:`_commit_write` touching every class — so
+        every tracked class's rules are re-derived and every standing
+        view resyncs against the new store, whatever its version.
         """
-        with self._store_lock.write():
-            self.store = store
-            self._refresh_dynamic_rules(
-                self._tracked_classes(self.schema.class_names())
-            )
-        self._drop_executors()
+
+        def swap() -> List[int]:
+            # Executors bind a store; the pump must not meet the old one's.
+            self.attach_store(store)
+            return []
+
+        self._commit_write("resync", swap)
 
     def close(self) -> None:
         """Release execution resources (worker pools, cached executors).
@@ -604,6 +574,13 @@ class OptimizationService:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
+
+    def _require_store(self) -> None:
+        if self.store is None:
+            raise ValueError(
+                "OptimizationService has no object store attached; pass "
+                "store= at construction or call attach_store()"
+            )
 
     def _drop_executors(self) -> None:
         """Forget the parallel executors, shutting down their worker pools."""
@@ -627,11 +604,7 @@ class OptimizationService:
             resolve_worker_count,
         )
 
-        if self.store is None:
-            raise ValueError(
-                "OptimizationService has no object store attached; pass "
-                "store= at construction or call attach_store()"
-            )
+        self._require_store()
         mode = execution_mode if execution_mode is not None else self.execution_mode
         resolved = resolve_execution_mode(mode)
         if resolved is not ExecutionMode.PARALLEL:
@@ -985,7 +958,8 @@ class OptimizationService:
         if not actions:
             return []
         applied = []
-        with self._store_lock.write():
+
+        def apply_advice() -> List[int]:
             for action in actions:
                 try:
                     if action.op == "create":
@@ -1003,6 +977,11 @@ class OptimizationService:
                 if ok:
                     tuning.index_applied(action)
                     applied.append(action)
+            return []
+
+        # Index records are logged and replicated like rows, so they take
+        # the same commit path; they change no value, so touch no class.
+        self._commit_write("index", apply_advice, ())
         return applied
 
     # ------------------------------------------------------------------
@@ -1041,38 +1020,33 @@ class OptimizationService:
         self._dynamic_classes = (
             set(class_names) if class_names is not None else None
         )
-        with self._store_lock.write():
-            tracked = self._tracked_classes(self.schema.class_names())
-            self._refresh_dynamic_rules(tracked)
+        self._commit_write("rules", lambda: [])
         return sum(
             1
             for constraint in self.repository.declared()
             if constraint.origin is ConstraintOrigin.DERIVED
         )
 
-    def _tracked_classes(self, touched: Iterable[str]) -> List[str]:
-        """The subset of ``touched`` whose dynamic rules this service owns."""
-        if self._dynamic_config is None:
-            return []
-        touched_set = set(touched)
-        if self._dynamic_classes is not None:
-            touched_set &= self._dynamic_classes
-        return sorted(touched_set)
+    def _refresh_dynamic_rules(self, touched: Iterable[str]) -> Tuple[int, bool]:
+        """Re-derive the dynamic rules of the tracked ``touched`` classes.
 
-    def _refresh_dynamic_rules(self, classes: List[str]) -> Tuple[int, bool]:
-        """Re-derive the dynamic rules of ``classes`` (write lock held).
-
-        Returns ``(classes refreshed, declared set changed)``.  Each class
-        is re-derived independently and swapped through
-        :meth:`ConstraintRepository.replace_derived`, which detects no-op
-        swaps — a write that does not move any observed bound leaves the
-        generation (and with it every warm cache) untouched.
+        Write lock held.  Returns ``(classes refreshed, declared set
+        changed)``.  Each class is re-derived independently and swapped
+        through :meth:`ConstraintRepository.replace_derived`, which
+        detects no-op swaps — a write that does not move any observed
+        bound leaves the generation (and with it every warm cache)
+        untouched.
         """
-        if not classes or self.repository is None or self._dynamic_config is None:
+        if self.repository is None or self._dynamic_config is None:
+            return 0, False
+        classes = set(touched)
+        if self._dynamic_classes is not None:
+            classes &= self._dynamic_classes
+        if not classes:
             return 0, False
         deriver = DynamicRuleDeriver(self.schema, self._dynamic_config)
         changed = False
-        for class_name in classes:
+        for class_name in sorted(classes):
             declared = self.repository.declared()
             replaced = {
                 c.name
@@ -1094,16 +1068,16 @@ class OptimizationService:
         oid: Optional[int] = None,
         values: Optional[Dict] = None,
         rows: Optional[Sequence[Dict]] = None,
-        refresh_rules: bool = True,
     ) -> MutationResult:
         """Apply one write (or an ``insert_many`` batch) to the store.
 
         ``op`` is ``"insert"`` (``values``), ``"update"`` (``oid`` +
         ``values``), ``"delete"`` (``oid``) or ``"insert_many"``
-        (``rows``).  The write is applied under the exclusive side of the
-        store lock, bumps only the touched shards' version counters, and —
-        when dynamic rules are enabled — re-derives the rules of exactly
-        the touched classes.  See :class:`MutationResult` for the reported
+        (``rows``; all of them or none, see :meth:`mutate_many`).  The
+        write is applied under the exclusive side of the store lock, bumps
+        only the touched shards' version counters, and — when dynamic
+        rules are enabled — re-derives the rules of exactly the touched
+        classes.  See :class:`MutationResult` for the reported
         invalidation footprint.
         """
         if op == "insert_many":
@@ -1122,89 +1096,100 @@ class OptimizationService:
                     "values": values,
                 }
             ]
-        return self.mutate_many(specs, op_label=op, refresh_rules=refresh_rules)
+        return self.mutate_many(specs, op_label=op)
 
     def mutate_many(
         self,
         mutations: Iterable[Dict],
         op_label: str = "batch",
-        refresh_rules: bool = True,
     ) -> MutationResult:
-        """Apply a sequence of writes atomically with respect to readers.
+        """Apply a sequence of writes: all of them, or none.
 
         Each mutation is a mapping with keys ``op`` (``insert`` /
         ``update`` / ``delete``), ``class_name`` (alias ``class``), and
-        ``oid`` / ``values`` as the op requires.  The whole batch runs
-        under one exclusive lock acquisition, so no query execution ever
-        observes a partially applied batch.  There is no rollback: a
-        failing mutation (e.g. an unknown OID) raises after the earlier
-        writes in the batch have been applied — but dynamic rules are
-        still re-derived for everything that *was* applied, so the rule
-        set never goes stale even on a failed batch.
+        ``oid`` / ``values`` as the op requires.  The whole batch is
+        checked against the store (and against its own earlier deletes)
+        before the first op is applied, so a batch holding one bad op
+        raises :class:`~repro.engine.storage.StorageError` and changes
+        nothing — no row, no version, no WAL frame, no replica, no rule,
+        no standing view.  An accepted batch runs under one exclusive
+        lock acquisition (:meth:`_commit_write`), so no query execution
+        ever observes part of it.
         """
-        if self.store is None:
-            raise ValueError(
-                "OptimizationService has no object store attached; pass "
-                "store= at construction or call attach_store()"
-            )
+        self._require_store()
         specs = [self._normalize_mutation(m) for m in mutations]
+
+        def validate() -> None:
+            gone: set = set()
+            for op, class_name, oid, values in specs:
+                self.store.check(op, class_name, oid, values, gone)
+                if op == "delete":
+                    gone.add((class_name, oid))
+
+        def apply() -> List[int]:
+            """Stage 2 of :meth:`_commit_write` (write lock held)."""
+            return [self.store.apply(*spec) for spec in specs]
+
+        touched = {class_name for _op, class_name, _oid, _values in specs}
+        return self._commit_write(op_label, apply, touched, validate)
+
+    def _commit_write(
+        self, op_label: str, apply, touched=None, validate=None
+    ) -> MutationResult:
+        """The one commit path: what any change to the served store causes.
+
+        Every writer drives these stages, in this order, the first six
+        under one exclusive-lock span:
+
+        1. ``validate()`` the whole batch — a refusal raises here, before
+           anything has changed;
+        2. ``apply()`` — the writes (primary), ``apply_journal``
+           (replica), a store swap (resync) or nothing (boot); returns
+           the OIDs written;
+        3. WAL commit: flush, fsync per policy, snapshot if due;
+        4. publish the batch's records to the replication feed — after 3,
+           so a frame is on local disk before any replica can see it;
+        5. re-derive the dynamic rules of the ``touched`` classes
+           (``None`` = every class: the store itself changed hands);
+        6. flag the standing views those rules (or that swap) invalidate;
+        7. release the lock, then pump the standing views — after 3, so a
+           diff frame is only ever pushed for a durable write;
+        8. the :class:`MutationResult`.
+
+        Stages 3–6 sit in a ``finally``: not a contract, a safety net —
+        should ``apply`` raise half-way (a bug; bad input is stage 1's),
+        store, WAL, replicas and rules still must not disagree.
+        """
         start = time.perf_counter()
         oids: List[int] = []
-        classes: set = set()
-        shards: set = set()
-        refreshed, changed = 0, False
         durability: Optional[Dict] = None
-        from ..engine.storage import StorageError
-
+        refreshed, changed = 0, False
         with self._store_lock.write():
+            if validate is not None:
+                validate()
             try:
-                for spec_op, spec_class, spec_oid, spec_values in specs:
-                    try:
-                        if spec_op == "insert":
-                            instance = self.store.insert(
-                                spec_class, spec_values or {}
-                            )
-                            spec_oid = instance.oid
-                        elif spec_op == "update":
-                            self.store.update(
-                                spec_class, spec_oid, spec_values or {}
-                            )
-                        else:  # delete (validated by _normalize_mutation)
-                            self.store.delete(spec_class, spec_oid)
-                    except StorageError as exc:
-                        # The documented partial-application contract: the
-                        # error says how much of the batch was committed.
-                        raise StorageError(
-                            f"{exc} ({len(oids)} of {len(specs)} mutations "
-                            "applied before the failure)"
-                        ) from None
-                    oids.append(spec_oid)
-                    classes.add(spec_class)
-                    shards.add(self.store.shard_of(spec_oid))
-                    self._mutations_applied += 1
+                oids = apply()
             finally:
-                # Commit the WAL even when the batch failed part-way:
-                # the applied prefix is real (there is no rollback) and
-                # must survive a crash like any other acked write.
                 if self._durability is not None:
                     durability = self._durability.commit()
-                if classes and refresh_rules:
-                    refreshed, changed = self._refresh_dynamic_rules(
-                        self._tracked_classes(classes)
-                    )
-                    if changed and self.subscriptions is not None:
-                        # Flag (never pump) under the exclusive lock: the
-                        # standing views touching these classes must
-                        # resync against the re-derived rule set.
-                        self.subscriptions.note_rule_churn(classes)
+                if self._replication is not None:
+                    self._replication.publish()
+                refreshed, changed = self._refresh_dynamic_rules(
+                    self.schema.class_names() if touched is None else touched
+                )
+                if self.subscriptions is not None and (changed or touched is None):
+                    self.subscriptions.note_rule_churn(touched)
+            self._mutations_applied += len(oids)
             store_version = self.store.version
             shard_versions = self.store.shard_versions()
+        if self.subscriptions is not None and self.subscriptions.active:
+            self.subscriptions.pump()
         return MutationResult(
             op=op_label,
-            classes=tuple(sorted(classes)),
+            classes=tuple(sorted(touched or ())),
             oids=tuple(oids),
             applied=len(oids),
-            shards=tuple(sorted(shards)),
+            shards=tuple(sorted({self.store.shard_of(oid) for oid in oids})),
             store_version=store_version,
             shard_versions=shard_versions,
             rules_refreshed=refreshed,

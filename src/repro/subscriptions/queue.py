@@ -1,14 +1,15 @@
 """Bounded push channel: worker-thread producers, event-loop consumer.
 
-Diff frames are produced on gateway worker threads (the pump runs right
-after a mutation commits) but must be written by the asyncio session that
-owns the socket.  :class:`PushChannel` bridges the two with the same
-slow-consumer discipline as the replication feed's subscriber queues: a
-bounded pending deque, and on overflow the channel marks itself
-overflowed, drops everything, and fires ``on_overflow`` exactly once on
-the event loop — the gateway uses that to unsubscribe and disconnect the
-consumer.  A slow subscriber is *never* silently skipped ahead; it is cut
-off so it knows to resubscribe.
+Frames are produced on whichever thread commits a write (diff frames by
+the standing-view pump, replication frames by the feed's ``publish``) but
+must be written by the asyncio task that owns the socket.
+:class:`PushChannel` bridges the two, and is the one slow-consumer
+discipline of both: a bounded pending deque, and on overflow the channel
+marks itself overflowed, drops everything, and fires ``on_overflow``
+exactly once on the event loop — the gateway uses that to unsubscribe and
+disconnect the consumer, the replication feed to disconnect the replica.
+A slow consumer is *never* silently skipped ahead; it is cut off so it
+knows to resubscribe (or resync).
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ DEFAULT_QUEUE_LIMIT = 1024
 
 
 class PushChannel:
-    """One subscription's ordered frame queue toward one consumer."""
+    """One ordered frame queue toward one consumer."""
 
     def __init__(
         self,
         loop: asyncio.AbstractEventLoop,
-        deliver: Callable[[dict], Awaitable[None]],
+        deliver: Callable[[Any], Awaitable[None]],
         *,
         limit: int = DEFAULT_QUEUE_LIMIT,
         on_overflow: Optional[Callable[[], Awaitable[None]]] = None,
@@ -40,7 +41,7 @@ class PushChannel:
         self._limit = max(int(limit), 1)
         #: Set (once) by the gateway after the subscription id is known.
         self.on_overflow = on_overflow
-        self._pending: Deque[dict] = deque()
+        self._pending: Deque[Any] = deque()
         self._lock = threading.Lock()
         self._task: Optional[asyncio.Task] = None
         self.closed = False
@@ -49,7 +50,7 @@ class PushChannel:
         self.delivered = 0
         self.dropped = 0
 
-    def push(self, frame: dict) -> None:
+    def push(self, frame: Any) -> None:
         """Enqueue one frame (any thread) and wake the loop-side drain."""
         with self._lock:
             if self.closed or self.overflowed:

@@ -10,19 +10,19 @@ store's mutation journal:
   span** of the service's readers-writer lock, so the initial snapshot,
   the candidate sets and the version stamp are a single consistent cut —
   the same discipline as ``replication_capture``.
-* :meth:`pump` — called by the gateway right after each mutation commits
-  (and by a follower after applying replicated frames) — advances every
-  view through ``journal_since(view.version)``.  Views whose records all
-  classify irrelevant advance for free; the rest re-execute their
-  optimized query and push a positional diff frame tagged with the
-  batch-end store version.  Because the gateway pumps *after*
-  ``service.mutate`` returns — and the WAL commit happens inside the
-  mutation's write-lock span — a diff frame is only ever emitted for
-  state that is already durable.
-* Rule churn (:meth:`note_rule_churn`, flagged under the write lock by
-  the mutation path) or a journal gap (the view lagged past the bounded
-  journal) forces a **resync**: the query re-optimizes against the new
-  rule set and the full row snapshot is pushed as a ``resync`` frame.
+* :meth:`pump` — the last stage of the service's commit path, run after
+  every write, replicated record or store swap once the write lock is
+  released — advances every view through ``journal_since(view.version)``.
+  Views whose records all classify irrelevant advance for free; the rest
+  re-execute their optimized query and push a positional diff frame
+  tagged with the batch-end store version.  The WAL commit is an earlier
+  stage of the same path, so a diff frame is only ever emitted for state
+  that is already durable.
+* Rule churn or a store swap (:meth:`note_rule_churn`, flagged under the
+  write lock by the commit path) or a journal gap (the view lagged past
+  the bounded journal) forces a **resync**: the query re-optimizes
+  against the new rule set and the full row snapshot is pushed as a
+  ``resync`` frame.
 
 Pumps are serialized by a registry-level lock, so frames for one
 subscription are emitted in strictly increasing version order.
@@ -129,9 +129,10 @@ class SubscriptionRegistry:
     def note_rule_churn(self, classes=None) -> int:
         """Flag views touching ``classes`` (None = all) for a resync.
 
-        Called under the service's exclusive lock by the mutation path
-        when dynamic rules actually changed, and by the gateway's
-        ``rules`` handler; only sets flags, so it is safe anywhere.
+        Called under the service's exclusive lock by the commit path
+        when dynamic rules actually changed or the store was swapped,
+        and by the gateway's ``rules`` handler; only sets flags, so it is
+        safe anywhere.
         """
         with self._lock:
             views = list(self._views.values())

@@ -1,9 +1,8 @@
 """The durable write path through ``OptimizationService`` and the gateway.
 
 Covers the integration contracts: durability metadata on mutation results
-and stats, WAL commit inside the write-lock span (partial batches
-included), sink fork-safety (replay never double-writes frames), and the
-parallel engine's worker catch-up running against a WAL-sinked store
+and stats, WAL commit inside the write-lock span, sink fork-safety
+(replay never double-writes frames), and the parallel engine's worker catch-up running against a WAL-sinked store
 without duplicating a single frame.
 """
 
@@ -14,7 +13,7 @@ import pytest
 from repro.constraints import ConstraintRepository
 from repro.data import build_evaluation_schema
 from repro.durability import DurabilityManager, recover
-from repro.engine.storage import ShardedObjectStore, StorageError
+from repro.engine.storage import ShardedObjectStore
 from repro.query import parse_query
 from repro.service import OptimizationService
 
@@ -67,25 +66,6 @@ def test_without_durability_metadata_is_absent(schema):
     assert service.stats().durability is None
     service.flush_durability()  # must be a harmless no-op
     service.close()
-
-
-def test_failed_batch_keeps_its_applied_prefix_durable(tmp_path, schema):
-    service, manager = _durable_service(schema, tmp_path)
-    with pytest.raises(StorageError):
-        service.mutate_many(
-            [
-                {"op": "insert", "class_name": "cargo", "values": {"desc": "a"}},
-                {"op": "insert", "class_name": "cargo", "values": {"desc": "b"}},
-                {"op": "delete", "class_name": "cargo", "oid": 999},
-            ]
-        )
-    service.flush_durability()
-    manager.close()
-    recovered, report = recover(str(tmp_path), schema)
-    # No rollback: the two applied inserts are real and must be durable.
-    assert recovered.version == 2
-    assert [i.values["desc"] for i in recovered.instances("cargo")] == ["a", "b"]
-    assert report.clean
 
 
 def test_journal_replay_never_feeds_the_wal_sink(schema):

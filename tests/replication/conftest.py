@@ -15,7 +15,7 @@ import pytest
 
 from repro.constraints import ConstraintRepository
 from repro.data import build_evaluation_constraints, build_evaluation_schema
-from repro.durability import SinkTee
+from repro.durability import DurabilityManager
 from repro.engine.storage import ShardedObjectStore
 from repro.replication import ReplicaFollower, ReplicationFeed
 from repro.service import OptimizationService
@@ -60,10 +60,10 @@ def fingerprint(store):
 
 
 class ReplicationHarness:
-    """One primary (service + feed + teed sink) plus N followers."""
+    """One primary (service + feed, wired the way ``serve`` does) plus N followers."""
 
     def __init__(self, schema, *, shard_count=3, journal_limit=None,
-                 queue_limit=10_000, cargo_rows=6):
+                 queue_limit=10_000, cargo_rows=6, data_dir=None):
         store_kwargs = {}
         if journal_limit is not None:
             store_kwargs["journal_limit"] = journal_limit
@@ -72,20 +72,23 @@ class ReplicationHarness:
             schema, shard_count=shard_count, cargo_rows=cargo_rows,
             **store_kwargs,
         )
+        # The order ``serve`` wires a primary in: open the data dir, build
+        # the service over the store it returns, attach durability, then
+        # construct the feed (which registers itself with the service).
+        self.manager = None
+        if data_dir is not None:
+            self.manager = DurabilityManager(str(data_dir), fsync_policy="always")
+            self.store, _ = self.manager.open(self.store)
         self.service = build_service(schema, self.store)
+        if self.manager is not None:
+            self.service.attach_durability(self.manager)
         self.feed = ReplicationFeed(self.service, queue_limit=queue_limit)
         self.followers = []
         self.replica_services = []
         self.replica_stores = []
 
     async def start(self):
-        host, port = await self.feed.start()
-        tee = SinkTee()
-        if self.store.mutation_sink is not None:
-            tee.attach(self.store.mutation_sink)
-        tee.attach(self.feed.sink)
-        self.store.set_mutation_sink(tee)
-        return host, port
+        return await self.feed.start()
 
     async def add_replica(self, **follower_kwargs):
         follower = ReplicaFollower(
@@ -141,6 +144,8 @@ class ReplicationHarness:
         for service in self.replica_services:
             service.close()
         self.service.close()
+        if self.manager is not None:
+            self.manager.close()
 
 
 @pytest.fixture()

@@ -184,7 +184,6 @@ def test_epoch_change_forces_snapshot_resync(make_harness, state_fingerprint):
             await harness.feed.stop()
             replacement = ReplicationFeed(harness.service, port=old_port)
             await replacement.start()
-            harness.store.set_mutation_sink(replacement.sink)
             harness.feed = replacement
             harness.service.mutate(
                 "insert", "cargo", values={"desc": "new epoch"}

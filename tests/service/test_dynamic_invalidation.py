@@ -136,20 +136,3 @@ def test_rederived_rules_follow_the_data(seeded_service):
     }
     assert before != after
     assert any("9000" in consequent for consequent in after)
-
-
-def test_failed_batch_reports_applied_count(seeded_service):
-    """A mid-batch failure names how much of the batch was committed."""
-    from repro.engine.storage import StorageError
-
-    schema, store, repository, service = seeded_service
-    before = store.count("cargo")
-    with pytest.raises(StorageError, match=r"2 of 3 mutations applied"):
-        service.mutate_many(
-            [
-                {"op": "insert", "class_name": "cargo", "values": {"code": "P0"}},
-                {"op": "insert", "class_name": "cargo", "values": {"code": "P1"}},
-                {"op": "delete", "class_name": "cargo", "oid": 99_999},
-            ]
-        )
-    assert store.count("cargo") == before + 2

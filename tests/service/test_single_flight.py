@@ -10,7 +10,7 @@ from repro.caching import LruCache, SingleFlightMap
 from repro.constraints import ConstraintRepository, build_example_constraints
 from repro.query import parse_query
 from repro.schema import build_example_schema
-from repro.service import OptimizationService, ResultSource
+from repro.service import OptimizationService
 
 PAPER_QUERY = (
     '(SELECT {vehicle.vehicle#, cargo.desc, cargo.quantity} { } '
@@ -86,81 +86,6 @@ def test_single_flight_concurrent_threads_share_one_computation():
     assert len(flight) == 0
     stats = flight.snapshot()
     assert (stats.leaders, stats.followers) == (1, 8)
-
-
-# ----------------------------------------------------------------------
-# Service-level coalescing
-# ----------------------------------------------------------------------
-def test_optimize_coalesced_single_caller_behaves_like_optimize(service):
-    query = parse_query(PAPER_QUERY)
-    envelope = service.optimize_coalesced(query)
-    assert envelope.source is ResultSource.COMPUTED
-    again = service.optimize_coalesced(query)
-    assert again.source is ResultSource.RESULT_CACHE
-
-
-def test_optimize_coalesced_thundering_herd_runs_pipeline_once(service):
-    query = parse_query(PAPER_QUERY)
-    pipeline_runs = []
-    original = service.optimizer.optimize
-
-    def instrumented(target):
-        # The leader holds the pipeline open until every other herd
-        # member has joined its flight, making the coalescing count
-        # deterministic.
-        pipeline_runs.append(threading.get_ident())
-        deadline = time.time() + 5
-        while service.single_flight.snapshot().followers < 7:
-            assert time.time() < deadline, "herd never joined the flight"
-            time.sleep(0.001)
-        return original(target)
-
-    service.optimizer.optimize = instrumented
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        futures = [
-            pool.submit(service.optimize_coalesced, query) for _ in range(8)
-        ]
-        envelopes = [future.result(timeout=10) for future in futures]
-
-    assert len(pipeline_runs) == 1, "the pipeline must run exactly once"
-    sources = sorted(envelope.source.value for envelope in envelopes)
-    assert sources.count("single_flight") == 7
-    assert sources.count("computed") == 1
-    optimized = {str(envelope.optimized) for envelope in envelopes}
-    assert len(optimized) == 1
-    assert service.single_flight.snapshot().in_flight == 0
-
-
-def test_optimize_coalesced_key_includes_generation(service):
-    query = parse_query(PAPER_QUERY)
-    service.optimize_coalesced(query)
-    before = service.single_flight.snapshot().leaders
-    service.repository.add_all([])  # no-op, no generation bump
-    service.optimize_coalesced(query)
-    after = service.single_flight.snapshot()
-    # Same generation: same flight key, but sequential calls never
-    # coalesce (the flight retired) — both lead.
-    assert after.leaders == before + 1
-
-
-def test_optimize_coalesced_propagates_failures_without_caching(service):
-    query = parse_query(PAPER_QUERY)
-    calls = []
-    original = service.optimizer.optimize
-
-    def flaky(target):
-        calls.append(1)
-        if len(calls) == 1:
-            raise RuntimeError("transient")
-        return original(target)
-
-    service.optimizer.optimize = flaky
-    service.clear_result_cache()
-    with pytest.raises(RuntimeError):
-        service.optimize_coalesced(query, use_cache=False)
-    envelope = service.optimize_coalesced(query, use_cache=False)
-    assert envelope.source is ResultSource.COMPUTED
 
 
 # ----------------------------------------------------------------------
