@@ -1,11 +1,10 @@
 """Static invariant checker for the repro codebase.
 
-An AST-based analysis framework plus five concrete passes that enforce
+An AST-based analysis framework plus four concrete passes that enforce
 the contracts the runtime oracles can only check dynamically: engine
 exhaustiveness (``engine-contract``), readers-writer lock discipline
-(``lock-discipline``), cross-process determinism (``determinism``),
-wire-protocol coherence (``protocol-drift``) and the metrics surface
-(``metrics-parity-surface``).  See ``docs/analysis.md`` for the rule
+(``lock-discipline``), cross-process determinism (``determinism``) and
+the metrics surface (``metrics-parity-surface``).  See ``docs/analysis.md`` for the rule
 catalogue and ``python -m repro.analysis --help`` for the driver.
 """
 

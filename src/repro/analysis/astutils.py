@@ -117,33 +117,6 @@ def own_methods(node: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     }
 
 
-def string_tuple_assignment(tree: ast.Module, name: str) -> Optional[List[str]]:
-    """The value of a module-level ``NAME = ("a", "b", ...)`` assignment."""
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                if isinstance(value, (ast.Tuple, ast.List)):
-                    items = []
-                    for element in value.elts:
-                        if isinstance(element, ast.Constant) and isinstance(
-                            element.value, str
-                        ):
-                            items.append(element.value)
-                        else:
-                            return None
-                    return items
-    return None
-
-
 def imported_names_from(tree: ast.Module, module_suffix: str) -> Dict[str, str]:
     """Names bound by ``from <...module_suffix> import a, b as c``.
 

@@ -30,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Statically check the repo's engine, locking, determinism, "
-            "wire-protocol and metrics-parity invariants."
+            "Statically check the repo's engine, locking, determinism "
+            "and metrics-parity invariants."
         ),
     )
     parser.add_argument(
@@ -39,14 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="package directory to analyze (default: the installed repro package)",
-    )
-    parser.add_argument(
-        "--docs-root",
-        type=Path,
-        default=None,
-        help="docs directory for protocol-drift doc checks "
-        "(default: <repo>/docs next to the default package root; "
-        "pass a nonexistent path to disable)",
     )
     parser.add_argument(
         "--baseline",
@@ -110,22 +102,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"package root {package_root} is not a directory", file=sys.stderr)
         return 2
 
-    docs_root = args.docs_root
     baseline_path = args.baseline
-    if defaulted:
-        # Only the in-repo default target inherits the repo's docs and
-        # baseline; explicit fixture trees start from nothing.
-        repo_root = _default_repo_root(package_root)
-        if docs_root is None:
-            docs_root = repo_root / "docs"
-        if baseline_path is None:
-            baseline_path = repo_root / "analysis-baseline.json"
-    if docs_root is not None and not Path(docs_root).is_dir():
-        docs_root = None
+    if defaulted and baseline_path is None:
+        # Only the in-repo default target inherits the repo's baseline;
+        # explicit fixture trees start from nothing.
+        baseline_path = _default_repo_root(package_root) / "analysis-baseline.json"
 
     try:
         baseline = Baseline.load(baseline_path)
-        context = AnalysisContext(package_root, docs_root=docs_root)
+        context = AnalysisContext(package_root)
         report = run_analysis(context, passes, baseline)
     except AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)

@@ -3,16 +3,16 @@
 The checker is a small AST-level analysis framework purpose-built for this
 codebase's contracts.  It deliberately is *not* a general linter: each
 :class:`AnalysisPass` encodes one invariant the runtime oracles enforce
-dynamically (engine exhaustiveness, lock discipline, determinism, wire
-protocol coherence, metrics parity) so violations surface at review time
-instead of after a 300-schedule oracle run — the same compile-time use of
-integrity constraints the source paper applies to queries.
+dynamically (engine exhaustiveness, lock discipline, determinism,
+metrics parity) so violations surface at review time instead of after a
+300-schedule oracle run — the same compile-time use of integrity
+constraints the source paper applies to queries.
 
 The moving parts:
 
 * :class:`AnalysisContext` — the parsed module set of one package tree
-  (every ``*.py`` under a package root), plus the docs directory and a
-  lightweight **import graph** mapping each module to the package-internal
+  (every ``*.py`` under a package root), plus a lightweight
+  **import graph** mapping each module to the package-internal
   modules it imports.  Passes never read files themselves; they ask the
   context, which is what makes the whole checker runnable against the
   fixture trees in ``tests/analysis`` exactly as against ``src/repro``.
@@ -79,17 +79,10 @@ class AnalysisContext:
     ----------
     package_root:
         Directory of the package to analyze (the ``repro`` package dir).
-    docs_root:
-        Optional directory holding the reference docs the protocol-drift
-        pass cross-checks (``docs/`` at the repo root); ``None`` disables
-        doc checks, which is what fixture trees without docs want.
     """
 
-    def __init__(
-        self, package_root: Path, docs_root: Optional[Path] = None
-    ) -> None:
+    def __init__(self, package_root: Path) -> None:
         self.package_root = Path(package_root)
-        self.docs_root = Path(docs_root) if docs_root is not None else None
         self.modules: Dict[str, ModuleInfo] = {}
         self._import_graph: Optional[Dict[str, Set[str]]] = None
         for path in sorted(self.package_root.rglob("*.py")):
@@ -119,15 +112,6 @@ class AnalysisContext:
             for relpath, info in sorted(self.modules.items())
             if relpath.startswith(prefix)
         ]
-
-    def doc_text(self, name: str) -> Optional[str]:
-        """The text of ``docs_root/name`` when the docs root is configured."""
-        if self.docs_root is None:
-            return None
-        path = self.docs_root / name
-        if not path.is_file():
-            return None
-        return path.read_text(encoding="utf-8")
 
     # ------------------------------------------------------------------
     # Import graph

@@ -7,14 +7,12 @@ from .determinism import DeterminismPass
 from .engine_contract import EngineContractPass
 from .lock_discipline import LockDisciplinePass
 from .metrics_parity import MetricsParityPass
-from .protocol_drift import ProtocolDriftPass
 
 __all__ = [
     "DeterminismPass",
     "EngineContractPass",
     "LockDisciplinePass",
     "MetricsParityPass",
-    "ProtocolDriftPass",
     "all_passes",
 ]
 
@@ -25,6 +23,5 @@ def all_passes() -> List[AnalysisPass]:
         EngineContractPass(),
         LockDisciplinePass(),
         DeterminismPass(),
-        ProtocolDriftPass(),
         MetricsParityPass(),
     ]

@@ -5,7 +5,8 @@ protocol (:mod:`repro.server.protocol`), so every existing client —
 ``AsyncGatewayClient``, the loadgen, ``nc`` — works against it
 unchanged.  Per incoming frame:
 
-* ``optimize`` / ``execute`` / ``execute_batch`` are **reads**: the
+* ops :data:`~repro.server.protocol.OPS` declares ``replica``
+  (``optimize`` / ``execute`` / ``execute_batch``) are **reads**: the
   query text parses to its structural
   :func:`~repro.query.equivalence.equivalence_key`, and the
   :class:`~repro.replication.ring.ConsistentHashRing` picks the replica
@@ -16,7 +17,7 @@ unchanged.  Per incoming frame:
   forwards to the single-writer **primary**.
 
 **Read-your-writes**: each client connection is pinned to the
-``store_version`` of its last successful mutation.  A later read on
+``store_version`` its last successful write answered with.  A later read on
 that connection only goes to a replica whose acked/applied version has
 caught up — the router polls the replica's ``replica_status`` (briefly,
 bounded) and otherwise falls back to the next ring node or the primary,
@@ -39,18 +40,15 @@ from ..query.equivalence import equivalence_key
 from ..server.client import AsyncGatewayClient
 from ..server.errors import GatewayError, GatewayRequestError, ProtocolError
 from ..server.protocol import (
-    MUTATION_OPS,
     decode_frame,
     encode_frame,
     error_response,
     ok_response,
+    op_spec,
 )
 from .ring import ConsistentHashRing, route_key
 
 __all__ = ["QueryRouter"]
-
-#: Ops the ring distributes across replicas; everything else → primary.
-READ_OPS = ("optimize", "execute", "execute_batch")
 
 _ROUTE_KEY_CACHE_LIMIT = 4096
 
@@ -178,12 +176,12 @@ class QueryRouter:
         try:
             frame = decode_frame(line)
             request_id = frame.get("id")
-            op = frame.get("op")
+            spec = op_spec(frame.get("op"))
             body = {key: value for key, value in frame.items() if key != "id"}
-            if op in READ_OPS:
+            if spec is not None and spec.replica:
                 result = await self._route_read(frame, body, state)
             else:
-                result = await self._forward_primary(op, body, state)
+                result = await self._forward_primary(spec, body, state)
             return ok_response(request_id, result)
         except (GatewayError, ProtocolError) as exc:
             self._stats["errors"] += 1
@@ -195,15 +193,16 @@ class QueryRouter:
             )
 
     async def _forward_primary(
-        self, op: Any, body: dict, state: _ConnectionState
+        self, spec, body: dict, state: _ConnectionState
     ) -> Any:
         self._stats["routed_writes"] += 1
         result = await self._primary.request(body)
-        if op in MUTATION_OPS and isinstance(result, dict):
+        if spec is not None and spec.writes and isinstance(result, dict):
             version = result.get("store_version")
             if isinstance(version, int) and not isinstance(version, bool):
                 # Pin this connection: its later reads must observe at
-                # least this store version (read-your-writes).
+                # least this store version (read-your-writes).  A rules
+                # answer carries none: rules are not replicated.
                 state.min_version = max(state.min_version, version)
         return result
 

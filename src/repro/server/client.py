@@ -18,9 +18,10 @@ raise :class:`~repro.server.errors.GatewayRequestError` carrying the wire
 code (``protocol_error``, ``overloaded``, ``timeout``, ...).
 
 TCP clients opened with ``retry_reads=N`` additionally survive dropped
-connections for **idempotent read ops** (:data:`IDEMPOTENT_OPS`): a
-transport failure triggers a bounded reconnect-and-retry instead of an
-error, which is how the query router rides out a replica restart.
+connections for **idempotent read ops** (those
+:data:`~repro.server.protocol.OPS` declares ``retry``): a transport
+failure triggers a bounded reconnect-and-retry instead of an error,
+which is how the query router rides out a replica restart.
 Mutations and rule changes are never retried — the gateway's
 at-least-once timeout semantics already make blind write retries unsafe.
 """
@@ -32,18 +33,7 @@ import itertools
 from typing import Any, Dict, List, Optional
 
 from .errors import GatewayError, GatewayRequestError
-from .protocol import decode_frame, encode_frame
-
-#: Ops a reconnecting client may safely retry on a transport failure:
-#: pure reads with no server-side effect beyond caching.
-IDEMPOTENT_OPS = (
-    "optimize",
-    "execute",
-    "execute_batch",
-    "stats",
-    "replica_status",
-    "subscribe_wal",
-)
+from .protocol import decode_frame, encode_frame, op_spec
 
 
 class AsyncGatewayClient:
@@ -222,11 +212,13 @@ class AsyncGatewayClient:
         """
         if self._closed:
             raise GatewayError("client is closed")
+        spec = op_spec(frame.get("op"))
         retries = (
             self._retry_reads
             if self._writer is not None
             and self._host is not None
-            and frame.get("op") in IDEMPOTENT_OPS
+            and spec is not None
+            and spec.retry
             else 0
         )
         delay = 0.05

@@ -7,6 +7,11 @@ control (:mod:`repro.server.admission`) bounds and fairly shares the
 in-flight request set, and a bounded worker-thread pool runs the actual
 optimizer/engine work so the event loop never blocks on a query.
 
+**Dispatch.**  Every op of :data:`~repro.server.protocol.OPS` is served
+by this class's ``_serve_<op>`` method; the table's facts decide the
+rest — an ``inline`` op is answered on the event loop without admission,
+a ``writes`` op is refused on a read-only replica.
+
 **Single-flight deduplication.**  ``optimize`` and ``execute`` requests are
 deduplicated in flight by structural query identity
 (:func:`~repro.query.equivalence.equivalence_key`) plus their options, via
@@ -52,7 +57,7 @@ from .errors import (
     SubscriptionUnknown,
 )
 from .protocol import (
-    MUTATION_OPS,
+    OPS,
     PROTOCOL_VERSION,
     Request,
     batch_payload,
@@ -70,6 +75,11 @@ def _consume(future: "asyncio.Future") -> None:
     """Swallow an abandoned future's outcome so it never warns."""
     if not future.cancelled():
         future.exception()
+
+
+def _work_options(request: Request) -> Dict[str, Any]:
+    """The request's options minus ``timeout``, which bounds only the wait."""
+    return {name: value for name, value in request.options.items() if name != "timeout"}
 
 
 class QueryGateway:
@@ -173,6 +183,9 @@ class QueryGateway:
         self._requests: Dict[str, int] = {}
         self._errors: Dict[str, int] = {}
         self._responses = 0
+        # One handler per declared op, found by name: an op added to
+        # protocol.OPS without a ``_serve_<op>`` method fails here.
+        self._handlers = {name: getattr(self, f"_serve_{name}") for name in OPS}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -265,73 +278,49 @@ class QueryGateway:
         in-process mode calls this directly, bypassing TCP but exercising
         the identical parse → admit → single-flight → respond path.
         """
-        request_id = frame.get("id")
         try:
-            request = parse_request(frame, self.service.schema)
-        except GatewayError as exc:
-            self._count(self._errors, exc.code)
-            return error_response(request_id, exc)
+            payload = await self._handle(frame, client_id, subscriber)
+        except Exception as exc:
+            self._count(
+                self._errors, exc.code if isinstance(exc, GatewayError) else "internal"
+            )
+            return error_response(frame.get("id"), exc)
+        self._responses += 1
+        return ok_response(frame.get("id"), payload)
+
+    async def _handle(self, frame: Dict[str, Any], client_id: str, subscriber):
+        request = parse_request(frame, self.service.schema)
         self._count(self._requests, request.op)
-        if self._read_only and (request.op in MUTATION_OPS or request.op == "rules"):
+        spec = OPS[request.op]
+        if self._read_only and spec.writes:
             # A replica's store changes only through the replication
             # feed; direct writes must go to the primary (the router
             # forwards them there automatically).
-            error = ReadOnlyError(
+            raise ReadOnlyError(
                 f"this gateway is a read-only replica; send {request.op!r} "
                 "to the primary"
             )
-            self._count(self._errors, error.code)
-            return error_response(request_id, error)
-        if request.op == "stats":
-            # Served inline and never queued: an overloaded or draining
-            # gateway must still be observable.
-            try:
-                payload = self.stats_payload()
-            except Exception as exc:
-                self._count(self._errors, "internal")
-                return error_response(request_id, exc)
-            self._responses += 1
-            return ok_response(request_id, payload)
-        if request.op == "replica_status":
-            # Inline like stats: the router polls this on every pinned
-            # read, so it must stay answerable under load and drain.
-            try:
-                payload = self.replica_status_payload()
-            except Exception as exc:
-                self._count(self._errors, "internal")
-                return error_response(request_id, exc)
-            self._responses += 1
-            return ok_response(request_id, payload)
-        if request.op == "subscribe_wal":
-            try:
-                payload = self._subscribe_wal_payload()
-            except GatewayError as exc:
-                self._count(self._errors, exc.code)
-                return error_response(request_id, exc)
-            self._responses += 1
-            return ok_response(request_id, payload)
+        serve = self._handlers[request.op]
         timeout = self._timeout_for(request)
+        if spec.inline:
+            # Never queued: an overloaded or draining gateway must stay
+            # observable, and the router polls replica_status on every
+            # pinned read.
+            return await serve(request, timeout, subscriber)
         try:
             # The budget covers the whole request: admission wait included.
             # Timing out while queued cancels only this waiter (the
             # controller reclaims the queue entry); timing out while
             # holding a slot abandons the wait on the shared flight, which
             # keeps running for everyone else.
-            payload = await asyncio.wait_for(
-                self._admitted(request, client_id, timeout, subscriber), timeout
+            return await asyncio.wait_for(
+                self._admitted(serve, request, client_id, timeout, subscriber),
+                timeout,
             )
         except asyncio.TimeoutError:
-            error = RequestTimeout(f"request did not complete within {timeout:g}s")
-            self._count(self._errors, error.code)
-            return error_response(request_id, error)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            code = exc.code if isinstance(exc, GatewayError) else "internal"
-            self._count(self._errors, code)
-            return error_response(request_id, exc)
-        self._responses += 1
-        return ok_response(request_id, payload)
+            raise RequestTimeout(
+                f"request did not complete within {timeout:g}s"
+            ) from None
 
     def _timeout_for(self, request: Request) -> float:
         timeout = self.request_timeout
@@ -341,107 +330,122 @@ class QueryGateway:
         return timeout
 
     async def _admitted(
-        self, request: Request, client_id: str, timeout: float, subscriber=None
+        self, serve, request: Request, client_id: str, timeout: float, subscriber
     ) -> Dict[str, Any]:
         async with self.admission.slot(client_id):
-            return await self._handle(request, timeout, subscriber)
+            return await serve(request, timeout, subscriber)
 
-    async def _handle(
-        self, request: Request, timeout: float, subscriber=None
-    ) -> Dict[str, Any]:
-        if request.op == "rules":
-            payload = self._handle_rules(request)
-            # Dynamic-rule churn invalidates every standing view touching
-            # the rule set: flag them and pump so subscribers receive
-            # their ``resync`` frames (re-optimized against the new
-            # rules) before this RPC answers.  A pump failure self-heals
-            # on the next write; it never fails the rules RPC itself.
-            registry = getattr(self.service, "subscriptions", None)
-            if registry is not None and registry.active:
-                registry.note_rule_churn()
-                try:
-                    await self._run_in_pool(registry.pump, timeout)
-                except GatewayError:
-                    pass
-            return payload
-        if request.op == "subscribe":
-            return await self._subscribe(request, subscriber, timeout)
-        if request.op == "unsubscribe":
-            return self._unsubscribe_payload(request)
-        if request.op in MUTATION_OPS:
-            # Writes are never coalesced — every mutation frame is distinct
-            # work — but they run on the same bounded pool, under the same
-            # admission slot and timeout as any other request.  A timeout
-            # cancels the write if it has not started; once running it
-            # commits (at-least-once semantics, see the protocol docs).
-            return await self._run_in_pool(
-                lambda: mutation_payload(self._mutate(request)),
-                timeout,
-                cancel_on_timeout=True,
-            )
-        if request.op == "execute_batch":
-            return await self._run_in_pool(
-                lambda: batch_payload(self._execute_many(request)), timeout
-            )
-        if request.op == "backup":
-            # An on-demand snapshot quiesces the store (write lock), so
-            # it runs on the pool under the normal timeout budget.
-            return await self._run_in_pool(lambda: self._backup_payload(), timeout)
-        generation = (
-            self.service.repository.generation
-            if self.service.repository is not None
-            else 0
+    # ------------------------------------------------------------------
+    # Op handlers: ``_serve_<op>(request, timeout, subscriber)`` per OPS entry
+    # ------------------------------------------------------------------
+    async def _serve_optimize(self, request: Request, timeout: float, subscriber):
+        service, query = self.service, request.query
+        use_cache = request.options.get("use_cache", True)
+        key = (
+            "rpc",
+            "optimize",
+            equivalence_key(query),
+            self._generation(),
+            request.options_key(),
         )
-        if request.op == "optimize":
-            key = (
-                "rpc",
-                "optimize",
-                equivalence_key(request.query),
-                generation,
-                request.options_key(),
-            )
-            work = self._optimize_work(request)
-        elif request.op == "execute":
-            store = self.service.store
-            key = (
-                "rpc",
-                "execute",
-                equivalence_key(request.query),
-                generation,
-                getattr(store, "version", None),
-                request.options_key(),
-            )
-            work = self._execute_work(request)
-        else:
-            # Unreachable while dispatch stays exhaustive over
-            # protocol.OPS (parse_request rejects unknown ops); a new op
-            # without a branch lands here instead of silently inheriting
-            # the execute path.
-            raise ProtocolError(f"no dispatch branch for op {request.op!r}")
-        return await self._coalesced(key, work, timeout)
+        return await self._coalesced(
+            key,
+            lambda: optimization_payload(service.optimize(query, use_cache=use_cache)),
+            timeout,
+        )
 
-    def _handle_rules(self, request: Request) -> Dict[str, Any]:
+    async def _serve_execute(self, request: Request, timeout: float, subscriber):
+        service, query = self.service, request.query
+        options = _work_options(request)
+        key = (
+            "rpc",
+            "execute",
+            equivalence_key(query),
+            self._generation(),
+            getattr(service.store, "version", None),
+            request.options_key(),
+        )
+        return await self._coalesced(
+            key, lambda: execution_payload(service.execute(query, **options)), timeout
+        )
+
+    async def _serve_execute_batch(self, request: Request, timeout: float, subscriber):
+        service, options = self.service, _work_options(request)
+        return await self._run_in_pool(
+            lambda: batch_payload(service.execute_many(request.queries, **options)),
+            timeout,
+        )
+
+    async def _serve_stats(self, request: Request, timeout: float, subscriber):
+        return self.stats_payload()
+
+    async def _serve_replica_status(self, request: Request, timeout: float, subscriber):
+        return self.replica_status_payload()
+
+    async def _serve_subscribe_wal(self, request: Request, timeout: float, subscriber):
+        """Serve ``subscribe_wal``: where a replica should connect."""
+        if self._replication is None:
+            raise ReplicationUnavailable(
+                "this gateway does not stream WAL frames; start the "
+                "server with --replicate-on"
+            )
+        return self._replication.describe()
+
+    async def _serve_backup(self, request: Request, timeout: float, subscriber):
+        # An on-demand snapshot quiesces the store (write lock), so it
+        # runs on the pool under the normal timeout budget.
+        return await self._run_in_pool(self._backup_payload, timeout)
+
+    async def _serve_rules(self, request: Request, timeout: float, subscriber):
+        # A rule change is a write: it takes the commit path on the pool
+        # (see OptimizationService.change_rules), with the mutations'
+        # at-least-once timeout semantics.
+        return await self._run_in_pool(
+            lambda: self._change_rules(request), timeout, cancel_on_timeout=True
+        )
+
+    async def _serve_insert(self, request: Request, timeout: float, subscriber):
+        # Writes are never coalesced — every mutation frame is distinct
+        # work — but they run on the same bounded pool, under the same
+        # admission slot and timeout as any other request.  A timeout
+        # cancels the write if it has not started; once running it
+        # commits (at-least-once semantics, see the protocol docs).
+        return await self._run_in_pool(
+            lambda: mutation_payload(self._mutate(request)),
+            timeout,
+            cancel_on_timeout=True,
+        )
+
+    # The four mutation ops differ only in the frame fields they carry.
+    _serve_insert_many = _serve_update = _serve_delete = _serve_insert
+
+    def _generation(self) -> int:
+        repository = self.service.repository
+        return repository.generation if repository is not None else 0
+
+    def _change_rules(self, request: Request) -> Dict[str, Any]:
         repository = self.service.repository
         if repository is None:
             raise GatewayError("service has no constraint repository")
-        if request.action == "add":
+        name = request.rule.name if request.action == "add" else request.rule_name
+
+        def change() -> Dict[str, Any]:
+            """The declared-rule edit (write lock held)."""
             try:
-                repository.add(request.rule)
+                if request.action == "add":
+                    repository.add(request.rule)
+                else:
+                    repository.remove(name)
             except Exception as exc:
-                raise ProtocolError(f"cannot add rule: {exc}") from None
-            name = request.rule.name
-        else:
-            try:
-                repository.remove(request.rule_name)
-            except Exception as exc:
-                raise ProtocolError(f"cannot remove rule: {exc}") from None
-            name = request.rule_name
-        return {
-            "action": request.action,
-            "name": name,
-            "generation": repository.generation,
-            "constraints": len(repository.declared()),
-        }
+                raise ProtocolError(f"cannot {request.action} rule: {exc}") from None
+            return {
+                "action": request.action,
+                "name": name,
+                "generation": repository.generation,
+                "constraints": len(repository.declared()),
+            }
+
+        return self.service.change_rules(change)
 
     def _mutate(self, request: Request):
         """Apply one mutation RPC through the service's commit path.
@@ -466,9 +470,7 @@ class QueryGateway:
     # ------------------------------------------------------------------
     # Subscriptions
     # ------------------------------------------------------------------
-    async def _subscribe(
-        self, request: Request, subscriber, timeout: float
-    ) -> Dict[str, Any]:
+    async def _serve_subscribe(self, request: Request, timeout: float, subscriber):
         """Serve ``subscribe``: bind a standing view pushing to ``subscriber``.
 
         The initial optimize + execute runs on the worker pool; the
@@ -504,11 +506,7 @@ class QueryGateway:
                 await closer()
 
         channel.on_overflow = on_overflow
-        options = {
-            name: value
-            for name, value in request.options.items()
-            if name != "timeout"
-        }
+        options = _work_options(request)
         try:
             payload = await self._run_in_pool(
                 lambda: registry.subscribe(
@@ -533,7 +531,7 @@ class QueryGateway:
         self._channels[sid] = (channel, subscriber)
         return payload
 
-    def _unsubscribe_payload(self, request: Request) -> Dict[str, Any]:
+    async def _serve_unsubscribe(self, request: Request, timeout: float, subscriber):
         """Serve ``unsubscribe``: drop one standing view by id."""
         registry = getattr(self.service, "subscriptions", None)
         sid = request.subscription
@@ -558,28 +556,6 @@ class QueryGateway:
         entry = self._channels.pop(sid, None)
         if entry is not None:
             entry[0].close()
-
-    def _optimize_work(self, request: Request):
-        service, query = self.service, request.query
-        use_cache = request.options.get("use_cache", True)
-
-        def work():
-            return optimization_payload(service.optimize(query, use_cache=use_cache))
-
-        return work
-
-    def _execute_work(self, request: Request):
-        service, query = self.service, request.query
-        options = {
-            name: value
-            for name, value in request.options.items()
-            if name != "timeout"
-        }
-
-        def work():
-            return execution_payload(service.execute(query, **options))
-
-        return work
 
     def _backup_payload(self) -> Dict[str, Any]:
         """Serve the ``backup`` RPC: an on-demand durability snapshot."""
@@ -613,23 +589,6 @@ class QueryGateway:
         else:
             payload["role"] = "standalone"
         return payload
-
-    def _subscribe_wal_payload(self) -> Dict[str, Any]:
-        """Serve ``subscribe_wal``: where a replica should connect."""
-        if self._replication is None:
-            raise ReplicationUnavailable(
-                "this gateway does not stream WAL frames; start the "
-                "server with --replicate-on"
-            )
-        return self._replication.describe()
-
-    def _execute_many(self, request: Request):
-        options = {
-            name: value
-            for name, value in request.options.items()
-            if name != "timeout"
-        }
-        return self.service.execute_many(request.queries, **options)
 
     # ------------------------------------------------------------------
     # Single-flight plumbing

@@ -40,14 +40,15 @@ connection).  ``op`` selects the RPC:
     ``values``; ``delete`` takes ``class`` and ``oid``.  Class and
     attribute names are validated against the schema up front
     (``protocol_error``); storage-level failures such as an unknown OID
-    report the ``mutation_error`` code.  An ``insert_many`` batch is
-    applied atomically with respect to concurrent queries but is not
-    transactional: a mid-batch failure leaves the earlier rows applied
-    (the error message says how many).  Mutations honor the ``timeout``
-    option with **at-least-once** semantics: a timeout cancels a write
-    that has not started, but a write already running commits even though
-    the caller received the ``timeout`` error — retry only with values
-    that are safe to re-apply.
+    report the ``mutation_error`` code.  An ``insert_many`` batch is all
+    or nothing (:meth:`~repro.service.OptimizationService.mutate_many`):
+    every row is checked before the first is applied, so one bad row
+    refuses the whole frame (``mutation_error``) and changes nothing, and
+    no query observes part of an accepted batch.  Mutations honor the
+    ``timeout`` option with **at-least-once** semantics: a timeout
+    cancels a write that has not started, but a write already running
+    commits even though the caller received the ``timeout`` error —
+    retry only with values that are safe to re-apply.
 ``subscribe_wal``
     → the replication feed endpoint of this primary: ``host``/``port``
     to connect a replica to, the feed ``epoch``, and the current store
@@ -79,6 +80,11 @@ connection).  ``op`` selects the RPC:
     answers ``subscription_unknown``.  Disconnecting frees every view
     of the connection implicitly.
 
+What the rest of the stack needs to know about an op — whether the
+gateway serves it before admission, whether a read-only replica refuses
+it, whether the router may send it to a replica, whether a reconnecting
+client may resend it — is declared once, in its :data:`OPS` entry.
+
 Response frames are ``{"id": ..., "ok": true, "result": {...}}`` or
 ``{"id": ..., "ok": false, "error": {"code": ..., "message": ...}}`` with
 codes from :mod:`repro.server.errors`.
@@ -108,7 +114,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..constraints.horn_clause import SemanticConstraint
 from ..query.parser import parse_predicate, parse_query
@@ -121,27 +127,6 @@ from .errors import GatewayError, ProtocolError
 #: 2: ``rows`` is the query's projection (1 sent the full-width row of
 #: every bound class whatever was projected).
 PROTOCOL_VERSION = 2
-
-#: The RPCs a request frame may name.
-OPS = (
-    "optimize",
-    "execute",
-    "execute_batch",
-    "stats",
-    "rules",
-    "insert",
-    "insert_many",
-    "update",
-    "delete",
-    "subscribe_wal",
-    "replica_status",
-    "backup",
-    "subscribe",
-    "unsubscribe",
-)
-
-#: The subset of OPS that write to the store.
-MUTATION_OPS = ("insert", "insert_many", "update", "delete")
 
 #: Kinds of server-initiated push frames (the ``push`` field's values).
 PUSH_KINDS = ("diff", "resync")
@@ -374,70 +359,146 @@ def _parse_oid(frame: Dict[str, Any]) -> int:
     return oid
 
 
+def _parse_nothing(request: Request, frame: Dict[str, Any], schema: Schema) -> None:
+    """A frame that carries nothing but ``id`` and ``op``."""
+
+
+def _parse_query_op(request: Request, frame: Dict[str, Any], schema: Schema) -> None:
+    """A frame that carries one ``query`` and its ``options``."""
+    request.queries = [_parse_query_text(frame.get("query"), schema, "query")]
+    request.options = _parse_options(frame.get("options"))
+
+
+def _parse_batch(request: Request, frame: Dict[str, Any], schema: Schema) -> None:
+    queries = frame.get("queries")
+    if not isinstance(queries, list) or not queries:
+        raise ProtocolError("queries must be a non-empty list of query strings")
+    request.queries = [
+        _parse_query_text(text, schema, f"queries[{index}]")
+        for index, text in enumerate(queries)
+    ]
+    request.options = _parse_options(frame.get("options"))
+
+
+def _parse_rules(request: Request, frame: Dict[str, Any], schema: Schema) -> None:
+    action = frame.get("action")
+    if action not in ("add", "remove"):
+        raise ProtocolError("rules.action must be 'add' or 'remove'")
+    request.action = action
+    if action == "add":
+        request.rule = parse_rule(frame.get("rule"), schema)
+    else:
+        name = frame.get("name")
+        if not isinstance(name, str) or not name:
+            raise ProtocolError("rules remove requires a non-empty 'name'")
+        request.rule_name = name
+
+
+def _parse_mutation(request: Request, frame: Dict[str, Any], schema: Schema) -> None:
+    """A write frame: ``class``, then ``oid`` / ``values`` / ``rows`` by op."""
+    # Options are validated for mutation frames too: 'timeout' is
+    # honored (bounding the caller's wait); the rest are rejected or
+    # ignored exactly as on the read ops.
+    request.options = _parse_options(frame.get("options"))
+    request.class_name = _parse_class_name(frame, schema)
+    if request.op in ("update", "delete"):
+        request.oid = _parse_oid(frame)
+    if request.op in ("insert", "update"):
+        request.values = _parse_values(
+            frame.get("values"), request.class_name, schema, "values"
+        )
+    if request.op == "insert_many":
+        rows = frame.get("rows")
+        if not isinstance(rows, list) or not rows:
+            raise ProtocolError("rows must be a non-empty list of value objects")
+        if len(rows) > MAX_MUTATION_ROWS:
+            raise ProtocolError(
+                f"rows exceeds the per-frame bound of {MAX_MUTATION_ROWS}"
+            )
+        request.rows = [
+            _parse_values(row, request.class_name, schema, f"rows[{index}]")
+            for index, row in enumerate(rows)
+        ]
+
+
+def _parse_unsubscribe(request: Request, frame: Dict[str, Any], schema: Schema) -> None:
+    subscription = frame.get("subscription")
+    if not isinstance(subscription, str) or not subscription:
+        raise ProtocolError("unsubscribe requires a non-empty 'subscription' id")
+    request.subscription = subscription
+
+
+# ----------------------------------------------------------------------
+# The op table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class OpSpec:
+    """One RPC a request frame may name, and what the stack does with it.
+
+    ``parse`` fills the op's fields of a :class:`Request` from the frame.
+    ``inline``: the gateway answers it on the event loop before
+    admission, so it stays answerable while admission is full or
+    draining.  ``writes``: it changes served state (stored rows or
+    declared rules), so a read-only replica refuses it with
+    ``read_only``, and the router pins the connection to the store
+    version a write answers with (read-your-writes).  ``replica``: the
+    router may send it to a replica; every other op goes to the primary.
+    ``retry``: it has no effect beyond caches, so a reconnecting client
+    may resend it after a dropped connection.
+    """
+
+    name: str
+    parse: Callable[[Request, Dict[str, Any], Schema], None] = _parse_nothing
+    inline: bool = False
+    writes: bool = False
+    replica: bool = False
+    retry: bool = False
+
+
+#: Every RPC a request frame may name, by name: the one place an op is
+#: declared.  The gateway serves each with its ``_serve_<name>`` method.
+OPS: Dict[str, OpSpec] = {
+    spec.name: spec
+    for spec in (
+        OpSpec("optimize", _parse_query_op, replica=True, retry=True),
+        OpSpec("execute", _parse_query_op, replica=True, retry=True),
+        OpSpec("execute_batch", _parse_batch, replica=True, retry=True),
+        OpSpec("stats", inline=True, retry=True),
+        OpSpec("rules", _parse_rules, writes=True),
+        OpSpec("insert", _parse_mutation, writes=True),
+        OpSpec("insert_many", _parse_mutation, writes=True),
+        OpSpec("update", _parse_mutation, writes=True),
+        OpSpec("delete", _parse_mutation, writes=True),
+        OpSpec("subscribe_wal", inline=True, retry=True),
+        OpSpec("replica_status", inline=True, retry=True),
+        OpSpec("backup"),
+        OpSpec("subscribe", _parse_query_op),
+        OpSpec("unsubscribe", _parse_unsubscribe),
+    )
+}
+
+
+def op_spec(name: Any) -> Optional[OpSpec]:
+    """The :data:`OPS` entry called ``name``; ``None`` for anything else.
+
+    >>> op_spec("stats").inline
+    True
+    >>> op_spec(["stats"]) is None  # any JSON value may arrive as an op
+    True
+    """
+    return OPS.get(name) if isinstance(name, str) else None
+
+
 def parse_request(frame: Dict[str, Any], schema: Schema) -> Request:
     """Validate a frame and parse its queries into the existing query AST."""
     op = frame.get("op")
-    if op not in OPS:
+    spec = op_spec(op)
+    if spec is None:
         raise ProtocolError(
             f"unknown op {op!r} (choose from: {', '.join(OPS)})"
         )
     request = Request(op=op, id=frame.get("id"))
-    if op in MUTATION_OPS:
-        # Options are validated for mutation frames too: 'timeout' is
-        # honored (bounding the caller's wait); the rest are rejected or
-        # ignored exactly as on the read ops.
-        request.options = _parse_options(frame.get("options"))
-        request.class_name = _parse_class_name(frame, schema)
-        if op in ("update", "delete"):
-            request.oid = _parse_oid(frame)
-        if op in ("insert", "update"):
-            request.values = _parse_values(
-                frame.get("values"), request.class_name, schema, "values"
-            )
-        if op == "insert_many":
-            rows = frame.get("rows")
-            if not isinstance(rows, list) or not rows:
-                raise ProtocolError("rows must be a non-empty list of value objects")
-            if len(rows) > MAX_MUTATION_ROWS:
-                raise ProtocolError(
-                    f"rows exceeds the per-frame bound of {MAX_MUTATION_ROWS}"
-                )
-            request.rows = [
-                _parse_values(row, request.class_name, schema, f"rows[{index}]")
-                for index, row in enumerate(rows)
-            ]
-        return request
-    if op in ("optimize", "execute", "subscribe"):
-        request.queries = [_parse_query_text(frame.get("query"), schema, "query")]
-        request.options = _parse_options(frame.get("options"))
-    elif op == "unsubscribe":
-        subscription = frame.get("subscription")
-        if not isinstance(subscription, str) or not subscription:
-            raise ProtocolError(
-                "unsubscribe requires a non-empty 'subscription' id"
-            )
-        request.subscription = subscription
-    elif op == "execute_batch":
-        queries = frame.get("queries")
-        if not isinstance(queries, list) or not queries:
-            raise ProtocolError("queries must be a non-empty list of query strings")
-        request.queries = [
-            _parse_query_text(text, schema, f"queries[{index}]")
-            for index, text in enumerate(queries)
-        ]
-        request.options = _parse_options(frame.get("options"))
-    elif op == "rules":
-        action = frame.get("action")
-        if action not in ("add", "remove"):
-            raise ProtocolError("rules.action must be 'add' or 'remove'")
-        request.action = action
-        if action == "add":
-            request.rule = parse_rule(frame.get("rule"), schema)
-        else:
-            name = frame.get("name")
-            if not isinstance(name, str) or not name:
-                raise ProtocolError("rules remove requires a non-empty 'name'")
-            request.rule_name = name
+    spec.parse(request, frame, schema)
     return request
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 import asyncio
 import itertools
 
-from .protocol import encode_frame
+from .errors import ProtocolError
+from .protocol import encode_frame, error_response
 
 #: Monotonic fallback ids for sessions whose peername is unavailable.
 _session_ids = itertools.count(1)
@@ -64,17 +65,8 @@ class ClientSession:
                 except (ValueError, asyncio.LimitOverrunError):
                     # Frame longer than the stream limit: the line is
                     # unrecoverable, so report and drop the connection.
-                    from .errors import ProtocolError
-
                     await self._send(
-                        {
-                            "id": None,
-                            "ok": False,
-                            "error": {
-                                "code": ProtocolError.code,
-                                "message": "request frame too long",
-                            },
-                        }
+                        error_response(None, ProtocolError("request frame too long"))
                     )
                     break
                 if not line:  # EOF — the client finished sending

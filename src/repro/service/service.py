@@ -1027,6 +1027,27 @@ class OptimizationService:
             if constraint.origin is ConstraintOrigin.DERIVED
         )
 
+    def change_rules(self, change):
+        """Run ``change()``, an edit of the declared rules; returns its result.
+
+        It is the apply stage of :meth:`_commit_write`: under the write
+        lock, a rule never lands between the optimize and execute halves
+        of an :meth:`execute`.  No stored value moves, so nothing is
+        logged, replicated or re-derived; any view's plan may use the
+        rule, so every view is flagged.
+        """
+        outcome = []
+
+        def apply() -> List[int]:
+            """Stage 2 of :meth:`_commit_write` (write lock held)."""
+            outcome.append(change())
+            if self.subscriptions is not None:
+                self.subscriptions.note_rule_churn()
+            return []
+
+        self._commit_write("rules", apply, ())
+        return outcome[0]
+
     def _refresh_dynamic_rules(self, touched: Iterable[str]) -> Tuple[int, bool]:
         """Re-derive the dynamic rules of the tracked ``touched`` classes.
 
@@ -1144,8 +1165,9 @@ class OptimizationService:
         1. ``validate()`` the whole batch — a refusal raises here, before
            anything has changed;
         2. ``apply()`` — the writes (primary), ``apply_journal``
-           (replica), a store swap (resync) or nothing (boot); returns
-           the OIDs written;
+           (replica), a store swap (resync), a declared-rule edit
+           (:meth:`change_rules`, which flags every view itself) or
+           nothing (boot); returns the OIDs written;
         3. WAL commit: flush, fsync per policy, snapshot if due;
         4. publish the batch's records to the replication feed — after 3,
            so a frame is on local disk before any replica can see it;

@@ -130,8 +130,8 @@ class SubscriptionRegistry:
         """Flag views touching ``classes`` (None = all) for a resync.
 
         Called under the service's exclusive lock by the commit path
-        when dynamic rules actually changed or the store was swapped,
-        and by the gateway's ``rules`` handler; only sets flags, so it is
+        when dynamic rules actually changed, the store was swapped or a
+        declared rule was added or removed; only sets flags, so it is
         safe anywhere.
         """
         with self._lock:

@@ -7,8 +7,7 @@ trips one rule proves the rule, and a fixture that trips *only* that
 rule proves the passes do not bleed into each other.
 """
 
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 
@@ -19,22 +18,14 @@ from repro.analysis import AnalysisContext, all_passes, run_analysis
 def build_tree(tmp_path):
     """Materialize ``{relpath: source}`` into a package dir named repro."""
 
-    def build(
-        files: Dict[str, str], docs: Optional[Dict[str, str]] = None
-    ) -> AnalysisContext:
+    def build(files: Dict[str, str]) -> AnalysisContext:
         package_root = tmp_path / "repro"
         for relpath, source in files.items():
             path = package_root / relpath
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(source, encoding="utf-8")
         package_root.mkdir(exist_ok=True)
-        docs_root = None
-        if docs is not None:
-            docs_root = tmp_path / "docs"
-            docs_root.mkdir(exist_ok=True)
-            for name, text in docs.items():
-                (docs_root / name).write_text(text, encoding="utf-8")
-        return AnalysisContext(package_root, docs_root=docs_root)
+        return AnalysisContext(package_root)
 
     return build
 

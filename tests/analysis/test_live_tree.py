@@ -1,7 +1,7 @@
 """The live tree must stay clean modulo the committed baseline.
 
 This is the in-suite mirror of CI's ``static-analysis`` job: it runs
-every pass over ``src/repro`` with the repo's docs and baseline, so a
+every pass over ``src/repro`` with the repo's baseline, so a
 contract regression fails the unit suite even before the dedicated job
 runs — and a fixed finding whose baseline entry was forgotten fails too
 (stale entries must be pruned, not accumulated).
@@ -15,9 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def live_report():
-    context = AnalysisContext(
-        REPO_ROOT / "src" / "repro", docs_root=REPO_ROOT / "docs"
-    )
+    context = AnalysisContext(REPO_ROOT / "src" / "repro")
     baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
     return run_analysis(context, all_passes(), baseline)
 
