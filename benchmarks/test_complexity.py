@@ -1,9 +1,9 @@
 """Benchmark: the O(m·n) transformation-complexity claim (Section 4).
 
 Beside it, the same kind of claim about the data the claim is measured on:
-generating a constraint-consistent database is linear in its size, and a
-join from one row costs the same whatever the size of the extent it joins
-into.
+generating a constraint-consistent database is linear in its size, a join
+from one row costs the same whatever the size of the extent it joins
+into, and so does a write with dynamic rules on.
 """
 
 from collections import Counter
@@ -11,8 +11,13 @@ from collections import Counter
 import pytest
 
 from repro.core import TransformationEngine, initialize
-from repro.data import DatabaseGenerator, DatabaseSpec
-from repro.engine import ObjectInstance, VectorizedExecutor
+from repro.data import DatabaseGenerator, DatabaseSpec, build_evaluation_setup
+from repro.engine import (
+    DatabaseStatistics,
+    ObjectInstance,
+    ShardedObjectStore,
+    VectorizedExecutor,
+)
 from repro.engine.plan import TraverseNode
 from repro.experiments import (
     build_chain_constraints,
@@ -21,6 +26,7 @@ from repro.experiments import (
     run_complexity,
 )
 from repro.query import parse_query
+from repro.service import OptimizationService
 
 
 @pytest.mark.parametrize("constraint_count", [16, 64, 256])
@@ -129,3 +135,57 @@ def test_traversal_work_does_not_grow_with_the_target_extent(monkeypatch):
         counts.append(calls)
     assert counts[0] > 0
     assert counts[0] == counts[1], counts
+
+
+def test_write_work_does_not_grow_with_the_extent(monkeypatch):
+    """A write re-derives its class's rules and refreshes statistics unread.
+
+    Counted, not timed: with dynamic rules on, an insert, an update and a
+    delete of one ``cargo`` row and then a statistics read call
+    ``ShardedObjectStore.instances`` and ``DatabaseStatistics.collect``
+    zero times, at 104 and at 416 instances per class — the rules and the
+    statistics are read off value summaries the writes maintain.  When
+    every write re-derived its class's rules from the extent and the next
+    read recollected it, both counts were positive and grew with it.
+    """
+    calls = Counter()
+
+    def counting(name, method):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+    counts = []
+    for class_cardinality in (104, 416):
+        spec = DatabaseSpec("writes", class_cardinality, class_cardinality * 3)
+        setup = build_evaluation_setup(spec, query_count=1)
+        store = setup.store
+        service = OptimizationService(
+            setup.schema, repository=setup.repository, store=store
+        )
+        service.enable_dynamic_rules()
+        store.statistics()
+        row = dict(store.instances("cargo")[0].values, code="written")
+        ceiling = max(i.values["quantity"] for i in store.instances("cargo"))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ShardedObjectStore,
+                "instances",
+                counting("instances", ShardedObjectStore.instances),
+            )
+            patch.setattr(
+                DatabaseStatistics,
+                "collect",
+                staticmethod(counting("collect", DatabaseStatistics.collect)),
+            )
+            calls.clear()
+            (oid,) = service.mutate("insert", "cargo", values=row).oids
+            moved = service.mutate("update", "cargo", oid, {"quantity": ceiling + 1})
+            service.mutate("delete", "cargo", oid)
+            statistics = store.statistics()
+            counts.append(dict(calls))
+        assert moved.rules_changed  # the bound moved: rules were re-derived
+        assert statistics.cardinality("cargo") == class_cardinality
+    assert counts == [{}, {}], counts

@@ -153,15 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _execute_comparison(args: argparse.Namespace, schema, constraints, service, result) -> None:
     """Run the original and optimized query on a demo database and report."""
     from .data import DatabaseGenerator, DatabaseSpec
-    from .engine import CostModel, DatabaseStatistics
+    from .engine import CostModel
 
     database = DatabaseGenerator(schema, constraints, seed=7).generate(
         DatabaseSpec("demo", class_cardinality=60, relationship_cardinality=90)
     )
     service.attach_store(database.store)
-    cost_model = CostModel(
-        schema, DatabaseStatistics.collect(schema, database.store)
-    )
+    cost_model = CostModel(schema, database.store.statistics())
     original = service.execute(
         result.original, optimize=False, execution_mode=args.engine,
         workers=args.workers,

@@ -20,16 +20,28 @@ Two families of rules are derived:
 
 Derived rules carry ``ConstraintOrigin.DERIVED`` so the repository, traces
 and experiments can tell them apart from declared integrity constraints.
+
+Both families are read off the value summaries the store keeps
+(:meth:`~repro.engine.storage.ShardedObjectStore.value_summary`): the
+bounds of each numeric column, each value's multiplicity and first
+occurrence, and witness counts for the attribute pairs a functional rule
+may join.  A write moves the summary of the class it touched by the one
+row it changed, so re-deriving that class's rules on the write path costs
+what the summary holds for the class's low-cardinality attributes, not a
+read of its extent.  :func:`derive_by_scan` derives the same rules by
+reading every instance; it is the definition the summary-backed
+derivation is tested against — same rules, same order, same names.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..engine.storage import ObjectStore
-from ..schema.attribute import DomainType
+from ..schema.attribute import Attribute, DomainType
+from ..schema.object_class import ObjectClass
 from ..schema.schema import Schema
 from .horn_clause import ConstraintOrigin, SemanticConstraint, fresh_name
 from .predicate import ComparisonOperator, Predicate
@@ -61,6 +73,12 @@ class DerivationConfig:
     max_distinct: int = 16
 
 
+#: ``(attribute, least, greatest)``: one range fact of a class.
+RangeFact = Tuple[str, Any, Any]
+#: ``(source, source value, target, target value)``: one functional fact.
+DependencyFact = Tuple[str, Any, str, Any]
+
+
 class DynamicRuleDeriver:
     """Derives state-dependent semantic rules from an object store."""
 
@@ -83,6 +101,8 @@ class DynamicRuleDeriver:
     ) -> List[SemanticConstraint]:
         """Derive rules from the current contents of ``store``.
 
+        Reads the store's value summaries; equal to :func:`derive_by_scan`.
+
         Parameters
         ----------
         store:
@@ -94,6 +114,19 @@ class DynamicRuleDeriver:
             Constraint names already taken, so freshly derived rules never
             collide with declared constraints.
         """
+        return self._derive(
+            store, class_names, existing_names, _summary_ranges, _summary_dependencies
+        )
+
+    def _derive(
+        self,
+        store: ObjectStore,
+        class_names: Optional[Iterable[str]],
+        existing_names: Iterable[str],
+        ranges: Callable[..., Iterator[RangeFact]],
+        dependencies: Callable[..., Iterator[DependencyFact]],
+    ) -> List[SemanticConstraint]:
+        """Name the rules that ``ranges`` and ``dependencies`` find per class."""
         taken: Set[str] = set(existing_names)
         targets = list(class_names) if class_names is not None else [
             name for name in self.schema.class_names() if store.count(name) > 0
@@ -102,120 +135,183 @@ class DynamicRuleDeriver:
         for class_name in targets:
             if not store.has_class(class_name) or store.count(class_name) == 0:
                 continue
+            cls = self.schema.object_class(class_name)
             if self.config.derive_ranges:
-                rules.extend(self._range_rules(store, class_name, taken))
+                for attribute, low, high in ranges(store, cls):
+                    qualified = f"{class_name}.{attribute}"
+                    for operator, bound in (
+                        (ComparisonOperator.GE, low),
+                        (ComparisonOperator.LE, high),
+                    ):
+                        rules.append(
+                            _rule(
+                                taken,
+                                class_name,
+                                [],
+                                Predicate.selection(qualified, operator, bound),
+                                f"observed range bound on {qualified} in the "
+                                "current database state",
+                            )
+                        )
             if self.config.derive_functional:
-                rules.extend(self._functional_rules(store, class_name, taken))
-        return rules
-
-    # ------------------------------------------------------------------
-    # Range rules
-    # ------------------------------------------------------------------
-    def _range_rules(
-        self, store: ObjectStore, class_name: str, taken: Set[str]
-    ) -> List[SemanticConstraint]:
-        rules: List[SemanticConstraint] = []
-        cls = self.schema.object_class(class_name)
-        for attribute in cls.value_attributes:
-            if not attribute.domain.is_numeric:
-                continue
-            values = [
-                instance.values.get(attribute.name)
-                for instance in store.instances(class_name)
-            ]
-            numeric = [v for v in values if isinstance(v, (int, float))]
-            if not numeric or len(numeric) != len(values):
-                continue
-            low, high = min(numeric), max(numeric)
-            qualified = f"{class_name}.{attribute.name}"
-            for operator, bound in (
-                (ComparisonOperator.GE, low),
-                (ComparisonOperator.LE, high),
-            ):
-                name = fresh_name("d", taken)
-                taken.add(name)
-                rules.append(
-                    SemanticConstraint.build(
-                        name=name,
-                        antecedents=[],
-                        consequent=Predicate.selection(qualified, operator, bound),
-                        anchor_classes={class_name},
-                        origin=ConstraintOrigin.DERIVED,
-                        description=(
-                            f"observed range bound on {qualified} in the "
-                            "current database state"
-                        ),
-                    )
-                )
-        return rules
-
-    # ------------------------------------------------------------------
-    # Functional rules
-    # ------------------------------------------------------------------
-    def _functional_rules(
-        self, store: ObjectStore, class_name: str, taken: Set[str]
-    ) -> List[SemanticConstraint]:
-        rules: List[SemanticConstraint] = []
-        cls = self.schema.object_class(class_name)
-        candidates = [
-            a
-            for a in cls.value_attributes
-            if a.domain in (DomainType.STRING, DomainType.INTEGER)
-        ]
-        instances = store.instances(class_name)
-        for source in candidates:
-            # value of source attribute -> set of values seen for each other
-            # attribute, plus a support count.
-            support: Dict[object, int] = defaultdict(int)
-            observed: Dict[Tuple[str, object], Set[object]] = defaultdict(set)
-            for instance in instances:
-                source_value = instance.values.get(source.name)
-                if source_value is None:
-                    continue
-                support[source_value] += 1
-                for target in candidates:
-                    if target.name == source.name:
-                        continue
-                    observed[(target.name, source_value)].add(
-                        instance.values.get(target.name)
-                    )
-            if len(support) > self.config.max_distinct:
-                continue
-            for target in candidates:
-                if target.name == source.name:
-                    continue
-                for source_value, count in support.items():
-                    if count < self.config.min_support:
-                        continue
-                    values = observed[(target.name, source_value)]
-                    if len(values) != 1:
-                        continue
-                    (target_value,) = values
-                    if target_value is None:
-                        continue
-                    name = fresh_name("d", taken)
-                    taken.add(name)
+                for source, source_value, target, target_value in dependencies(
+                    store, cls, self.config
+                ):
                     rules.append(
-                        SemanticConstraint.build(
-                            name=name,
-                            antecedents=[
-                                Predicate.equals(
-                                    f"{class_name}.{source.name}", source_value
-                                )
-                            ],
-                            consequent=Predicate.equals(
-                                f"{class_name}.{target.name}", target_value
-                            ),
-                            anchor_classes={class_name},
-                            origin=ConstraintOrigin.DERIVED,
-                            description=(
-                                f"functional dependency observed in the current "
-                                f"state: {source.name}={source_value!r} always "
-                                f"implies {target.name}={target_value!r}"
-                            ),
+                        _rule(
+                            taken,
+                            class_name,
+                            [Predicate.equals(f"{class_name}.{source}", source_value)],
+                            Predicate.equals(f"{class_name}.{target}", target_value),
+                            f"functional dependency observed in the current "
+                            f"state: {source}={source_value!r} always "
+                            f"implies {target}={target_value!r}",
                         )
                     )
         return rules
+
+
+def _rule(
+    taken: Set[str],
+    class_name: str,
+    antecedents: List[Predicate],
+    consequent: Predicate,
+    description: str,
+) -> SemanticConstraint:
+    """One derived rule under the next fresh ``d<N>`` name."""
+    name = fresh_name("d", taken)
+    taken.add(name)
+    return SemanticConstraint.build(
+        name=name,
+        antecedents=antecedents,
+        consequent=consequent,
+        anchor_classes={class_name},
+        origin=ConstraintOrigin.DERIVED,
+        description=description,
+    )
+
+
+def _candidates(cls: ObjectClass) -> List[Attribute]:
+    """The attributes a functional rule may condition on or conclude."""
+    return [
+        a
+        for a in cls.value_attributes
+        if a.domain in (DomainType.STRING, DomainType.INTEGER)
+    ]
+
+
+# ----------------------------------------------------------------------
+# Facts from the value summaries (the serving path)
+# ----------------------------------------------------------------------
+def _summary_ranges(store: ObjectStore, cls: ObjectClass) -> Iterator[RangeFact]:
+    """Bounds of every numeric attribute whose every row holds a number."""
+    summary = store.value_summary(cls.name)
+    for attribute in cls.value_attributes:
+        if attribute.domain.is_numeric and summary.only_numbers(attribute.name):
+            low, high = summary.bounds(attribute.name)
+            yield attribute.name, low, high
+
+
+def _summary_dependencies(
+    store: ObjectStore, cls: ObjectClass, config: DerivationConfig
+) -> Iterator[DependencyFact]:
+    """``A = a -> B = b`` wherever the witnesses of ``a`` hold one ``b``."""
+    summary = store.value_summary(cls.name)
+    candidates = _candidates(cls)
+    for source in candidates:
+        if summary.distinct(source.name) > config.max_distinct:
+            continue
+        # First-occurrence order: the order a scan meets the values in.
+        values = sorted(
+            (value for value in summary.holders[source.name] if value is not None),
+            key=lambda value: summary.first_holder(source.name, value).oid,
+        )
+        for target in candidates:
+            if target.name == source.name:
+                continue
+            witnesses = summary.witnesses(source.name, target.name)
+            for value in values:
+                if (
+                    summary.multiplicity(source.name, value) < config.min_support
+                    or len(witnesses[value]) != 1
+                ):
+                    continue
+                first = summary.first_holder(source.name, value).values
+                target_value = first.get(target.name)
+                if target_value is not None:
+                    yield source.name, first.get(source.name), target.name, target_value
+
+
+# ----------------------------------------------------------------------
+# Facts from the extent (the definition)
+# ----------------------------------------------------------------------
+def _scan_ranges(store: ObjectStore, cls: ObjectClass) -> Iterator[RangeFact]:
+    for attribute in cls.value_attributes:
+        if not attribute.domain.is_numeric:
+            continue
+        values = [
+            instance.values.get(attribute.name)
+            for instance in store.instances(cls.name)
+        ]
+        numeric = [v for v in values if isinstance(v, (int, float))]
+        if not numeric or len(numeric) != len(values):
+            continue
+        yield attribute.name, min(numeric), max(numeric)
+
+
+def _scan_dependencies(
+    store: ObjectStore, cls: ObjectClass, config: DerivationConfig
+) -> Iterator[DependencyFact]:
+    candidates = _candidates(cls)
+    instances = store.instances(cls.name)
+    for source in candidates:
+        # value of source attribute -> set of values seen for each other
+        # attribute, plus a support count.
+        support: Dict[object, int] = defaultdict(int)
+        observed: Dict[Tuple[str, object], Set[object]] = defaultdict(set)
+        for instance in instances:
+            source_value = instance.values.get(source.name)
+            if source_value is None:
+                continue
+            support[source_value] += 1
+            for target in candidates:
+                if target.name == source.name:
+                    continue
+                observed[(target.name, source_value)].add(
+                    instance.values.get(target.name)
+                )
+        if len(support) > config.max_distinct:
+            continue
+        for target in candidates:
+            if target.name == source.name:
+                continue
+            for source_value, count in support.items():
+                if count < config.min_support:
+                    continue
+                values = observed[(target.name, source_value)]
+                if len(values) != 1:
+                    continue
+                (target_value,) = values
+                if target_value is None:
+                    continue
+                yield source.name, source_value, target.name, target_value
+
+
+def derive_by_scan(
+    schema: Schema,
+    store: ObjectStore,
+    class_names: Optional[Iterable[str]] = None,
+    existing_names: Iterable[str] = (),
+    config: Optional[DerivationConfig] = None,
+) -> List[SemanticConstraint]:
+    """The rules :meth:`DynamicRuleDeriver.derive` returns, by definition.
+
+    Reads every instance of every class it derives for; the tests compare
+    the summary-backed derivation against it.
+    """
+    return DynamicRuleDeriver(schema, config)._derive(
+        store, class_names, existing_names, _scan_ranges, _scan_dependencies
+    )
 
 
 def derive_rules(

@@ -150,7 +150,7 @@ def build_evaluation_setup(
     repository.add_all(constraint_list)
     repository.precompile()
 
-    statistics = DatabaseStatistics.collect(schema, database.store)
+    statistics = database.store.statistics()
     cost_model = CostModel(schema, statistics, CostWeights())
 
     return EvaluationSetup(

@@ -5,15 +5,19 @@ accurate cost model" to estimate the profitability of optional predicates
 and of class elimination.  That cost model in turn needs statistics about
 the stored data; :class:`DatabaseStatistics` collects the usual ones —
 extent cardinalities, per-attribute distinct-value counts and numeric
-min/max — straight from an :class:`~repro.engine.storage.ObjectStore`, and
-offers textbook selectivity estimates for predicates.
+min/max — of an :class:`~repro.engine.storage.ObjectStore`, and offers
+textbook selectivity estimates for predicates.
+
+:meth:`DatabaseStatistics.collect` defines them by walking every extent;
+:meth:`DatabaseStatistics.summarize` reads the same numbers off the value
+summaries the store maintains (:mod:`repro.engine.summary`), and is what
+``store.statistics()`` serves.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Tuple
 
 from ..constraints.predicate import (
     ComparisonOperator,
@@ -63,26 +67,15 @@ class DatabaseStatistics:
     # Collection
     # ------------------------------------------------------------------
     @staticmethod
-    def collect(
-        schema: Schema,
-        store: ObjectStore,
-        class_names: Optional[Iterable[str]] = None,
-    ) -> "DatabaseStatistics":
-        """Gather statistics from the current contents of ``store``.
+    def collect(schema: Schema, store: ObjectStore) -> "DatabaseStatistics":
+        """Gather statistics by walking every extent of ``store``.
 
-        ``class_names`` restricts collection to a subset of classes (the
-        :class:`StatisticsCache` recollects only journal-touched classes);
-        per-class statistics are independent, so a restricted collect is
-        byte-identical to the matching slice of a full collect.
+        The definition :meth:`summarize` is tested against; serving code
+        reads ``store.statistics()`` instead.
         """
         stats = DatabaseStatistics()
         stats.indexed = frozenset(store.indexes.indexed_attributes())
-        if class_names is None:
-            names: List[str] = list(schema.class_names())
-        else:
-            wanted = set(class_names)
-            names = [name for name in schema.class_names() if name in wanted]
-        for class_name in names:
+        for class_name in schema.class_names():
             extent = store.instances(class_name)
             stats.cardinalities[class_name] = len(extent)
             cls = schema.object_class(class_name)
@@ -99,6 +92,31 @@ class DatabaseStatistics:
                     attr_stats.minimum = min(non_null)
                     attr_stats.maximum = max(non_null)
                 stats.attributes[(class_name, attribute.name)] = attr_stats
+        return stats
+
+    @staticmethod
+    def summarize(schema: Schema, store: ObjectStore) -> "DatabaseStatistics":
+        """What :meth:`collect` gathers, read off the store's value summaries.
+
+        No extent is walked: a class's summary is built on its first read
+        and kept by the writes from then on (``store.value_summary``).
+        """
+        stats = DatabaseStatistics()
+        stats.indexed = frozenset(store.indexes.indexed_attributes())
+        for class_name in schema.class_names():
+            summary = store.value_summary(class_name)
+            stats.cardinalities[class_name] = store.count(class_name)
+            for attribute in schema.object_class(class_name).value_attributes:
+                name = attribute.name
+                numeric = attribute.domain.is_numeric
+                attr_stats = AttributeStatistics(
+                    distinct_values=summary.distinct(name),
+                    null_count=summary.multiplicity(name, None),
+                    is_numeric=numeric,
+                )
+                if numeric and attr_stats.distinct_values:
+                    attr_stats.minimum, attr_stats.maximum = summary.bounds(name)
+                stats.attributes[(class_name, name)] = attr_stats
         return stats
 
     # ------------------------------------------------------------------
@@ -208,107 +226,3 @@ class DatabaseStatistics:
         return self.cardinality(class_name) * self.combined_selectivity(
             local[class_name]
         )
-
-
-class StatisticsCache:
-    """The versioned statistics a store keeps of itself.
-
-    Owned by the store (:meth:`ShardedObjectStore.statistics` is the way
-    in), which passes itself to :meth:`get`: the cache holds no reference
-    back, so a store that is swapped out is freed at once rather than
-    waiting for the cycle collector.
-
-    Collecting :class:`DatabaseStatistics` walks every extent, which is the
-    single most expensive per-request step once executors and plans are
-    warm.  The cache keys one collected snapshot on the store's global
-    mutation counter: while the version stands still, every consumer —
-    executors planning queries, the service's batch path, the optimizer's
-    cost model — reads the same object and **no collection runs at all**.
-
-    When the version moves, the store's bounded mutation journal decides
-    how much work the refresh costs:
-
-    * the journal bridges the delta → only the journal-touched classes are
-      recollected (per-class statistics are independent, so the merged
-      snapshot is byte-identical to a full collect);
-    * the delta contains only index lifecycle ops → data statistics are
-      reused verbatim and just the live-index set is refreshed;
-    * the journal cannot bridge (bounded retention, an index rebuild's
-      floor) → a full collect runs.
-
-    Snapshots are never mutated in place — consumers holding a reference
-    (a plan under execution) keep a consistent view while later requests
-    read the refreshed one.  ``get`` is thread-safe; collection runs at
-    most once per observed store version (the regression contract pinned
-    by ``tests/service/test_statistics_staleness.py``).
-    """
-
-    #: Journal ops that change data statistics (index lifecycle ops don't).
-    _DATA_OPS = ("insert", "update", "delete")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._stats: Optional[DatabaseStatistics] = None
-        self._version: Optional[int] = None
-        #: Full store walks performed (cache misses the journal couldn't
-        #: soften).  Exposed for regression tests and tuning stats.
-        self.full_collects = 0
-        #: Journal-guided partial recollects (touched classes only).
-        self.partial_collects = 0
-
-    @property
-    def collects(self) -> int:
-        """Total collection passes, full or partial."""
-        return self.full_collects + self.partial_collects
-
-    def get(self, store: ObjectStore) -> DatabaseStatistics:
-        """Statistics current for the present version of ``store`` (the owner)."""
-        with self._lock:
-            version = store.version
-            if self._stats is not None and version == self._version:
-                return self._stats
-            previous = self._stats
-            records = (
-                store.journal_since(self._version)
-                if previous is not None and self._version is not None
-                else None
-            )
-            if records is None:
-                stats = DatabaseStatistics.collect(store.schema, store)
-                self.full_collects += 1
-            else:
-                touched = sorted(
-                    {
-                        record.class_name
-                        for record in records
-                        if record.op in self._DATA_OPS
-                    }
-                )
-                if touched:
-                    fresh = DatabaseStatistics.collect(
-                        store.schema, store, class_names=touched
-                    )
-                    cardinalities = dict(previous.cardinalities)
-                    cardinalities.update(fresh.cardinalities)
-                    attributes = dict(previous.attributes)
-                    attributes.update(fresh.attributes)
-                    stats = DatabaseStatistics(
-                        cardinalities=cardinalities,
-                        attributes=attributes,
-                        indexed=fresh.indexed,
-                    )
-                    self.partial_collects += 1
-                else:
-                    # Index-only delta: the data statistics are unchanged;
-                    # refresh just the live-index set (no extent is walked,
-                    # so this does not count as a collection pass).
-                    stats = DatabaseStatistics(
-                        cardinalities=previous.cardinalities,
-                        attributes=previous.attributes,
-                        indexed=frozenset(
-                            store.indexes.indexed_attributes()
-                        ),
-                    )
-            self._stats = stats
-            self._version = version
-            return stats

@@ -44,7 +44,8 @@ from ..schema.attribute import DomainType
 from ..schema.schema import Schema
 from .indexes import IndexManager
 from .instance import ObjectInstance
-from .statistics import DatabaseStatistics, StatisticsCache
+from .statistics import DatabaseStatistics
+from .summary import ValueSummary
 
 #: Default number of mutation records the store's journal retains.
 DEFAULT_JOURNAL_LIMIT = 512
@@ -84,6 +85,18 @@ def _is_pointer_value(value: Any) -> bool:
     if value is None or kind is int:
         return True
     return kind in (list, tuple) and _OID_TYPES.issuperset(map(type, value))
+
+
+def _is_countable(value: Any) -> bool:
+    """Whether a value summary can count ``value``: hashable, equal to itself."""
+    kind = type(value)
+    if kind is str or kind is int or value is None:
+        return True
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return value == value
 
 
 def _distinct_targets(value: Any) -> Iterable[int]:
@@ -404,15 +417,51 @@ class ShardedObjectStore:
         # never append to the parent's log files.
         self._mutation_sink = None
         self._suppress_sink = False
-        #: Statistics over this store, keyed on its own version and
-        #: refreshed from its own journal: every consumer — executors
-        #: planning queries, the service's batch path, the cost model —
-        #: reads :meth:`statistics`, so one collect serves a store version.
-        self.statistics_cache = StatisticsCache()
+        # Value summaries (see :meth:`value_summary`): per class, built on
+        # the first read and kept by the mutation methods below from then on.
+        self._summaries: Dict[str, ValueSummary] = {}
+        # The one statistics snapshot, with the version it describes.
+        self._statistics: Optional[Tuple[int, DatabaseStatistics]] = None
 
     def statistics(self) -> DatabaseStatistics:
-        """Statistics current for the store's present version (cached)."""
-        return self.statistics_cache.get(self)
+        """Statistics of the store as it is now, read off its value summaries.
+
+        Every consumer — executors planning queries, the service's batch
+        path, the cost model (~150 reads per optimize) — reads this.  A
+        snapshot is built once per store version, from the summaries the
+        writes keep (:meth:`DatabaseStatistics.summarize`), so no extent is
+        walked; it equals :meth:`DatabaseStatistics.collect` and is never
+        mutated, so a plan under execution keeps a consistent view.
+        """
+        version = self.version
+        held = self._statistics
+        if held is None or held[0] != version:
+            held = self._statistics = (
+                version, DatabaseStatistics.summarize(self.schema, self)
+            )
+        return held[1]
+
+    def value_summary(self, class_name: str) -> ValueSummary:
+        """What ``class_name``'s extent holds, per value attribute.
+
+        The value index of rule derivation and statistics.  Built from the
+        extent on the first call for a class — so a store nobody reads
+        this way pays nothing — and from then on kept by ``insert``,
+        ``update``, ``delete`` and journal replay in the same call that
+        changes the stored values, like :meth:`referrer_oids`.  ``restore``
+        starts without summaries and :meth:`rebuild_indexes` drops them,
+        which is how values edited in place become visible.  Read-only for
+        callers.
+        """
+        summary = self._summaries.get(class_name)
+        if summary is None:
+            if class_name not in self._next_oid:
+                raise StorageError(f"unknown object class {class_name!r}")
+            summary = ValueSummary(self.schema.object_class(class_name).value_attributes)
+            for instance in self.instances(class_name):
+                summary.add(instance)
+            self._summaries[class_name] = summary
+        return summary
 
     @property
     def indexes(self):
@@ -527,19 +576,22 @@ class ShardedObjectStore:
         instance = ObjectInstance(class_name, oid, dict(values))
         self.shards[self.shard_of(oid)].insert(instance)
         self._link(class_name, oid, instance.values, self._pointer_attributes[class_name])
+        self._summarize(instance, True)
         self._record("insert", class_name, oid, dict(values))
         return instance
 
     def _validate_values(self, class_name: str, values: Mapping[str, Any]) -> None:
-        """Reject unknown attributes and malformed indexed or pointer values.
+        """Reject unknown attributes and malformed indexed, pointer or other values.
 
         Index maintenance requires every value of one indexed attribute to
-        be mutually comparable (sorted-index inserts compare values), and
-        every traversal requires a pointer to be ``None``, an OID or a
-        list/tuple of OIDs.  The check runs before *any* state changes, so
-        a malformed write is a clean :class:`StorageError` — never a
-        half-applied mutation that left the extent and the indexes
-        disagreeing, and never a value that raises out of every later read.
+        be mutually comparable (sorted-index inserts compare values), every
+        traversal requires a pointer to be ``None``, an OID or a
+        list/tuple of OIDs, and a value summary can count only a value that
+        is hashable and equal to itself (not a list, not NaN).  The check
+        runs before *any* state changes, so a malformed write is a clean
+        :class:`StorageError` — never a half-applied mutation that left the
+        extent and the indexes disagreeing, and never a value that raises
+        out of every later read.
         """
         cls = self.schema.object_class(class_name)
         indexed = self._indexed_domains[class_name]
@@ -549,10 +601,17 @@ class ShardedObjectStore:
                 raise StorageError(
                     f"class {class_name!r} has no attribute {attribute_name!r}"
                 )
-            if attribute_name in pointers and not _is_pointer_value(value):
+            if attribute_name in pointers:
+                if not _is_pointer_value(value):
+                    raise StorageError(
+                        f"pointer attribute {class_name}.{attribute_name} expects "
+                        f"an OID or a list of OIDs, got {value!r}"
+                    )
+                continue
+            if not _is_countable(value):
                 raise StorageError(
-                    f"pointer attribute {class_name}.{attribute_name} expects "
-                    f"an OID or a list of OIDs, got {value!r}"
+                    f"attribute {class_name}.{attribute_name} cannot hold "
+                    f"{value!r}: a value must be hashable and equal to itself"
                 )
             domain = indexed.get(attribute_name)
             if domain is None or value is None:
@@ -582,6 +641,7 @@ class ShardedObjectStore:
     def _delete(self, class_name: str, oid: int) -> None:
         instance = self.shards[self.shard_of(oid)].delete(class_name, oid)
         self._unlink(class_name, oid, instance.values, self._pointer_attributes[class_name])
+        self._summarize(instance, False)
         self._record("delete", class_name, oid, None)
 
     def update(
@@ -600,12 +660,15 @@ class ShardedObjectStore:
         self, class_name: str, oid: int, values: Mapping[str, Any]
     ) -> ObjectInstance:
         shard = self.shards[self.shard_of(oid)]
+        instance = shard.by_oid[class_name][oid]
         # Only a write that names a pointer attribute touches the reverse
         # index: the old targets are unlinked before the values change.
         written = [n for n in self._pointer_attributes[class_name] if n in values]
         if written:
-            self._unlink(class_name, oid, shard.by_oid[class_name][oid].values, written)
-        instance = shard.update(class_name, oid, values)
+            self._unlink(class_name, oid, instance.values, written)
+        self._summarize(instance, False)
+        shard.update(class_name, oid, values)
+        self._summarize(instance, True)
         if written:
             self._link(class_name, oid, instance.values, written)
         self._record("update", class_name, oid, dict(values))
@@ -662,16 +725,45 @@ class ShardedObjectStore:
                 rest = tuple(other for other in held if other != oid)
                 buckets[target] = rest[0] if len(rest) == 1 else rest
 
-    def _check_pointers(
+    def _summarize(self, instance: ObjectInstance, add: bool) -> None:
+        """Count ``instance``'s values in its class summary, or withdraw them."""
+        summary = self._summaries.get(instance.class_name)
+        if summary is None:
+            return
+        values = instance.values
+        if not all(_is_countable(values.get(name)) for name in summary.holders):
+            # A value edited in place around update() that no write would
+            # have admitted (a list, NaN): this summary cannot count it.
+            # Drop it; the next read rebuilds it from the extent.
+            del self._summaries[instance.class_name]
+        elif add:
+            summary.add(instance)
+        else:
+            summary.remove(instance)
+
+    def _check_row(
         self, class_name: str, oid: int, values: Mapping[str, Any]
     ) -> None:
-        """Reject a replayed, restored or rebuilt row holding a malformed pointer."""
-        for name in self._pointer_attributes[class_name]:
+        """Reject a replayed, restored or rebuilt row that no write would admit.
+
+        The rows that enter without :meth:`check` — journal and WAL inserts,
+        snapshot rows, in-place edits before a rebuild — meet the same two
+        value rules a write meets: a pointer is ``None``, an OID or a list
+        of OIDs, and any other value is hashable and equal to itself.
+        """
+        pointers = self._pointer_attributes[class_name]
+        for name in pointers:
             value = values.get(name)
             if not _is_pointer_value(value):
                 raise StorageError(
                     f"{class_name}#{oid}: pointer attribute {name!r} holds a "
                     f"non-OID value {value!r}"
+                )
+        for name, value in values.items():
+            if name not in pointers and not _is_countable(value):
+                raise StorageError(
+                    f"{class_name}#{oid}: attribute {name!r} holds {value!r}; "
+                    "a value must be hashable and equal to itself"
                 )
 
     # ------------------------------------------------------------------
@@ -806,14 +898,15 @@ class ShardedObjectStore:
         the un-journaled repairs), so exactly-at-version catch-up requests
         must report the gap too, not an empty delta.
         """
-        # In-place edits were never validated; refuse a malformed pointer
-        # before anything is rebuilt, as a write would have.
+        # In-place edits were never validated; refuse a malformed pointer or
+        # value before anything is rebuilt, as a write would have.
         for shard in self.shards:
             for class_name, extent in shard.extents.items():
                 for instance in extent:
-                    self._check_pointers(class_name, instance.oid, instance.values)
+                    self._check_row(class_name, instance.oid, instance.values)
         for shard in self.shards:
             shard.rebuild_indexes(self._index_overrides)
+        self._summaries.clear()
         for buckets in self._referrers.values():
             buckets.clear()
         for class_name, names in self._pointer_attributes.items():
@@ -942,10 +1035,11 @@ class ShardedObjectStore:
         """Insert an instance under a journal-dictated OID (replay only)."""
         if class_name not in self._next_oid:
             raise StorageError(f"unknown object class {class_name!r}")
-        self._check_pointers(class_name, oid, values)
+        self._check_row(class_name, oid, values)
         instance = ObjectInstance(class_name, oid, values)
         self.shards[self.shard_of(oid)].insert(instance)
         self._link(class_name, oid, values, self._pointer_attributes[class_name])
+        self._summarize(instance, True)
         if oid >= self._next_oid[class_name]:
             self._next_oid[class_name] = oid + 1
         self._record("insert", class_name, oid, dict(values))
@@ -1033,7 +1127,7 @@ class ShardedObjectStore:
             if not isinstance(oid, int) or isinstance(oid, bool) or oid < 1:
                 raise StorageError(f"snapshot row has invalid oid {oid!r}")
             instance = ObjectInstance(class_name, oid, dict(values))
-            store._check_pointers(class_name, oid, instance.values)
+            store._check_row(class_name, oid, instance.values)
             store.shards[store.shard_of(oid)].insert(instance)
             store._link(
                 class_name, oid, instance.values, store._pointer_attributes[class_name]

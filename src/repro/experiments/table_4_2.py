@@ -35,7 +35,6 @@ from ..data.generator import TABLE_4_1_SPECS, DatabaseGenerator, DatabaseSpec
 from ..data.workload import constraint_selection_pool
 from ..engine.cost_model import CostModel
 from ..engine.modes import ExecutionMode, create_executor
-from ..engine.statistics import DatabaseStatistics
 from ..constraints.repository import ConstraintRepository
 from ..query.equivalence import answers_match
 from ..query.generator import GeneratorConfig, QueryGenerator
@@ -225,7 +224,7 @@ def run_table_4_2(
     data_generator = DatabaseGenerator(schema, constraints, seed=seed)
     for name in sorted(specs):
         database = data_generator.generate(specs[name], shard_count=shard_count)
-        statistics = DatabaseStatistics.collect(schema, database.store)
+        statistics = database.store.statistics()
         cost_model = CostModel(schema, statistics)
         repository = ConstraintRepository(schema)
         repository.add_all(constraints)

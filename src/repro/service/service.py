@@ -143,7 +143,7 @@ class OptimizationService:
         self._replication = None
         # Dynamic (state-derived) rule maintenance: when enabled, a write
         # touching a tracked class re-derives only that class's rules.
-        self._dynamic_config: Optional[DerivationConfig] = None
+        self._deriver: Optional[DynamicRuleDeriver] = None
         self._dynamic_classes: Optional[set] = None
         # The parallel executors, one per (mode, strategy, width): each
         # owns forked workers that must survive between requests.  The
@@ -195,11 +195,6 @@ class OptimizationService:
         """The store's current statistics; ``None`` (= unknown) without a store."""
         store = self.store
         return store.statistics() if store is not None else None
-
-    @property
-    def statistics_cache(self):
-        """The attached store's statistics cache (``None`` without a store)."""
-        return self.store.statistics_cache if self.store is not None else None
 
     def _live_index_probe(
         self, class_name: str, attribute_name: str
@@ -310,7 +305,15 @@ class OptimizationService:
         callers that need per-call orderings or timings must pass
         ``use_cache=False``, which bypasses the result cache entirely (no
         lookup, no store) — as the timing experiments do.
+
+        Holds the store lock's shared side, as :meth:`execute` does: no
+        write may move the summaries the cost model's statistics read.
         """
+        with self._store_lock.read():
+            return self._optimize(query, use_cache)
+
+    def _optimize(self, query: Query, use_cache: bool) -> ServiceResult:
+        """:meth:`optimize` for a caller that holds the store lock."""
         caching = use_cache and self._result_cache.maxsize > 0
         return self._optimize_keyed(
             query, equivalence_key(query) if caching else None
@@ -658,7 +661,7 @@ class OptimizationService:
         # implications that are no longer true of the data.
         with self._store_lock.read():
             if optimize:
-                envelope = self.optimize(query, use_cache=use_cache)
+                envelope = self._optimize(query, use_cache)
                 target = envelope.optimized
             executor = self._executor(execution_mode, join_strategy, workers)
             start = time.perf_counter()
@@ -721,7 +724,7 @@ class OptimizationService:
         # read acquisitions under a waiting writer would deadlock.)
         with self._store_lock.read():
             if optimize and batch:
-                optimized = self.optimize_many(batch, use_cache=use_cache)
+                optimized = self._optimize_many(batch, use_cache)
                 envelopes = list(optimized.results)
                 targets = optimized.optimized_queries()
                 optimize_time = optimized.stats.wall_time
@@ -1002,12 +1005,11 @@ class OptimizationService:
         only the touched classes' cache epochs.  Returns the number of
         derived rules currently declared.
 
-        Scaling note: re-derivation scans the touched class's full extent
-        while the write lock is held, so per-write latency grows with that
-        extent (restrict ``class_names`` — or tune
-        :class:`~repro.constraints.dynamic.DerivationConfig`, e.g.
-        ``derive_functional=False`` — for write-heavy classes; incremental
-        bound maintenance is the designated follow-up).
+        Cost: re-derivation reads the value summary the store keeps per
+        class (:meth:`~repro.engine.storage.ShardedObjectStore.value_summary`),
+        never the extent, so a write costs its row plus work in the distinct
+        values of the touched class's attributes under ``max_distinct`` —
+        not in the size of the extent (the first read builds the summary).
         """
         if self.store is None:
             raise ValueError(
@@ -1016,7 +1018,7 @@ class OptimizationService:
             )
         if self.repository is None:
             raise ValueError("dynamic rules need a constraint repository")
-        self._dynamic_config = config or DerivationConfig()
+        self._deriver = DynamicRuleDeriver(self.schema, config)
         self._dynamic_classes = (
             set(class_names) if class_names is not None else None
         )
@@ -1058,14 +1060,13 @@ class OptimizationService:
         bound leaves the generation (and with it every warm cache)
         untouched.
         """
-        if self.repository is None or self._dynamic_config is None:
+        if self.repository is None or self._deriver is None:
             return 0, False
         classes = set(touched)
         if self._dynamic_classes is not None:
             classes &= self._dynamic_classes
         if not classes:
             return 0, False
-        deriver = DynamicRuleDeriver(self.schema, self._dynamic_config)
         changed = False
         for class_name in sorted(classes):
             declared = self.repository.declared()
@@ -1076,7 +1077,7 @@ class OptimizationService:
                 and class_name in c.referenced_classes()
             }
             taken = {c.name for c in declared} - replaced
-            rules = deriver.derive(
+            rules = self._deriver.derive(
                 self.store, class_names=[class_name], existing_names=taken
             )
             changed |= self.repository.replace_derived([class_name], rules)
@@ -1260,9 +1261,14 @@ class OptimizationService:
         result shared (the duplicates' envelopes are marked
         ``BATCH_DEDUP``).  The repository is precompiled up front so every
         query runs against the same snapshot.  Results always come back
-        aligned with the input order.
+        aligned with the input order.  Holds the shared side of the store
+        lock for the whole batch, as :meth:`optimize` does for one query.
         """
-        batch = list(queries)
+        with self._store_lock.read():
+            return self._optimize_many(list(queries), use_cache)
+
+    def _optimize_many(self, batch: List[Query], use_cache: bool) -> BatchResult:
+        """:meth:`optimize_many` for a caller that holds the store lock."""
         start = time.perf_counter()
         if self.repository is not None:
             self.repository.ensure_precompiled()

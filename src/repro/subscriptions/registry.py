@@ -230,7 +230,7 @@ class SubscriptionRegistry:
         service = self.service
         target = view.query
         if view.options.get("optimize", True):
-            target = service.optimize(view.query).optimized
+            target = service._optimize(view.query, True).optimized
         executor = self._executor_for(view)
         execution = executor.execute(target)
         view.rebind(

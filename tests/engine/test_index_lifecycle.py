@@ -1,4 +1,4 @@
-"""Runtime index lifecycle: journaling, replay convergence, cache deltas.
+"""Runtime index lifecycle: journaling, replay convergence, statistics.
 
 ``create_index``/``drop_index`` are journaled mutations: every applied op
 moves the global version by exactly one (the journal/WAL seq-density
@@ -10,7 +10,7 @@ the same records as data writes.
 import pytest
 
 from repro.data import build_evaluation_schema
-from repro.engine import ParallelExecutor, QueryExecutor
+from repro.engine import DatabaseStatistics, ParallelExecutor, QueryExecutor
 from repro.engine.storage import (
     MutationRecord,
     ShardedObjectStore,
@@ -122,26 +122,33 @@ def test_replayed_noop_index_op_is_divergence(schema):
         store.apply_journal([record])
 
 
-def test_statistics_cache_refreshes_index_set_without_recollect(schema):
+def test_index_create_and_drop_refresh_indexed_without_an_extent_walk(
+    schema, monkeypatch
+):
     store = _seed_store(schema)
-    cache = store.statistics_cache
     before = store.statistics()
-    assert cache.full_collects == 1
     assert before.is_indexed("cargo", "category") is True
 
+    walks = []
+    monkeypatch.setattr(
+        ShardedObjectStore,
+        "instances",
+        lambda self, class_name: walks.append(class_name),
+    )
+    monkeypatch.setattr(
+        DatabaseStatistics, "collect", staticmethod(lambda *args: walks.append(args))
+    )
     store.drop_index("cargo", "category")
     after = store.statistics()
-    # Index-only delta: the live-index set refreshed, the data statistics
-    # were reused verbatim — no extent walk ran.
+    # The live-index set is refreshed; the data statistics are the same
+    # numbers, read off the maintained summaries.
     assert after.is_indexed("cargo", "category") is False
-    assert cache.full_collects == 1
-    assert cache.partial_collects == 0
     assert after.cardinality("cargo") == before.cardinality("cargo")
     assert after.attributes == before.attributes
 
     store.create_index("cargo", "quantity")
     assert store.statistics().is_indexed("cargo", "quantity") is True
-    assert cache.collects == 1
+    assert walks == []
 
 
 def test_parallel_workers_sync_index_ops_without_reforking(schema):

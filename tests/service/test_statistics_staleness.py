@@ -1,24 +1,30 @@
-"""Regression tests: statistics consumers read the versioned cache.
+"""Regression tests: statistics consumers read the store's own, fresh statistics.
 
 Two staleness bugs are pinned here:
 
 * the parallel batch path used to call ``DatabaseStatistics.collect`` —
   a full walk of every extent — once **per batch**, even when the store
-  had not changed between batches.  The fix routes it (and every other
-  consumer) through the service's :class:`StatisticsCache`, whose
-  contract is at most one collection per observed store version;
+  had not changed between batches.  Every consumer now reads
+  ``store.statistics()``, one snapshot per store version read off the
+  value summaries the writes maintain, so the serving path never walks an
+  extent for statistics at all — and still sees a write at once;
 * the optimizer's cost model used to hold the snapshot collected at
   setup time forever, so selectivity estimates never noticed bulk data
-  changes.  The fix binds the cost model to the cache as a *provider*,
+  changes.  The fix binds the cost model to the store as a *provider*,
   so every estimate prices against statistics current for the store's
   present version.
 
-Both tests fail on the pre-fix tree.
+Both tests fail on the pre-fix tree.  A third runs optimizers beside a
+writer: a statistics snapshot is built from summaries the writes change,
+so building one must never meet a write half-way.
 """
+
+import threading
 
 import pytest
 
-from repro.constraints import ConstraintRepository
+from repro.constraints import ConstraintRepository, DynamicRuleDeriver
+from repro.constraints.dynamic import derive_by_scan
 from repro.core import OptimizerConfig
 from repro.data import TABLE_4_1_SPECS, build_evaluation_setup
 from repro.engine.statistics import DatabaseStatistics
@@ -44,48 +50,27 @@ def service_setup():
     service.close()
 
 
-def test_parallel_batches_collect_once_per_store_version(
+def test_serving_path_never_collects_and_reads_fresh_statistics(
     service_setup, monkeypatch
 ):
-    """Three parallel batches on an unchanged store: ONE statistics walk."""
+    """Parallel batches around a write: no statistics walk, no stale numbers."""
     setup, service = service_setup
-    # A fresh evaluation store ends setup with an index-rebuild journal
-    # floor of ``version + 1``, so the very first delta can never be
-    # journal-bridged.  One warmup write moves the version past the floor;
-    # everything measured below is steady-state behavior.
-    service.mutate(
-        "insert",
-        "cargo",
-        values={
-            "code": "WARMUP",
-            "desc": "floor warmup",
-            "quantity": 1,
-            "category": "general",
-        },
-    )
-    calls = []
+    store = service.store
+    service.execute_many(setup.queries, execution_mode="parallel")
+    before = store.statistics()
+    collects = []
     real_collect = DatabaseStatistics.collect
-
-    def counting_collect(schema, store, class_names=None):
-        calls.append(None if class_names is None else tuple(class_names))
-        return real_collect(schema, store, class_names=class_names)
-
     monkeypatch.setattr(
-        DatabaseStatistics, "collect", staticmethod(counting_collect)
+        DatabaseStatistics,
+        "collect",
+        staticmethod(lambda *args: collects.append(args) or real_collect(*args)),
     )
 
     for _ in range(3):
         batch = service.execute_many(setup.queries, execution_mode="parallel")
         assert len(batch) == len(setup.queries)
-    # The pre-fix batch path collected once per batch (>= 3 full walks);
-    # the cache contract is one collection per observed store version.
-    assert len(calls) == 1, f"expected one collect, saw {calls}"
-    assert calls[0] is None  # the one walk was the initial full collect
-    assert service.statistics_cache.collects == 1
-    assert service.statistics_cache.full_collects == 1
-
-    # A write moves the version: the next batch refreshes exactly once,
-    # and the bounded journal narrows the walk to the touched class.
+    # An unchanged store serves one snapshot to every consumer.
+    assert store.statistics() is before
     service.mutate(
         "insert",
         "cargo",
@@ -97,13 +82,12 @@ def test_parallel_batches_collect_once_per_store_version(
         },
     )
     service.execute_many(setup.queries, execution_mode="parallel")
-    assert len(calls) == 2, f"expected one recollect after the write: {calls}"
-    assert calls[1] == ("cargo",)  # journal-bridged partial recollect
-    assert service.statistics_cache.partial_collects == 1
+    assert collects == [], "the serving path walked an extent for statistics"
 
-    # And batches after the recollect are free again.
-    service.execute_many(setup.queries, execution_mode="parallel")
-    assert len(calls) == 2
+    after = store.statistics()
+    assert after is service.optimizer.cost_model.statistics
+    assert after.cardinality("cargo") == before.cardinality("cargo") + 1
+    assert after == real_collect(setup.schema, store)
 
 
 def test_selectivity_flips_after_bulk_delete(service_setup):
@@ -153,3 +137,53 @@ def test_selectivity_flips_after_bulk_delete(service_setup):
         after.cardinality("cargo") / after.distinct("cargo", "quantity")
         < before.cardinality("cargo") / distinct_before
     ) or after.distinct("cargo", "quantity") < distinct_before
+
+
+def test_optimizers_beside_a_writer_read_whole_snapshots():
+    """Four threads optimize while one writes; nothing raises, nothing drifts."""
+    setup = build_evaluation_setup(TABLE_4_1_SPECS["DB1"], query_count=8, seed=41)
+    store = setup.store
+    service = OptimizationService(
+        setup.schema,
+        repository=setup.repository,
+        cost_model=setup.cost_model,
+        store=store,
+    )
+    service.enable_dynamic_rules()
+    row = dict(store.instances("cargo")[0].values)
+    ceiling = max(instance.values["quantity"] for instance in store.instances("cargo"))
+    errors = []
+    done = threading.Event()
+
+    def optimize():
+        try:
+            while not done.is_set():
+                for query in setup.queries:
+                    service.optimize(query, use_cache=False)
+        except Exception as exc:  # pragma: no cover - the failure under test
+            errors.append(exc)
+
+    def write():
+        try:
+            for cycle in range(200):
+                values = dict(row, code=f"race-{cycle}")
+                (oid,) = service.mutate("insert", "cargo", values=values).oids
+                service.mutate("update", "cargo", oid, {"quantity": ceiling + 1 + cycle})
+                service.mutate("delete", "cargo", oid)
+        except Exception as exc:  # pragma: no cover - the failure under test
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=optimize) for _ in range(4)]
+    threads.append(threading.Thread(target=write))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert store.statistics() == DatabaseStatistics.collect(setup.schema, store)
+    assert DynamicRuleDeriver(setup.schema).derive(store) == derive_by_scan(
+        setup.schema, store
+    )
