@@ -15,6 +15,14 @@ consequent implies an antecedent of another constraint, producing a new
 constraint whose antecedents are the union of the first constraint's
 antecedents and the remaining antecedents of the second.
 
+A consequent can only imply an antecedent on the same attribute
+(:func:`~repro.constraints.implication.implies`), so the fixpoint keeps the
+admitted constraints' antecedents in an index by attribute and each
+producer probes only its consequent's bucket, instead of trying every
+consumer × antecedent pair.  The bucket lists the same pairs in the same
+order as that full scan, less the ones that cannot chain, so the derived
+constraints, their ``cc<N>`` names and lineage are those of the scan.
+
 The companion :class:`PredicateStore` implements the storage optimisation
 the paper describes — predicates are extracted into one shared structure and
 constraints only hold references — which in Python terms means interning
@@ -33,7 +41,7 @@ from .horn_clause import (
     unique_constraints,
 )
 from .implication import implies
-from .predicate import Predicate
+from .predicate import AttributeOperand, Predicate
 
 
 class PredicateStore:
@@ -168,6 +176,13 @@ def compute_closure(
     current: List[SemanticConstraint] = []
     signatures: Set[Tuple] = set()
     names: Set[str] = set()
+    # Every admitted (consumer, antecedent) pair, in admission order, under
+    # the attribute the antecedent constrains.  Admitted predicates are
+    # interned, hence normalized, so ``.left`` is the attribute implies()
+    # compares.
+    consumers: Dict[
+        AttributeOperand, List[Tuple[SemanticConstraint, Predicate]]
+    ] = {}
 
     def admit(constraint: SemanticConstraint) -> bool:
         sig = constraint.signature()
@@ -176,6 +191,10 @@ def compute_closure(
         signatures.add(sig)
         names.add(constraint.name)
         current.append(constraint)
+        for antecedent in constraint.antecedents:
+            consumers.setdefault(antecedent.left, []).append(
+                (constraint, antecedent)
+            )
         return True
 
     for constraint in unique_constraints(tuple(constraints)):
@@ -198,28 +217,29 @@ def compute_closure(
         iterations += 1
         new_constraints: List[SemanticConstraint] = []
         for producer in frontier:
-            for consumer in list(current):
+            # A snapshot: consumers admitted while this producer runs wait
+            # for the next round, as they did in the full scan.
+            for consumer, antecedent in list(
+                consumers.get(producer.consequent.left, ())
+            ):
                 if producer.name == consumer.name:
                     continue
-                for antecedent in consumer.antecedents:
-                    if not implies(producer.consequent, antecedent):
-                        continue
-                    name = fresh_name("cc", names)
-                    candidate = _resolve(
-                        producer, consumer, antecedent, name, store
-                    )
-                    if candidate is None:
-                        continue
-                    if admit(candidate):
-                        new_constraints.append(candidate)
-                        derived.append(candidate)
-                        if len(derived) >= max_derived:
-                            return ClosureResult(
-                                constraints=tuple(current),
-                                derived=tuple(derived),
-                                iterations=iterations,
-                                store=store,
-                            )
+                if not implies(producer.consequent, antecedent):
+                    continue
+                name = fresh_name("cc", names)
+                candidate = _resolve(producer, consumer, antecedent, name, store)
+                if candidate is None:
+                    continue
+                if admit(candidate):
+                    new_constraints.append(candidate)
+                    derived.append(candidate)
+                    if len(derived) >= max_derived:
+                        return ClosureResult(
+                            constraints=tuple(current),
+                            derived=tuple(derived),
+                            iterations=iterations,
+                            store=store,
+                        )
         frontier = new_constraints
 
     return ClosureResult(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..caching import LruCache
 from ..schema.schema import Schema
@@ -84,6 +84,36 @@ class RepositoryCacheStats:
         return self.retrieval_hits / lookups if lookups else 0.0
 
 
+class _ContentEpoch:
+    """One class's epoch: the identities of the declared constraints on it.
+
+    Two epochs are equal exactly when their contents are, whenever each
+    was built, so a rule set that returns to an earlier state matches that
+    state's cache keys again.  The hash is taken once, when the epoch is
+    built (once per rule swap), not on every cache lookup; equality still
+    compares the contents — a matching hash never decides it alone.
+    """
+
+    __slots__ = ("content", "_hash")
+
+    def __init__(self, content: Tuple[Tuple, ...]) -> None:
+        self.content = content
+        self._hash = hash(content)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _ContentEpoch):
+            return NotImplemented
+        return self._hash == other._hash and self.content == other.content
+
+
+_EMPTY_EPOCH = _ContentEpoch(())
+
+
 class ConstraintRepository:
     """Stores, precompiles and retrieves semantic constraints.
 
@@ -129,13 +159,13 @@ class ConstraintRepository:
         self._store = PredicateStore()
         self._dirty = True
         self._generation = 0
-        # Per-class epoch counters: a constraint add/remove bumps only the
-        # counters of the classes the constraint references, so caches keyed
-        # on :meth:`class_generations` survive mutations that cannot have
-        # affected their queries (class-granular instead of wholesale).
-        self._class_generations: Dict[str, int] = {
-            name: 0 for name in schema.class_names()
-        }
+        # Per-class content: the identity of every declared constraint
+        # referencing the class, by name, in declaration order; and the
+        # epoch built from it (:meth:`class_epochs`).  Caches keyed on the
+        # epochs survive mutations that cannot have affected their queries,
+        # and serve again when a class's rules return to an earlier state.
+        self._class_content: Dict[str, Dict[str, Tuple]] = {}
+        self._class_epochs: Dict[str, _ContentEpoch] = {}
         # Guards generation bumps, access statistics and (re)compilation;
         # each LruCache carries its own lock.
         self._lock = threading.RLock()
@@ -149,46 +179,68 @@ class ConstraintRepository:
     def generation(self) -> int:
         """Monotonic counter bumped by every semantic mutation.
 
-        Callers that cache anything derived from this repository (e.g. the
-        service layer's optimization-result cache) key their entries on the
-        generation so a constraint add/remove transparently invalidates them.
+        Callers that cache anything derived from the whole repository (e.g.
+        the gateway's in-flight keys) key their entries on the generation
+        so a constraint add/remove transparently invalidates them; a cache
+        derived from some classes' rules keys on :meth:`class_epochs`.
         """
         return self._generation
 
-    def _invalidate_caches(self, class_names: Optional[Iterable[str]] = None) -> None:
-        """Bump the generation (global and per-class) and drop retrievals.
+    def _move_content(
+        self,
+        outgoing: Iterable[SemanticConstraint],
+        incoming: Iterable[Tuple[SemanticConstraint, Tuple]],
+    ) -> Set[str]:
+        """Take ``outgoing`` out of its classes' contents, put ``incoming`` in.
 
-        ``class_names`` limits the per-class epoch bumps to the classes a
-        mutation actually touched; ``None`` bumps every class (the
-        conservative wholesale invalidation, used by :meth:`regroup`).
+        ``incoming`` pairs each constraint with its :meth:`_identity`.
+        Returns the classes whose content moved.  Lock held; their epochs
+        follow in :meth:`_invalidate_caches`.
+        """
+        moved: Set[str] = set()
+        for constraint in outgoing:
+            classes = constraint.referenced_classes()
+            moved |= classes
+            for name in sorted(classes):
+                del self._class_content[name][constraint.name]
+        for constraint, identity in incoming:
+            classes = constraint.referenced_classes()
+            moved |= classes
+            for name in sorted(classes):
+                self._class_content.setdefault(name, {})[constraint.name] = identity
+        return moved
+
+    def _invalidate_caches(self, class_names: Iterable[str] = ()) -> None:
+        """Bump the generation, re-epoch ``class_names``, drop retrievals.
+
+        Each class's epoch is rebuilt from that class's own content alone,
+        so the order the classes arrive in cannot reach any state.
         """
         with self._lock:
             self._generation += 1
-            targets = (
-                list(class_names)
-                if class_names is not None
-                else list(self._class_generations)
-            )
-            for name in targets:
-                self._class_generations[name] = (
-                    self._class_generations.get(name, 0) + 1
+            for name in class_names:
+                self._class_epochs[name] = _ContentEpoch(
+                    tuple(self._class_content.get(name, {}).values())
                 )
             self._retrieval_cache.clear()
 
-    def class_generations(self, class_names: Iterable[str]) -> Tuple[int, ...]:
-        """The epoch counters of ``class_names`` (sorted by class name).
+    def class_epochs(self, class_names: Iterable[str]) -> Tuple[_ContentEpoch, ...]:
+        """The content epochs of ``class_names`` (sorted by class name).
 
-        The class-granular analogue of :attr:`generation`: a cache entry
-        derived from a query keyed on this tuple goes stale exactly when a
-        constraint referencing one of the query's classes is added or
-        removed — constraint churn on unrelated classes leaves it servable.
-        Every constraint's referenced classes are a subset of the classes
-        of any query it is relevant to, so keying on the query's own
-        classes can never miss a relevant change.
+        A class's epoch is the identity — name, signature, description,
+        origin, lineage — of every declared constraint referencing the
+        class, in declaration order.  A cache entry derived from a query
+        and keyed on this tuple goes stale exactly when a constraint
+        referencing one of the query's classes is added, removed or
+        changed; constraint churn on unrelated classes leaves it servable,
+        and a class whose rules return to an earlier state serves that
+        state's entries again.  Every constraint's referenced classes are a
+        subset of the classes of any query it is relevant to, so keying on
+        the query's own classes can never miss a relevant change.
         """
         with self._lock:
             return tuple(
-                self._class_generations.get(name, 0)
+                self._class_epochs.get(name, _EMPTY_EPOCH)
                 for name in sorted(set(class_names))
             )
 
@@ -225,9 +277,12 @@ class ConstraintRepository:
             raise ConstraintError(
                 f"a constraint named {constraint.name!r} is already declared"
             )
-        self._declared.append(constraint)
-        self._dirty = True
-        self._invalidate_caches(constraint.referenced_classes())
+        with self._lock:
+            self._declared.append(constraint)
+            self._dirty = True
+            self._invalidate_caches(
+                self._move_content((), [(constraint, self._identity(constraint))])
+            )
 
     def add_all(self, constraints: Iterable[SemanticConstraint]) -> None:
         """Declare several constraints."""
@@ -243,9 +298,10 @@ class ConstraintRepository:
         removed = [c for c in self._declared if c.name == name]
         if not removed:
             raise ConstraintError(f"no constraint named {name!r} is declared")
-        self._declared = [c for c in self._declared if c.name != name]
-        self._dirty = True
-        self._invalidate_caches(removed[0].referenced_classes())
+        with self._lock:
+            self._declared = [c for c in self._declared if c.name != name]
+            self._dirty = True
+            self._invalidate_caches(self._move_content(removed, ()))
 
     @staticmethod
     def _identity(constraint: SemanticConstraint) -> Tuple:
@@ -270,19 +326,21 @@ class ConstraintRepository:
         and swaps them in with one call.  Every declared constraint of
         :attr:`~.ConstraintOrigin.DERIVED` origin referencing one of the
         classes is removed and ``rules`` (validated, DERIVED-origin) are
-        declared in their place, under **one** epoch bump scoped to the
-        touched classes — so caches keyed on :meth:`class_generations`
-        survive for every untouched class.
+        declared in their place, under **one** generation bump; only the
+        touched classes' epochs move — so caches keyed on
+        :meth:`class_epochs` survive for every untouched class, and serve
+        again once the touched classes' rules return to an earlier state.
 
         Returns ``True`` when the declared set actually changed.  A swap
         that reproduces the outgoing rules exactly (the mutation did not
         move any observed bound) is a no-op: no generation bump, no cache
         invalidation — which is what lets a write-heavy workload keep its
         warm optimization caches whenever the data change is semantically
-        silent.  The closure cache needs no explicit eviction either way:
-        its keys cover predicate *values*, so a changed bound can never
-        collide with a stale entry, and an unchanged set may legitimately
-        reuse its memoized closure.
+        silent.  The identities that no-op check computes are the ones the
+        epochs are built from.  The closure cache needs no explicit
+        eviction either way: its keys cover predicate *values*, so a
+        changed bound can never collide with a stale entry, and an
+        unchanged set may legitimately reuse its memoized closure.
         """
         targets = set(class_names)
         incoming = list(rules)
@@ -294,11 +352,18 @@ class ConstraintRepository:
                 )
             self._validate(rule)
         with self._lock:
+            # The targets' contents name every constraint referencing them.
+            referencing = {
+                name
+                for target in targets
+                for name in self._class_content.get(target, ())
+            }
             kept: List[SemanticConstraint] = []
             outgoing: List[SemanticConstraint] = []
             for constraint in self._declared:
-                if constraint.origin is ConstraintOrigin.DERIVED and (
-                    constraint.referenced_classes() & targets
+                if (
+                    constraint.origin is ConstraintOrigin.DERIVED
+                    and constraint.name in referencing
                 ):
                     outgoing.append(constraint)
                 else:
@@ -310,17 +375,13 @@ class ConstraintRepository:
                         f"a constraint named {rule.name!r} is already declared"
                     )
                 taken.add(rule.name)
-            if [self._identity(c) for c in outgoing] == [
-                self._identity(c) for c in incoming
-            ]:
+            identities = [self._identity(c) for c in incoming]
+            if [self._identity(c) for c in outgoing] == identities:
                 return False
             self._declared = kept + incoming
             self._dirty = True
             touched = set(targets)
-            for constraint in outgoing:
-                touched |= constraint.referenced_classes()
-            for constraint in incoming:
-                touched |= constraint.referenced_classes()
+            touched |= self._move_content(outgoing, zip(incoming, identities))
             self._invalidate_caches(touched)
             return True
 
@@ -431,14 +492,6 @@ class ConstraintRepository:
                 if self._dirty or self._grouping is None:
                     self.precompile()
 
-    def ensure_precompiled(self) -> None:
-        """Precompile now if any mutation happened since the last compile.
-
-        Batch callers (the service layer) invoke this once before fanning a
-        workload out across threads so no worker races the lazy compile.
-        """
-        self._ensure_compiled()
-
     # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
@@ -522,7 +575,9 @@ class ConstraintRepository:
         """Rebuild the grouping (optionally switching policy).
 
         Called when access patterns have drifted enough that the
-        least-frequently-accessed assignment is stale.
+        least-frequently-accessed assignment is stale.  The relevant set
+        does not depend on the grouping, so no class epoch moves and no
+        result cached on them is evicted.
         """
         self._ensure_compiled()
         with self._lock:
@@ -535,9 +590,9 @@ class ConstraintRepository:
             )
             grouping.assign_all(self._closed)
             self._grouping = grouping
-        # The relevant set is grouping-independent but the per-retrieval
-        # stats (groups touched, fetched) are not, so cached entries are
-        # stale for reporting purposes.
+        # The per-retrieval stats (groups touched, fetched) are not
+        # grouping-independent, so cached retrievals are stale for
+        # reporting purposes.
         self._invalidate_caches()
 
     # ------------------------------------------------------------------

@@ -5,12 +5,13 @@ harness) talks to when the same optimizer is shared by many requests.  On
 top of :class:`~repro.core.optimizer.SemanticQueryOptimizer` it adds
 
 * a keyed, size-bounded **result cache**: structurally-equal queries
-  optimized against the same repository generation return the already
-  computed result without running any pipeline phase (the repository's own
-  retrieval/closure caches make the cold path cheaper too);
+  optimized against the same declared rules on their classes (the
+  repository's content epochs) return the already computed result without
+  running any pipeline phase (the repository's own retrieval/closure
+  caches make the cold path cheaper too);
 * a **batch API**, :meth:`OptimizationService.optimize_many`, that
-  deduplicates structurally-equal queries and shares one precompiled
-  repository snapshot across the batch;
+  deduplicates structurally-equal queries and runs the whole batch
+  against one rule set;
 * a uniform **result envelope** carrying per-phase timings, provenance and
   cache statistics (:mod:`repro.service.envelope`).
 
@@ -62,8 +63,9 @@ class OptimizationService:
         Forwarded to the wrapped :class:`SemanticQueryOptimizer`.
     result_cache_size:
         Maximum number of optimization results kept (LRU, keyed by the
-        query's structural identity and the repository generation).  ``0``
-        disables result caching.
+        query's structural identity and its classes' content epochs, see
+        :meth:`~repro.constraints.ConstraintRepository.class_epochs`).
+        ``0`` disables result caching.
     store:
         An optional :class:`~repro.engine.storage.ObjectStore` to execute
         optimized queries against (see :meth:`execute`); without one the
@@ -319,16 +321,21 @@ class OptimizationService:
             query, equivalence_key(query) if caching else None
         )
 
-    def _cache_epoch(self, query: Query) -> Tuple[int, ...]:
-        """The cache epoch of ``query``: its classes' generation counters.
+    def _cache_epoch(self, query: Query) -> Tuple:
+        """The cache epoch of ``query``: its classes' content epochs.
 
-        Keying cached results on the *per-class* generations instead of the
-        global one makes invalidation class-granular: re-deriving the
-        dynamic rules of a mutated class leaves every cached optimization
-        whose query does not touch that class servable.  Correctness holds
-        because a constraint's referenced classes are always a subset of
-        the classes of any query it is relevant to, so any relevant
-        constraint change moves at least one counter in this tuple.
+        Keying cached results on the *per-class* epochs instead of the
+        global generation makes invalidation class-granular: re-deriving
+        the dynamic rules of a mutated class leaves every cached
+        optimization whose query does not touch that class servable.
+        Correctness holds because a constraint's referenced classes are
+        always a subset of the classes of any query it is relevant to (a
+        closure-derived rule unions its parents' anchors, so it is
+        relevant only to queries holding every class of its lineage), so
+        any relevant constraint change moves at least one epoch in this
+        tuple.  An epoch is the content of its class's declared rules, not
+        a counter: when a write and its undo swap a class's rules out and
+        back, the results cached under the first state serve again.
 
         Two tuning counters ride along: the cost model's weights
         generation (calibration swaps reprice profitability decisions)
@@ -337,8 +344,8 @@ class OptimizationService:
         until the corresponding feature activates, so the epoch shape is
         stable.
         """
-        generations: Tuple[int, ...] = (
-            self.repository.class_generations(query.classes)
+        epochs: Tuple = (
+            self.repository.class_epochs(query.classes)
             if self.repository is not None
             else ()
         )
@@ -349,7 +356,7 @@ class OptimizationService:
         tuning_generation = (
             self._tuning.generation if self._tuning is not None else 0
         )
-        return generations + (weights_generation, tuning_generation)
+        return epochs + (weights_generation, tuning_generation)
 
     def _optimize_keyed(
         self, query: Query, eq_key: Optional[Tuple]
@@ -876,33 +883,27 @@ class OptimizationService:
             and cost_model is not None
         ):
             tuning.observe_ab(
-                self._rule_generations(
-                    envelope.result.trace.constraints_used()
-                ),
+                self._rule_epochs(envelope.result.trace.constraints_used()),
                 cost_model.measured_cost(execution.metrics),
                 cost_model.measured_cost(baseline.metrics),
             )
         self._tuning_maintenance(mode)
 
-    def _rule_generations(
-        self, names: Iterable[str]
-    ) -> List[Tuple[str, Tuple[int, ...]]]:
-        """Each rule paired with its referenced classes' generations."""
+    def _rule_epochs(self, names: Iterable[str]) -> List[Tuple[str, Tuple]]:
+        """Each rule paired with its referenced classes' epochs."""
         unique = list(dict.fromkeys(names))
         if self.repository is None:
             return [(name, ()) for name in unique]
         declared = {c.name: c for c in self.repository.declared()}
-        rules: List[Tuple[str, Tuple[int, ...]]] = []
+        rules: List[Tuple[str, Tuple]] = []
         for name in unique:
             constraint = declared.get(name)
-            generations = (
-                self.repository.class_generations(
-                    sorted(constraint.referenced_classes())
-                )
+            epochs = (
+                self.repository.class_epochs(constraint.referenced_classes())
                 if constraint is not None
                 else ()
             )
-            rules.append((name, generations))
+            rules.append((name, epochs))
         return rules
 
     def _tuning_maintenance(self, mode: str) -> None:
@@ -1001,7 +1002,7 @@ class OptimizationService:
         the attached store (restricted to ``class_names`` when given) and
         arms the write path: every subsequent :meth:`mutate` touching a
         tracked class re-derives **only that class's** rules and swaps them
-        atomically (:meth:`ConstraintRepository.replace_derived`), bumping
+        atomically (:meth:`ConstraintRepository.replace_derived`), moving
         only the touched classes' cache epochs.  Returns the number of
         derived rules currently declared.
 
@@ -1259,10 +1260,12 @@ class OptimizationService:
 
         Structurally-equal queries in the batch are optimized once and the
         result shared (the duplicates' envelopes are marked
-        ``BATCH_DEDUP``).  The repository is precompiled up front so every
-        query runs against the same snapshot.  Results always come back
-        aligned with the input order.  Holds the shared side of the store
-        lock for the whole batch, as :meth:`optimize` does for one query.
+        ``BATCH_DEDUP``).  Results always come back aligned with the input
+        order.  Holds the shared side of the store lock for the whole
+        batch, as :meth:`optimize` does for one query, so every query sees
+        one rule set; the repository compiles it lazily, on the batch's
+        first cache miss, so a batch whose every query hits compiles
+        nothing.
         """
         with self._store_lock.read():
             return self._optimize_many(list(queries), use_cache)
@@ -1270,9 +1273,6 @@ class OptimizationService:
     def _optimize_many(self, batch: List[Query], use_cache: bool) -> BatchResult:
         """:meth:`optimize_many` for a caller that holds the store lock."""
         start = time.perf_counter()
-        if self.repository is not None:
-            self.repository.ensure_precompiled()
-
         caching = use_cache and self._result_cache.maxsize > 0
         unique_queries: List[Query] = []
         unique_keys: List[Tuple] = []

@@ -201,13 +201,13 @@ class SelfTuningManager:
 
     def observe_ab(
         self,
-        rules: List[Tuple[str, Tuple[int, ...]]],
+        rules: List[Tuple[str, Tuple]],
         optimized_cost: float,
         original_cost: float,
     ) -> bool:
         """Fold one A/B outcome in; True when the demotion set changed.
 
-        ``rules`` pairs each fired rule with the generation tuple of its
+        ``rules`` pairs each fired rule with the epoch tuple of its
         referenced classes (see :meth:`RulePayoffTracker.observe`).
         """
         won = optimized_cost < original_cost

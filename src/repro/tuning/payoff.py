@@ -9,16 +9,16 @@ keeps the ground truth: sampled A/B executions compare the optimized query
 against the original on measured cost, and each rule that fired in the
 winning-or-losing rewrite has its per-rule counters updated.
 
-Counters are keyed by the constraint repository's ``class_generations`` for
-the rule's referenced classes: when the underlying data changes (the
-generations move), the accumulated evidence describes a database that no
-longer exists, so the counters reset rather than demote a rule on stale
-history.
+Counters are keyed by the constraint repository's ``class_epochs`` for the
+rule's referenced classes: when the underlying data changes the rules on
+those classes (the epochs move), the accumulated evidence describes a
+database that no longer exists, so the counters reset rather than demote a
+rule on stale history.
 
 A rule is **demoted** once it has ``min_trials`` trials with a win rate
 below ``demote_threshold``; the owning service then filters it out of
 optimization (it stays declared in the repository — demotion is a planner
-decision, not a schema change).  Because generation movement resets the
+decision, not a schema change).  Because epoch movement resets the
 evidence, demotion is self-healing: after the data shifts, the rule gets a
 fresh hearing.
 """
@@ -31,9 +31,9 @@ from typing import Dict, Iterable, List, Tuple
 
 @dataclass
 class RuleRecord:
-    """Evidence accumulated for one rule under one data generation."""
+    """Evidence accumulated for one rule under one epoch of its classes."""
 
-    generations: Tuple[int, ...] = ()
+    epochs: Tuple = ()
     trials: int = 0
     wins: int = 0
     #: Hit-rate weighting: wins scaled by their measured cost ratio, so a
@@ -49,7 +49,7 @@ class RuleRecord:
 
 
 class RulePayoffTracker:
-    """Per-rule A/B outcome counters with generation-keyed reset."""
+    """Per-rule A/B outcome counters with epoch-keyed reset."""
 
     def __init__(
         self, min_trials: int = 5, demote_threshold: float = 0.25
@@ -67,16 +67,16 @@ class RulePayoffTracker:
     # ------------------------------------------------------------------
     def observe(
         self,
-        rules: Iterable[Tuple[str, Tuple[int, ...]]],
+        rules: Iterable[Tuple[str, Tuple]],
         won: bool,
         cost_ratio: float = 1.0,
     ) -> bool:
         """Fold one A/B outcome into every rule that fired.
 
         ``rules`` pairs each fired rule's name with the current
-        ``class_generations`` tuple of *its* referenced classes (rules
-        reference different class sets, so the generation key is
-        per-rule).  ``won`` is whether the optimized execution beat the
+        ``class_epochs`` tuple of *its* referenced classes (rules
+        reference different class sets, so the epoch key is per-rule).
+        ``won`` is whether the optimized execution beat the
         original on measured cost; ``cost_ratio`` is
         ``original / optimized`` (>1 for wins).  Returns True when the
         demotion set changed (the caller must then invalidate plan
@@ -84,11 +84,11 @@ class RulePayoffTracker:
         """
         changed = False
         self.trials += 1
-        for name, generations in rules:
+        for name, epochs in rules:
             record = self._records.get(name)
-            if record is None or record.generations != generations:
+            if record is None or record.epochs != epochs:
                 # Data moved under the rule: old evidence is void.
-                record = RuleRecord(generations=generations)
+                record = RuleRecord(epochs=epochs)
                 self._records[name] = record
                 if name in self._demoted:
                     del self._demoted[name]

@@ -7,8 +7,8 @@ Covers the two invalidation mechanisms the mutation path leans on:
   key covers predicate values (``Predicate.key()`` includes the constant),
   so a moved bound is a different key by construction, while restoring a
   previously-seen rule set may legitimately reuse its memoized closure;
-* **class-granular epochs** — add/remove bumps only the touched classes'
-  generation counters, which is what lets the service keep serving cached
+* **class-granular epochs** — add/remove moves only the touched classes'
+  content epochs, which is what lets the service keep serving cached
   optimizations for queries whose classes were untouched.
 """
 
@@ -135,10 +135,10 @@ def test_replace_derived_rejects_non_derived_and_name_collisions(
         repository.replace_derived(["cargo"], [clash])
 
 
-def test_class_generations_bump_only_touched_classes(evaluation_schema):
+def test_class_epochs_move_only_for_touched_classes(evaluation_schema):
     repository = ConstraintRepository(evaluation_schema)
-    before_cargo = repository.class_generations(["cargo"])
-    before_vehicle = repository.class_generations(["vehicle"])
+    before_cargo = repository.class_epochs(["cargo"])
+    before_vehicle = repository.class_epochs(["vehicle"])
     rule = SemanticConstraint.build(
         name="d1",
         antecedents=[],
@@ -147,11 +147,14 @@ def test_class_generations_bump_only_touched_classes(evaluation_schema):
         origin=ConstraintOrigin.DERIVED,
     )
     repository.add(rule)
-    assert repository.class_generations(["cargo"]) != before_cargo
-    assert repository.class_generations(["vehicle"]) == before_vehicle
+    assert repository.class_epochs(["cargo"]) != before_cargo
+    assert repository.class_epochs(["vehicle"]) == before_vehicle
     repository.remove("d1")
-    assert repository.class_generations(["vehicle"]) == before_vehicle
-    # An inter-class constraint bumps every class it references.
+    assert repository.class_epochs(["vehicle"]) == before_vehicle
+    # An epoch is the content of the class's rules, not a counter: the
+    # remove restores the earlier cargo epoch.
+    assert repository.class_epochs(["cargo"]) == before_cargo
+    # An inter-class constraint moves every class it references.
     inter = SemanticConstraint.build(
         name="i1",
         antecedents=[parse_predicate('vehicle.desc = "refrigerated truck"')],
@@ -160,10 +163,11 @@ def test_class_generations_bump_only_touched_classes(evaluation_schema):
         anchor_relationships={"collects"},
     )
     repository.add(inter)
-    assert repository.class_generations(["vehicle"]) != before_vehicle
+    assert repository.class_epochs(["vehicle"]) != before_vehicle
+    assert repository.class_epochs(["cargo"]) != before_cargo
     # The tuple is ordered by class name: stable regardless of input order.
-    assert repository.class_generations(["vehicle", "cargo"]) == (
-        repository.class_generations(["cargo", "vehicle"])
+    assert repository.class_epochs(["vehicle", "cargo"]) == (
+        repository.class_epochs(["cargo", "vehicle"])
     )
 
 

@@ -136,7 +136,7 @@ def test_demoted_rule_is_filtered_and_epoch_moves(setup):
 
         # Force a demotion through the manager (the A/B path feeds this in
         # production; the unit contract is what the service does with it).
-        rules = service._rule_generations(used)
+        rules = service._rule_epochs(used)
         changed = manager.observe_ab(rules, optimized_cost=10.0, original_cost=5.0)
         assert changed and manager.is_demoted(used[0])
 
