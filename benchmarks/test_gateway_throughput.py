@@ -7,9 +7,11 @@ serving-layer contract:
 * a 16-client run completes with **zero errors**;
 * every gateway response is **byte-identical** (as sorted JSON) to a
   direct ``OptimizationService.execute`` call;
-* a repeated-query lockstep workload achieves **≥ 90 %** single-flight
-  deduplication (15 of every 16 identical concurrent requests share the
-  leader's work).
+* a repeated-query lockstep workload that needs the pool (``use_cache``
+  off) achieves **≥ 90 %** single-flight deduplication (15 of every 16
+  identical concurrent requests share the leader's work);
+* the same lockstep herd on a *cached* query starts **no** flight: every
+  copy is answered on the event loop, byte-identical to direct execution.
 
 Headline numbers — p50/p95 latency, requests/s, rows/s, dedup rate — are
 persisted into ``BENCH_gateway.json`` alongside the engine/service
@@ -104,7 +106,7 @@ def test_gateway_16_client_load(bench_setup):
 
 
 def test_gateway_single_flight_dedup(bench_setup):
-    """16 lockstep clients repeating one query: ≥90 % requests coalesce."""
+    """16 lockstep clients repeating one uncached query: ≥90 % coalesce."""
     text = format_query(bench_setup.queries[0])
 
     async def scenario():
@@ -113,7 +115,8 @@ def test_gateway_single_flight_dedup(bench_setup):
         await gateway.start()
         # In-process clients share the gateway's event loop, so each
         # lockstep wave of 16 identical requests deterministically elects
-        # one leader and 15 followers.
+        # one leader and 15 followers.  ``use_cache`` off keeps every copy
+        # off the event loop: identical work that needs the pool.
         clients = [
             AsyncGatewayClient.in_process(gateway, client_id=f"dedup-{index}")
             for index in range(CLIENTS)
@@ -123,7 +126,7 @@ def test_gateway_single_flight_dedup(bench_setup):
                 clients,
                 [text],
                 requests_per_client=8,
-                options={"execution_mode": "vectorized"},
+                options={"execution_mode": "vectorized", "use_cache": False},
                 lockstep=True,
             )
             flight = service.single_flight.snapshot()
@@ -160,3 +163,36 @@ def test_gateway_single_flight_dedup(bench_setup):
             "workload": "DB2-repeated",
         },
     )
+
+
+def test_gateway_warm_herd_starts_no_flight(bench_setup):
+    """16 lockstep clients repeating one cached query: no flight, same rows."""
+    query = bench_setup.queries[0]
+    text = format_query(query)
+
+    async def scenario():
+        service = _build_service(bench_setup)
+        direct = service.execute(query, execution_mode="vectorized")  # caches it
+        gateway = QueryGateway(service, worker_threads=4)
+        clients = [
+            AsyncGatewayClient.in_process(gateway, client_id=f"warm-{index}")
+            for index in range(CLIENTS)
+        ]
+        payloads = []
+        try:
+            for _ in range(8):  # lockstep waves of 16 identical requests
+                payloads += await asyncio.gather(
+                    *(client.execute(text, execution_mode="vectorized") for client in clients)
+                )
+            stats = gateway.stats_payload()
+        finally:
+            await gateway.stop()
+        return direct, payloads, service.single_flight.snapshot(), stats
+
+    direct, payloads, flight, stats = asyncio.run(scenario())
+
+    assert (flight.leaders, flight.followers) == (0, 0)
+    assert stats["gateway"]["inline"] == len(payloads) == CLIENTS * 8
+    expected = json.dumps(direct.execution.rows, sort_keys=True)
+    assert all(json.dumps(p["rows"], sort_keys=True) == expected for p in payloads)
+    assert not any(payload["coalesced"] for payload in payloads)

@@ -16,7 +16,8 @@ That design gives three statically checkable obligations:
   same-module call site of a ``write lock held`` helper must itself be
   inside a write block (or inside another such helper).  The marker is a
   proof obligation, not an exemption.
-* ``read-escalation`` — inside a ``with <lock>.read():`` block, no
+* ``read-escalation`` — inside a ``with <lock>.read():`` block (or a
+  ``with <lock>.try_read():`` block, which holds the same shared side), no
   ``.write()`` or ``.read()`` acquisition of a lock may be opened: the
   lock is non-reentrant and writer-priority, so a nested shared
   acquisition under a waiting writer deadlocks (which is why
@@ -43,6 +44,9 @@ STORE_MUTATORS = frozenset(
 )
 REPOSITORY_MUTATORS = frozenset({"add", "add_all", "remove", "replace_derived"})
 LOCK_HELD_MARKER = "write lock held"
+#: ``ReadWriteLock`` acquisitions by method and the side they hold:
+#: ``try_read()`` is ``read()`` without the wait.
+RW_SIDES = {"read": "read", "try_read": "read", "write": "write"}
 
 
 def _is_lockish(chain: Optional[List[str]]) -> bool:
@@ -55,10 +59,11 @@ def _with_acquisition(item: ast.withitem) -> Optional[Tuple[List[str], str]]:
     ``"read"``/``"write"`` for RW sides, ``"plain"`` for a bare lock."""
     expr = item.context_expr
     if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
-        if expr.func.attr in ("read", "write"):
+        side = RW_SIDES.get(expr.func.attr)
+        if side is not None:
             chain = attr_chain(expr.func.value)
             if _is_lockish(chain):
-                return chain, expr.func.attr
+                return chain, side
     chain = attr_chain(expr)
     if _is_lockish(chain):
         return chain, "plain"

@@ -107,6 +107,11 @@ class LruCache(Generic[K, V]):
             self._hits += 1
             return value
 
+    def __contains__(self, key: object) -> bool:
+        """Whether ``key`` is cached — a peek: no counter or recency moves."""
+        with self._lock:
+            return key in self._entries
+
     def put(self, key: K, value: V) -> None:
         """Store ``key`` as most recently used, evicting the oldest past the bound."""
         if self.maxsize == 0:
@@ -174,6 +179,9 @@ class ReadWriteLock:
     ...     pass  # shared with other readers
     >>> with lock.write():
     ...     pass  # exclusive
+    >>> with lock.try_read() as held:
+    ...     held  # taken only if no writer holds or waits for the lock
+    True
     """
 
     def __init__(self) -> None:
@@ -192,10 +200,34 @@ class ReadWriteLock:
         try:
             yield
         finally:
-            with self._condition:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._condition.notify_all()
+            self._release_read()
+
+    @contextmanager
+    def try_read(self) -> Iterator[bool]:
+        """The shared side if it is free right now; yields whether it was taken.
+
+        Never waits: while a writer holds the lock *or waits* for it, the
+        block runs with ``False`` and holds nothing, so writer priority is
+        the same as for :meth:`read`.  For a caller that must not block
+        (the event loop) and has somewhere else to send the work.
+        """
+        with self._condition:
+            held = not (self._writer or self._writers_waiting)
+            if held:
+                self._readers += 1
+        if not held:
+            yield False
+            return
+        try:
+            yield True
+        finally:
+            self._release_read()
+
+    def _release_read(self) -> None:
+        with self._condition:
+            self._readers -= 1
+            if self._readers == 0:
+                self._condition.notify_all()
 
     @contextmanager
     def write(self) -> Iterator[None]:

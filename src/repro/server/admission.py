@@ -19,6 +19,12 @@ two.  It enforces three limits:
   :class:`~repro.server.errors.AdmissionError` instead of queueing without
   bound.
 
+A read the gateway answers on the event loop holds a slot too, taken
+and given back around the synchronous call (:meth:`~AdmissionController.try_admit`
+/ :meth:`~AdmissionController.release`) only when one is free without
+waiting; otherwise it goes through :meth:`~AdmissionController.slot` like
+any other request, so the limits, shedding and drain below apply to it.
+
 Draining (:meth:`AdmissionController.drain`) flips the controller into
 shutdown mode: new arrivals are rejected with
 :class:`~repro.server.errors.GatewayDraining` while everything already
@@ -106,7 +112,28 @@ class AdmissionController:
         try:
             yield
         finally:
-            self._release(client_id)
+            self.release(client_id)
+
+    def try_admit(self, client_id: str) -> bool:
+        """Take a slot if :meth:`slot` would grant one without waiting.
+
+        That is: not draining, a slot free, nobody queued, and the client
+        under its pending bound.  Otherwise it returns ``False`` having
+        counted nothing — the caller then goes through :meth:`slot`,
+        which queues, sheds or refuses the request and counts that.  A
+        ``True`` must be paired with :meth:`release`.
+        """
+        if (
+            self._draining
+            or self._pending.get(client_id, 0) >= self.max_pending_per_client
+            or not self._slot_free()
+        ):
+            return False
+        self._admit(client_id)
+        return True
+
+    def _slot_free(self) -> bool:
+        return self._active < self.max_in_flight and not self._queues
 
     async def _acquire(self, client_id: str) -> None:
         if self._draining:
@@ -118,7 +145,7 @@ class AdmissionController:
                 f"client {client_id!r} already has "
                 f"{self.max_pending_per_client} requests pending"
             )
-        if self._active < self.max_in_flight and not self._queues:
+        if self._slot_free():
             self._admit(client_id)
             return
         if self._waiting >= self.max_waiting:
@@ -167,7 +194,8 @@ class AdmissionController:
         self._pending[client_id] = self._pending.get(client_id, 0) + 1
         self._idle.clear()
 
-    def _release(self, client_id: str) -> None:
+    def release(self, client_id: str) -> None:
+        """Give back a slot taken by :meth:`try_admit` (:meth:`slot` does its own)."""
         self._active -= 1
         self._pending[client_id] = self._pending.get(client_id, 1) - 1
         self._cleanup_client(client_id)

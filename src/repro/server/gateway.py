@@ -4,22 +4,34 @@
 for many concurrent clients: an asyncio TCP server speaks the
 line-delimited JSON protocol (:mod:`repro.server.protocol`), admission
 control (:mod:`repro.server.admission`) bounds and fairly shares the
-in-flight request set, and a bounded worker-thread pool runs the actual
-optimizer/engine work so the event loop never blocks on a query.
+in-flight request set, and a bounded worker-thread pool runs the work
+that may wait — a cold optimize, a write, anything that needs the store
+lock while a writer holds or wants it — so the event loop never blocks on
+a lock or a computation.
 
 **Dispatch.**  Every op of :data:`~repro.server.protocol.OPS` is served
 by this class's ``_serve_<op>`` method; the table's facts decide the
 rest — an ``inline`` op is answered on the event loop without admission,
-a ``writes`` op is refused on a read-only replica.
+a ``writes`` op is refused on a read-only replica, and a ``warm`` op
+(``optimize``, ``execute``) takes a free admission slot without queueing
+when one is there.  Its handler then asks the service for the answer
+*now* (:meth:`~repro.service.OptimizationService.serve_warm`): when the
+optimization is already cached and the read lock is free, the read runs
+on the event loop — pure-Python work holds the interpreter lock whichever
+thread runs it, so the thread hop bought no parallelism and cost more than
+the query.  Otherwise the handler goes on to single-flight and the pool,
+exactly as a queued request does.  An ``inline`` or warm answer never
+waits, so the ``timeout`` option bounds only queued and pooled work.
 
-**Single-flight deduplication.**  ``optimize`` and ``execute`` requests are
-deduplicated in flight by structural query identity
+**Single-flight deduplication.**  ``optimize`` and ``execute`` requests that
+reach the pool are deduplicated in flight by structural query identity
 (:func:`~repro.query.equivalence.equivalence_key`) plus their options, via
 the service's shared :class:`~repro.caching.SingleFlightMap`: while a
 request is being computed, every identical concurrent request waits on the
 same future and receives the same payload (marked ``"coalesced": true``),
-so a thundering herd of N identical queries costs one optimization and one
-execution.  Flight keys embed the repository generation and the store
+so a thundering herd of N identical cold queries costs one optimization
+and one execution (a warm herd is answered on the loop and starts no
+flight).  Flight keys embed the repository generation and the store
 version, so a constraint change or data mutation can never serve a stale
 payload.  The shared work is resolved by the worker thread itself (handed
 back to the event loop), not by the request coroutine that started it —
@@ -94,9 +106,11 @@ class QueryGateway:
         Listen address; port ``0`` binds an ephemeral port (reported by
         :meth:`start` and :attr:`address`).
     worker_threads:
-        Width of the thread pool the optimizer/engine work runs on.  This
-        bounds *compute* concurrency; admission bounds *request*
-        concurrency (coalesced waiters hold a request slot but no thread).
+        Width of the thread pool the optimizer/engine work runs on when it
+        cannot be answered on the event loop (cold optimizes, writes, reads
+        that meet a writer).  This bounds *pooled compute* concurrency;
+        admission bounds *request* concurrency (coalesced waiters hold a
+        request slot but no thread).
     max_in_flight, max_waiting, max_pending_per_client:
         Admission-control limits (see :class:`AdmissionController`).
     request_timeout:
@@ -183,6 +197,8 @@ class QueryGateway:
         self._requests: Dict[str, int] = {}
         self._errors: Dict[str, int] = {}
         self._responses = 0
+        # Reads answered on the event loop, without the pool.
+        self._inline = 0
         # One handler per declared op, found by name: an op added to
         # protocol.OPS without a ``_serve_<op>`` method fails here.
         self._handlers = {name: getattr(self, f"_serve_{name}") for name in OPS}
@@ -276,7 +292,8 @@ class QueryGateway:
 
         The in-process entry point — :class:`AsyncGatewayClient` in
         in-process mode calls this directly, bypassing TCP but exercising
-        the identical parse → admit → single-flight → respond path.
+        the identical parse → admit → (warm answer | single-flight → pool)
+        → respond path.
         """
         try:
             payload = await self._handle(frame, client_id, subscriber)
@@ -307,6 +324,13 @@ class QueryGateway:
             # observable, and the router polls replica_status on every
             # pinned read.
             return await serve(request, timeout, subscriber)
+        if spec.warm and self.admission.try_admit(client_id):
+            # A slot was free with nobody queued: no admission wait to
+            # bound, so the handler's own wait carries the budget.
+            try:
+                return await serve(request, timeout, subscriber)
+            finally:
+                self.admission.release(client_id)
         try:
             # The budget covers the whole request: admission wait included.
             # Timing out while queued cancels only this waiter (the
@@ -341,6 +365,10 @@ class QueryGateway:
     async def _serve_optimize(self, request: Request, timeout: float, subscriber):
         service, query = self.service, request.query
         use_cache = request.options.get("use_cache", True)
+        warm = service.serve_warm(query, execute=False, use_cache=use_cache)
+        if warm is not None:
+            self._inline += 1
+            return optimization_payload(warm)
         key = (
             "rpc",
             "optimize",
@@ -357,6 +385,10 @@ class QueryGateway:
     async def _serve_execute(self, request: Request, timeout: float, subscriber):
         service, query = self.service, request.query
         options = _work_options(request)
+        warm = service.serve_warm(query, **options)
+        if warm is not None:
+            self._inline += 1
+            return execution_payload(warm)
         key = (
             "rpc",
             "execute",
@@ -703,6 +735,7 @@ class QueryGateway:
                 "responses": self._responses,
                 "errors": dict(self._errors),
                 "sessions": len(self._sessions),
+                "inline": self._inline,
                 "uptime": time.monotonic() - self._started,
                 "admission": {
                     "admitted": admission.admitted,

@@ -81,7 +81,8 @@ connection).  ``op`` selects the RPC:
     of the connection implicitly.
 
 What the rest of the stack needs to know about an op — whether the
-gateway serves it before admission, whether a read-only replica refuses
+gateway serves it before admission, whether it may answer it on the event
+loop once its optimization is cached, whether a read-only replica refuses
 it, whether the router may send it to a replica, whether a reconnecting
 client may resend it — is declared once, in its :data:`OPS` entry.
 
@@ -107,7 +108,10 @@ Option values accepted by ``optimize``/``execute``/``execute_batch``:
 ``optimize`` (bool), ``use_cache`` (bool), ``execution_mode``
 (``rowwise``/``vectorized``/``parallel``), ``join_strategy``
 (``hash``/``nested_loop``), ``workers`` (int ≥ 1) and ``timeout``
-(seconds, capped by the server's own request timeout).
+(seconds, capped by the server's own request timeout).  ``timeout``
+bounds only queued or pooled work: an ``optimize``/``execute`` whose
+optimization is already cached is answered on the event loop without
+waiting (see :class:`OpSpec`'s ``warm``), so it never times out.
 """
 
 from __future__ import annotations
@@ -438,7 +442,12 @@ class OpSpec:
     ``parse`` fills the op's fields of a :class:`Request` from the frame.
     ``inline``: the gateway answers it on the event loop before
     admission, so it stays answerable while admission is full or
-    draining.  ``writes``: it changes served state (stored rows or
+    draining.  ``warm``: the gateway gives it a free admission slot
+    without queueing when there is one, and answers it on the event loop
+    when the service can do so at once from a cached optimization
+    (:meth:`~repro.service.OptimizationService.serve_warm`); otherwise it
+    goes through single-flight to the worker pool.  ``writes``: it
+    changes served state (stored rows or
     declared rules), so a read-only replica refuses it with
     ``read_only``, and the router pins the connection to the store
     version a write answers with (read-your-writes).  ``replica``: the
@@ -450,6 +459,7 @@ class OpSpec:
     name: str
     parse: Callable[[Request, Dict[str, Any], Schema], None] = _parse_nothing
     inline: bool = False
+    warm: bool = False
     writes: bool = False
     replica: bool = False
     retry: bool = False
@@ -460,8 +470,8 @@ class OpSpec:
 OPS: Dict[str, OpSpec] = {
     spec.name: spec
     for spec in (
-        OpSpec("optimize", _parse_query_op, replica=True, retry=True),
-        OpSpec("execute", _parse_query_op, replica=True, retry=True),
+        OpSpec("optimize", _parse_query_op, warm=True, replica=True, retry=True),
+        OpSpec("execute", _parse_query_op, warm=True, replica=True, retry=True),
         OpSpec("execute_batch", _parse_batch, replica=True, retry=True),
         OpSpec("stats", inline=True, retry=True),
         OpSpec("rules", _parse_rules, writes=True),

@@ -32,6 +32,7 @@ from ..constraints.dynamic import DerivationConfig, DynamicRuleDeriver
 from ..constraints.horn_clause import ConstraintOrigin, SemanticConstraint
 from ..constraints.repository import ConstraintRepository, RepositoryCacheStats
 from ..core.optimizer import OptimizerConfig, SemanticQueryOptimizer
+from ..engine.modes import ExecutionMode, resolve_execution_mode
 from ..query.equivalence import equivalence_key
 from ..query.query import Query
 from ..schema.schema import Schema
@@ -358,6 +359,12 @@ class OptimizationService:
         )
         return epochs + (weights_generation, tuning_generation)
 
+    def _is_cached(self, query: Query, use_cache: bool) -> bool:
+        """Whether :meth:`_optimize` would hit now; counts nothing."""
+        return use_cache and (
+            (equivalence_key(query), self._cache_epoch(query)) in self._result_cache
+        )
+
     def _optimize_keyed(
         self, query: Query, eq_key: Optional[Tuple]
     ) -> ServiceResult:
@@ -600,6 +607,13 @@ class OptimizationService:
         for executor in executors:
             executor.close()
 
+    def _engine(self, execution_mode) -> ExecutionMode:
+        """The engine a call runs on: its own mode, else the service's
+        default, else the process default (``REPRO_ENGINE``)."""
+        return resolve_execution_mode(
+            execution_mode if execution_mode is not None else self.execution_mode
+        )
+
     def _executor(self, execution_mode, join_strategy: str, workers=None):
         """The executor for one (mode, strategy, workers) triple.
 
@@ -607,16 +621,10 @@ class OptimizationService:
         survives between requests; the in-process engines are stateless and
         built for the call.
         """
-        from ..engine.modes import (
-            ExecutionMode,
-            create_executor,
-            resolve_execution_mode,
-            resolve_worker_count,
-        )
+        from ..engine.modes import create_executor, resolve_worker_count
 
         self._require_store()
-        mode = execution_mode if execution_mode is not None else self.execution_mode
-        resolved = resolve_execution_mode(mode)
+        resolved = self._engine(execution_mode)
         if resolved is not ExecutionMode.PARALLEL:
             return create_executor(
                 self.schema, self.store, mode=resolved, join_strategy=join_strategy
@@ -658,44 +666,99 @@ class OptimizationService:
         wall-clock time; parallel executions additionally report per-shard
         timings on the envelope.
         """
-        envelope: Optional[ServiceResult] = None
-        target = query
-        baseline = None
         # One read-lock span covers the optimize half too: dynamic rules
         # derived from store state feed the optimization, so a rule
         # re-derivation (a write) must not land between transforming the
         # query and executing the transformed plan — the plan would encode
         # implications that are no longer true of the data.
         with self._store_lock.read():
-            if optimize:
-                envelope = self._optimize(query, use_cache)
-                target = envelope.optimized
-            executor = self._executor(execution_mode, join_strategy, workers)
-            start = time.perf_counter()
-            execution = executor.execute(target)
-            elapsed = time.perf_counter() - start
-            if (
-                self._tuning is not None
-                and envelope is not None
-                and envelope.result.trace.constraints_used()
-                and self._tuning.should_sample_ab()
-            ):
-                # Sampled A/B leg: the *original* query on the same
-                # engine, inside the same lock span so both legs observe
-                # one store/rule epoch.  Its measured cost is the ground
-                # truth the rule-payoff tracker scores rewrites against.
-                baseline = executor.execute(query)
-        if self._tuning is not None:
-            self._tuning_feedback(
-                executor, query, execution, elapsed, envelope, baseline
+            result, baseline = self._execute(
+                query, optimize, use_cache, execution_mode, join_strategy, workers
             )
-        return ExecutionEnvelope(
+        if self._tuning is not None:
+            self._tuning_feedback(result, baseline)
+        return result
+
+    def _execute(
+        self, query: Query, optimize, use_cache, execution_mode, join_strategy, workers
+    ) -> Tuple[ExecutionEnvelope, Any]:
+        """:meth:`execute` for a caller that holds the store lock.
+
+        Returns the envelope and, when self-tuning sampled an A/B leg, the
+        original query's execution (else ``None``).
+        """
+        envelope: Optional[ServiceResult] = None
+        target = query
+        if optimize:
+            envelope = self._optimize(query, use_cache)
+            target = envelope.optimized
+        executor = self._executor(execution_mode, join_strategy, workers)
+        start = time.perf_counter()
+        execution = executor.execute(target)
+        elapsed = time.perf_counter() - start
+        baseline = None
+        if (
+            self._tuning is not None
+            and envelope is not None
+            and envelope.result.trace.constraints_used()
+            and self._tuning.should_sample_ab()
+        ):
+            # Sampled A/B leg: the *original* query on the same engine,
+            # inside the same lock span so both legs observe one store/rule
+            # epoch.  Its measured cost is the ground truth the rule-payoff
+            # tracker scores rewrites against.
+            baseline = executor.execute(query)
+        result = ExecutionEnvelope(
             query=query,
             execution=execution,
             execution_mode=executor.mode.value,
             execute_time=elapsed,
             optimization=envelope,
         )
+        return result, baseline
+
+    def serve_warm(
+        self,
+        query: Query,
+        execute: bool = True,
+        optimize: bool = True,
+        use_cache: bool = True,
+        execution_mode=None,
+        join_strategy: str = "hash",
+        workers: Optional[int] = None,
+    ):
+        """:meth:`execute` (or, with ``execute=False``, :meth:`optimize`) if
+        it can run now without waiting or optimizing; else ``None``.
+
+        For a caller that must not block, the gateway's event loop; on
+        ``None`` it sends the request where waiting is allowed.  The
+        answer is what :meth:`execute` / :meth:`optimize` would return,
+        from the same lock-held body, and it is given only when
+
+        * the store lock's shared side is free now
+          (:meth:`~repro.caching.ReadWriteLock.try_read`): no writer holds
+          it or waits for it, so writer priority and read-your-writes hold;
+        * the query's optimization is in the result cache under the current
+          epoch (or it executes with ``optimize=False``) — checked without
+          counting, so only the real lookup counts its hit;
+        * it does not execute on the ``parallel`` engine, which waits on
+          worker processes;
+        * self-tuning is off: its maintenance takes the write lock.
+        """
+        if self._tuning is not None:
+            return None
+        if execute and self._engine(execution_mode) is ExecutionMode.PARALLEL:
+            return None
+        with self._store_lock.try_read() as held:
+            if not held:
+                return None
+            if (optimize or not execute) and not self._is_cached(query, use_cache):
+                return None
+            if not execute:
+                return self._optimize(query, use_cache)
+            return self._execute(
+                query, optimize, use_cache, execution_mode, join_strategy, workers
+            )[0]
 
     def execute_many(
         self,
@@ -717,8 +780,6 @@ class OptimizationService:
         nothing from threads under the interpreter lock).  Results always
         come back aligned with the input order.
         """
-        from ..engine.modes import ExecutionMode, resolve_execution_mode
-
         batch = list(queries)
         start = time.perf_counter()
         envelopes: List[Optional[ServiceResult]] = [None] * len(batch)
@@ -736,10 +797,7 @@ class OptimizationService:
                 targets = optimized.optimized_queries()
                 optimize_time = optimized.stats.wall_time
 
-            mode = (
-                execution_mode if execution_mode is not None else self.execution_mode
-            )
-            resolved = resolve_execution_mode(mode)
+            resolved = self._engine(execution_mode)
             execute_start = time.perf_counter()
             if resolved is ExecutionMode.PARALLEL:
                 timed_executions, pool_width = self._execute_batch_parallel(
@@ -867,16 +925,15 @@ class OptimizationService:
         self._tuning = SelfTuningManager(config)
         return self._tuning
 
-    def _tuning_feedback(
-        self, executor, query, execution, wall_time, envelope=None, baseline=None
-    ) -> None:
+    def _tuning_feedback(self, result: ExecutionEnvelope, baseline=None) -> None:
         """Post-execution hook: observe, score A/B, run due maintenance."""
         tuning = self._tuning
         if tuning is None:
             return
-        mode = executor.mode.value
-        tuning.observe_execution(mode, query, execution.metrics, wall_time)
+        mode = result.execution_mode
+        tuning.observe_execution(mode, result.query, result.metrics, result.execute_time)
         cost_model = self.optimizer.cost_model
+        envelope = result.optimization
         if (
             baseline is not None
             and envelope is not None
@@ -884,7 +941,7 @@ class OptimizationService:
         ):
             tuning.observe_ab(
                 self._rule_epochs(envelope.result.trace.constraints_used()),
-                cost_model.measured_cost(execution.metrics),
+                cost_model.measured_cost(result.metrics),
                 cost_model.measured_cost(baseline.metrics),
             )
         self._tuning_maintenance(mode)

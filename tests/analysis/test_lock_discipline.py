@@ -100,6 +100,45 @@ CLEAN = {
 }
 
 
+#: ``try_read()`` holds the read side when it yields True, so a write
+#: opened inside it deadlocks exactly as one inside ``read()`` does.
+TRY_READ_ESCALATION = {
+    "service/service.py": textwrap.dedent(
+        '''
+        class Service:
+            def serve_warm(self, query):
+                with self._store_lock.try_read() as held:
+                    if held:
+                        with self._store_lock.write():
+                            return self.run(query)
+        '''
+    ),
+}
+
+TRY_READ_CLEAN = {
+    "service/service.py": textwrap.dedent(
+        '''
+        class Service:
+            def serve_warm(self, query):
+                with self._store_lock.try_read() as held:
+                    if not held:
+                        return None
+                    return self.run(query)
+        '''
+    ),
+}
+
+
+def test_escalation_inside_try_read_is_caught(build_tree, run_all_passes):
+    findings = run_all_passes(build_tree(TRY_READ_ESCALATION))
+    assert checks_of(findings) == {("lock-discipline", "read-escalation")}
+    assert {f.symbol for f in findings} == {"Service.serve_warm"}
+
+
+def test_try_read_without_escalation_passes(build_tree, run_all_passes):
+    assert run_all_passes(build_tree(TRY_READ_CLEAN)) == []
+
+
 def test_service_violations_trip_only_lock_discipline(build_tree, run_all_passes):
     findings = run_all_passes(build_tree(VIOLATING_SERVICE))
     assert rules_of(findings) == {"lock-discipline"}

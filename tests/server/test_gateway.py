@@ -134,8 +134,10 @@ def test_identical_concurrent_requests_coalesce(build_service, workload_texts, h
         service = build_service()
         async with harness(service) as gateway:
             client = AsyncGatewayClient.in_process(gateway)
+            # Uncached, so every copy needs the pool: a cached one would be
+            # answered on the loop as soon as the leader's optimize landed.
             payloads = await asyncio.gather(
-                *(client.execute(workload_texts[0]) for _ in range(12))
+                *(client.execute(workload_texts[0], use_cache=False) for _ in range(12))
             )
             coalesced = sum(1 for payload in payloads if payload.get("coalesced"))
             # Everything fired in one event-loop batch, so exactly one
