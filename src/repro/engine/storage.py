@@ -22,6 +22,7 @@ only shard and no merging ever happens.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -87,16 +88,53 @@ def _is_pointer_value(value: Any) -> bool:
     return kind in (list, tuple) and _OID_TYPES.issuperset(map(type, value))
 
 
-def _is_countable(value: Any) -> bool:
-    """Whether a value summary can count ``value``: hashable, equal to itself."""
+#: The integers a reply carries exactly: the signed and unsigned 64-bit ranges.
+_INT_LOW, _INT_END = -(1 << 63), 1 << 64
+
+_VALUE_RULE = (
+    "a value is null, a boolean, a UTF-8 string, an integer in "
+    "[-2**63, 2**64) or a finite float"
+)
+
+
+def _refusal(domain: Optional[DomainType], value: Any) -> Optional[str]:
+    """Why a value attribute of ``domain`` cannot hold ``value`` (``None``: it can).
+
+    The one rule for every value that enters the store: ``None``, or a
+    value the gateway's reply codec carries exactly (a ``bool``, a ``str``
+    that encodes as UTF-8, an ``int`` in [−2⁶³, 2⁶⁴), a finite ``float``)
+    that is of the attribute's domain — a number (``bool`` included) for a
+    numeric domain, a string for a string domain.  So every stored value
+    is hashable, equal to itself and ordered against the other values of
+    its column, which the indexes and value summaries rely on.
+
+    >>> _refusal(DomainType.INTEGER, "lots")
+    'expects a number, got str'
+    >>> _refusal(DomainType.FLOAT, float("inf")) is not None
+    True
+    """
+    if value is None:
+        return None
     kind = type(value)
-    if kind is str or kind is int or value is None:
-        return True
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return value == value
+    if kind is str:
+        if domain is not None and domain.is_numeric:
+            return "expects a number, got str"
+        if value.isascii():
+            return None
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"cannot hold {value!r}: {_VALUE_RULE}"
+        return None
+    if kind is int or kind is float or kind is bool:
+        if domain is DomainType.STRING:
+            return f"expects a string, got {kind.__name__}"
+        if (kind is int and not _INT_LOW <= value < _INT_END) or (
+            kind is float and not math.isfinite(value)
+        ):
+            return f"cannot hold {value!r}: {_VALUE_RULE}"
+        return None
+    return f"cannot hold {value!r}: {_VALUE_RULE}"
 
 
 def _distinct_targets(value: Any) -> Iterable[int]:
@@ -367,15 +405,10 @@ class ShardedObjectStore:
             StoreShard(schema, shard_id) for shard_id in range(shard_count)
         ]
         self._next_oid: Dict[str, int] = {name: 1 for name in schema.class_names()}
-        # Domains of the indexed value attributes per class: writes validate
-        # these value *types* up front, so a malformed value can never blow
-        # up inside index maintenance after extent state already changed.
-        self._indexed_domains: Dict[str, Dict[str, DomainType]] = {
-            cls.name: {
-                attribute.name: attribute.domain
-                for attribute in cls.attributes
-                if attribute.indexed and not attribute.is_pointer
-            }
+        # Domains of the value attributes per class: every row that enters
+        # is checked against these (:func:`_refusal`) before state changes.
+        self._value_domains: Dict[str, Dict[str, DomainType]] = {
+            cls.name: {attribute.name: attribute.domain for attribute in cls.value_attributes}
             for cls in schema.classes()
         }
         # The reverse-pointer index (see :meth:`referrer_oids`): one map per
@@ -581,26 +614,20 @@ class ShardedObjectStore:
         return instance
 
     def _validate_values(self, class_name: str, values: Mapping[str, Any]) -> None:
-        """Reject unknown attributes and malformed indexed, pointer or other values.
+        """Reject unknown attributes and malformed pointer or other values.
 
-        Index maintenance requires every value of one indexed attribute to
-        be mutually comparable (sorted-index inserts compare values), every
-        traversal requires a pointer to be ``None``, an OID or a
-        list/tuple of OIDs, and a value summary can count only a value that
-        is hashable and equal to itself (not a list, not NaN).  The check
-        runs before *any* state changes, so a malformed write is a clean
-        :class:`StorageError` — never a half-applied mutation that left the
-        extent and the indexes disagreeing, and never a value that raises
-        out of every later read.
+        Every traversal requires a pointer to be ``None``, an OID or a
+        list/tuple of OIDs, and every other value must pass
+        :func:`_refusal`: of its attribute's domain, and carried exactly by
+        the reply codec.  The check runs before *any* state changes, so a
+        malformed write is a clean :class:`StorageError` — never a
+        half-applied mutation that left the extent and the indexes
+        disagreeing, never a value that raises out of every later read,
+        and never a row no reply can carry.
         """
-        cls = self.schema.object_class(class_name)
-        indexed = self._indexed_domains[class_name]
+        domains = self._value_domains[class_name]
         pointers = self._pointer_attributes[class_name]
         for attribute_name, value in values.items():
-            if not cls.has_attribute(attribute_name):
-                raise StorageError(
-                    f"class {class_name!r} has no attribute {attribute_name!r}"
-                )
             if attribute_name in pointers:
                 if not _is_pointer_value(value):
                     raise StorageError(
@@ -608,23 +635,14 @@ class ShardedObjectStore:
                         f"an OID or a list of OIDs, got {value!r}"
                     )
                 continue
-            if not _is_countable(value):
+            if attribute_name not in domains:
                 raise StorageError(
-                    f"attribute {class_name}.{attribute_name} cannot hold "
-                    f"{value!r}: a value must be hashable and equal to itself"
+                    f"class {class_name!r} has no attribute {attribute_name!r}"
                 )
-            domain = indexed.get(attribute_name)
-            if domain is None or value is None:
-                continue
-            if domain is DomainType.STRING and not isinstance(value, str):
+            refusal = _refusal(domains[attribute_name], value)
+            if refusal is not None:
                 raise StorageError(
-                    f"indexed attribute {class_name}.{attribute_name} expects "
-                    f"a string, got {type(value).__name__}"
-                )
-            if domain.is_numeric and not isinstance(value, (int, float)):
-                raise StorageError(
-                    f"indexed attribute {class_name}.{attribute_name} expects "
-                    f"a number, got {type(value).__name__}"
+                    f"attribute {class_name}.{attribute_name} {refusal}"
                 )
 
     def insert_many(
@@ -731,10 +749,12 @@ class ShardedObjectStore:
         if summary is None:
             return
         values = instance.values
-        if not all(_is_countable(values.get(name)) for name in summary.holders):
+        domains = self._value_domains[instance.class_name]
+        if any(_refusal(domains[name], values.get(name)) for name in summary.holders):
             # A value edited in place around update() that no write would
-            # have admitted (a list, NaN): this summary cannot count it.
-            # Drop it; the next read rebuilds it from the extent.
+            # have admitted (a list, a string in a numeric column): this
+            # summary cannot count it.  Drop it; the next read rebuilds it
+            # from the extent.
             del self._summaries[instance.class_name]
         elif add:
             summary.add(instance)
@@ -749,7 +769,7 @@ class ShardedObjectStore:
         The rows that enter without :meth:`check` — journal and WAL inserts,
         snapshot rows, in-place edits before a rebuild — meet the same two
         value rules a write meets: a pointer is ``None``, an OID or a list
-        of OIDs, and any other value is hashable and equal to itself.
+        of OIDs, and any other value passes :func:`_refusal`.
         """
         pointers = self._pointer_attributes[class_name]
         for name in pointers:
@@ -759,12 +779,12 @@ class ShardedObjectStore:
                     f"{class_name}#{oid}: pointer attribute {name!r} holds a "
                     f"non-OID value {value!r}"
                 )
+        domains = self._value_domains[class_name]
         for name, value in values.items():
-            if name not in pointers and not _is_countable(value):
-                raise StorageError(
-                    f"{class_name}#{oid}: attribute {name!r} holds {value!r}; "
-                    "a value must be hashable and equal to itself"
-                )
+            if name not in pointers:
+                refusal = _refusal(domains.get(name), value)
+                if refusal is not None:
+                    raise StorageError(f"{class_name}#{oid}: attribute {name!r} {refusal}")
 
     # ------------------------------------------------------------------
     # Index lifecycle (runtime create/drop, journaled)
@@ -809,10 +829,6 @@ class ShardedObjectStore:
                 )
             else:
                 shard.indexes.drop(class_name, attribute.name)
-        if present:
-            self._indexed_domains[class_name][attribute.name] = attribute.domain
-        else:
-            self._indexed_domains[class_name].pop(attribute.name, None)
         baseline = attribute.indexed and not attribute.is_pointer
         if present == baseline:
             self._index_overrides.pop(key, None)
@@ -841,26 +857,8 @@ class ShardedObjectStore:
         attribute = self._index_attribute(class_name, attribute_name)
         if self.indexes.is_indexed(class_name, attribute_name):
             return False
-        # Validate every stored value against the attribute's domain before
-        # any shard changes: sorted-index backfill compares values, and a
-        # mixed-type extent must surface as a clean StorageError, never a
-        # half-installed index.
-        domain = attribute.domain
-        for shard in self.shards:
-            for instance in shard.extents[class_name]:
-                value = instance.values.get(attribute_name)
-                if value is None:
-                    continue
-                if domain is DomainType.STRING and not isinstance(value, str):
-                    raise StorageError(
-                        f"cannot index {class_name}.{attribute_name}: stored "
-                        f"value {value!r} is not a string"
-                    )
-                if domain.is_numeric and not isinstance(value, (int, float)):
-                    raise StorageError(
-                        f"cannot index {class_name}.{attribute_name}: stored "
-                        f"value {value!r} is not a number"
-                    )
+        # No domain check: every stored value already passed the write
+        # gate, so the sorted-index backfill compares values of one domain.
         self._set_index_state(class_name, attribute, True)
         self.shards[0].version += 1
         self._record("create_index", class_name, 0, {"attribute": attribute_name})

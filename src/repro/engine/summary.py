@@ -47,11 +47,6 @@ def _position(bucket: List[ObjectInstance], oid: int) -> int:
     return low
 
 
-def _is_number(value: Any) -> bool:
-    """What the scans count as numeric (``bool`` included, as ``isinstance`` has it)."""
-    return isinstance(value, (int, float))
-
-
 class ValueSummary:
     """The values one class extent holds, per value attribute.
 
@@ -63,10 +58,10 @@ class ValueSummary:
       ``values.get`` reads both.  The first holder is the value's first
       occurrence, so a value keeps its place in scan order — and its
       spelling, ``1`` or ``1.0`` — across deletes.
-    * :attr:`numbers` — per numeric attribute, its distinct numeric values,
-      ascending: the column's least and greatest are its ends.  Fewer of
-      them than distinct values means a stray (a string, say) shares the
-      column.
+    * :attr:`numbers` — per numeric attribute, its distinct values other
+      than ``None``, ascending: the column's least and greatest are its
+      ends.  The store admits nothing but numbers (``bool`` included) and
+      ``None`` into a numeric column, so its values always compare.
     * witness tables (:meth:`witnesses`) — per attribute pair someone has
       asked about, source value -> target value -> rows holding both.
 
@@ -99,7 +94,7 @@ class ValueSummary:
             bucket = holders.get(value)
             if bucket is None:
                 holders[value] = instance
-                if name in self.numbers and _is_number(value):
+                if value is not None and name in self.numbers:
                     insort(self.numbers[name], value)
             elif type(bucket) is not list:
                 holders[value] = (
@@ -141,7 +136,7 @@ class ValueSummary:
                 continue
             del holders[value]
             numbers = self.numbers.get(name)
-            if numbers is not None and _is_number(value):
+            if numbers is not None and value is not None:
                 at = bisect_left(numbers, value)
                 if at < len(numbers) and numbers[at] == value:
                     del numbers[at]
@@ -184,24 +179,17 @@ class ValueSummary:
 
     def only_numbers(self, name: str) -> bool:
         """Whether every row holds a number in the numeric attribute ``name``."""
-        return len(self.numbers[name]) == len(self.holders[name])
+        return None not in self.holders[name]
 
     def bounds(self, name: str) -> Tuple[Any, Any]:
         """The least and greatest value of numeric ``name`` other than ``None``.
 
         What ``min`` and ``max`` over the rows in OID order return: of
-        equal values, the first.  With a stray value in the column the
-        distinct values are compared the way the scan compares the rows,
-        raising ``TypeError`` where it raises.  The column must hold a
-        value other than ``None``.
+        equal values, the first.  The column must hold a value other than
+        ``None``.
         """
         numbers = self.numbers[name]
-        if len(numbers) < self.distinct(name):
-            present = [value for value in self.holders[name] if value is not None]
-            low, high = min(present), max(present)
-        else:
-            low, high = numbers[0], numbers[-1]
-        return self.first(name, low), self.first(name, high)
+        return self.first(name, numbers[0]), self.first(name, numbers[-1])
 
     def witnesses(self, source: str, target: str) -> Dict[Any, Dict[Any, int]]:
         """Source value -> target value -> how many rows hold the two together.

@@ -33,7 +33,7 @@ import itertools
 from typing import Any, Dict, List, Optional
 
 from .errors import GatewayError, GatewayRequestError
-from .protocol import decode_frame, encode_frame, op_spec
+from .protocol import decode_reply, encode_request, op_spec
 
 
 class AsyncGatewayClient:
@@ -257,7 +257,7 @@ class AsyncGatewayClient:
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             self._pending[frame["id"]] = future
             try:
-                self._writer.write(encode_frame(frame))
+                self._writer.write(encode_request(frame))
                 await self._writer.drain()
                 response = await future
             finally:
@@ -317,7 +317,7 @@ class AsyncGatewayClient:
                 if not line.strip():
                     continue
                 try:
-                    response = decode_frame(line)
+                    response = decode_reply(line)
                 except GatewayError:
                     continue  # server never sends malformed frames; skip
                 if "push" in response:

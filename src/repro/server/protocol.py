@@ -16,9 +16,8 @@ connection).  ``op`` selects the RPC:
     ``query`` → execution payload (rows, metrics, timings, provenance).
     ``rows`` is the answer: one JSON object per result binding holding
     exactly the query's projection list as ``class.attribute`` keys
-    (duplicates kept, so ``row_count`` is the number of bindings; the
-    engine builds a row in projection-list order, and
-    :func:`encode_frame` sorts the keys of every object it serializes).
+    (duplicates kept, so ``row_count`` is the number of bindings, and
+    a row's keys arrive in projection-list order).
     An attribute that is not projected — pointer
     attributes included — is not sent; a query with an empty projection
     list gets every attribute of every bound class.  The same holds for
@@ -112,6 +111,20 @@ Option values accepted by ``optimize``/``execute``/``execute_batch``:
 bounds only queued or pooled work: an ``optimize``/``execute`` whose
 optimization is already cached is answered on the event loop without
 waiting (see :class:`OpSpec`'s ``warm``), so it never times out.
+
+**The codec, by direction.**  Requests are written by
+:func:`encode_request` and read by :func:`decode_frame`, both stdlib
+``json``: a request carries numbers the client chose, and the stdlib reads
+every one of them exactly (an integer of any size, ``Infinity``), so the
+server sees what was sent and refuses what it cannot store.  Replies and
+push frames are written by :func:`encode_frame` and read by
+:func:`decode_reply`, both ``orjson``.  A server→client object's keys go
+out in the order the server built it — a row's in projection-list order —
+and are not sorted.  Every number in one is an integer in [−2⁶³, 2⁶⁴) or
+a finite float, and every string is valid UTF-8: the store admits no
+other value (:meth:`~repro.engine.storage.ShardedObjectStore.check`), and
+a reply that still holds one is answered by an ``internal`` error frame
+instead (see :func:`encode_frame`).
 """
 
 from __future__ import annotations
@@ -119,6 +132,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import orjson
 
 from ..constraints.horn_clause import SemanticConstraint
 from ..query.parser import parse_predicate, parse_query
@@ -152,15 +167,63 @@ OPTION_KEYS = (
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
+#: One line per frame; a non-string key is written as a string, as the
+#: stdlib writes it.
+_REPLY_OPTIONS = orjson.OPT_APPEND_NEWLINE | orjson.OPT_NON_STR_KEYS
+
+
 def encode_frame(frame: Dict[str, Any]) -> bytes:
-    """Serialize one frame to a newline-terminated JSON line."""
-    return (json.dumps(frame, separators=(",", ":"), sort_keys=True) + "\n").encode(
-        "utf-8"
-    )
+    """Serialize one server→client frame (a reply or a push) to one line.
+
+    Keys keep the frame's order.  A frame the codec cannot carry — a
+    value that is not JSON (a ``set``), an integer outside [−2⁶³, 2⁶⁴), a
+    string with a lone surrogate — is answered by an ``internal`` error
+    frame for the same ``id`` (``null`` when the id is what cannot be
+    carried), so the request it answers never waits out its timeout.
+
+    >>> encode_frame({"id": 1, "ok": True, "result": {"b": 2, "a": 1}})
+    b'{"id":1,"ok":true,"result":{"b":2,"a":1}}\\n'
+    >>> decode_reply(encode_frame({"id": 2, "ok": True, "result": {1, 2}}))["error"]["code"]
+    'internal'
+    """
+    try:
+        return orjson.dumps(frame, option=_REPLY_OPTIONS)
+    except TypeError as exc:
+        error = TypeError(f"reply cannot be encoded: {exc}")
+    try:
+        return orjson.dumps(error_response(frame.get("id"), error), option=_REPLY_OPTIONS)
+    except TypeError:
+        return orjson.dumps(error_response(None, error), option=_REPLY_OPTIONS)
+
+
+def decode_reply(line: bytes) -> Dict[str, Any]:
+    """Parse one server→client line (what :func:`encode_frame` wrote).
+
+    >>> decode_reply(b'{"id":1,"ok":true,"result":{"b":2,"a":1}}\\n')
+    {'id': 1, 'ok': True, 'result': {'b': 2, 'a': 1}}
+    """
+    try:
+        frame = orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
+        raise ProtocolError(f"reply is not valid JSON: {exc}") from None
+    if not isinstance(frame, dict):
+        raise ProtocolError(
+            f"reply frame must be a JSON object, got {type(frame).__name__}"
+        )
+    return frame
+
+
+def encode_request(frame: Dict[str, Any]) -> bytes:
+    """Serialize one client→server request frame to one line (stdlib ``json``).
+
+    >>> encode_request({"id": 1, "op": "insert", "values": {"quantity": 2 ** 64}})
+    b'{"id":1,"op":"insert","values":{"quantity":18446744073709551616}}\\n'
+    """
+    return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
-    """Parse one wire line into a frame dict.
+    """Parse one client→server line into a request frame dict.
 
     >>> decode_frame(b'{"id": 1, "op": "stats"}')
     {'id': 1, 'op': 'stats'}

@@ -10,6 +10,8 @@ Failure containment:
 
 * a malformed frame gets an error response and the session keeps reading —
   one bad frame never takes down the connection;
+* a reply the codec cannot carry is answered by an ``internal`` error
+  frame for its request (:func:`~repro.server.protocol.encode_frame`);
 * a client disconnect mid-request cancels that client's *waits* only; any
   single-flight work its requests started keeps running for the other
   clients waiting on it (see :meth:`QueryGateway._coalesced`);

@@ -248,9 +248,12 @@ def test_wrong_typed_indexed_value_is_rejected_atomically(store):
         store.insert("vehicle", {"vehicle_no": "V0", "class": "two"})
     with pytest.raises(StorageError, match="expects a string"):
         store.update("cargo", 1, {"desc": 7})
+    # A non-indexed attribute meets the same domain rule: a string in the
+    # numeric 'quantity' would break the statistics every optimize reads.
+    with pytest.raises(StorageError, match="expects a number"):
+        store.update("cargo", 1, {"quantity": "many"})
+    with pytest.raises(StorageError, match="expects a string"):
+        store.insert("cargo", {"code": "C1", "category": True})
     assert store.count("cargo") == 1
     assert store.version == version
     assert store.journal_since(version) == []
-    # Untyped junk on a NON-indexed attribute stays permitted (quantity is
-    # not indexed), matching the generator's loose value discipline.
-    store.update("cargo", 1, {"quantity": "many"})
