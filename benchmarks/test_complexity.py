@@ -177,6 +177,55 @@ def test_closure_tries_only_same_attribute_pairs(monkeypatch):
     assert 0 < calls <= 3 * pairs, (calls, pairs)
 
 
+def test_initialization_tries_only_same_attribute_predicates(monkeypatch):
+    """Initialization tests an antecedent against same-attribute predicates.
+
+    Counted, not timed: over the 393 distinct ``optimize_cold`` queries on
+    DB4 with dynamic rules on, ``initialize`` calls ``implies`` at most
+    1,500 times — only a query predicate on the antecedent's attribute can
+    imply it.  When every query predicate was tried against every
+    antecedent it made 13,428 calls on these queries.
+    """
+    from repro.core import initialization
+    from repro.data import TABLE_4_1_SPECS, build_workload
+    from repro.query import equivalence_key
+
+    setup = build_evaluation_setup(TABLE_4_1_SPECS["DB4"], query_count=1)
+    service = OptimizationService(
+        setup.schema,
+        repository=setup.repository,
+        cost_model=setup.cost_model,
+        store=setup.store,
+    )
+    service.enable_dynamic_rules()
+    distinct = {}
+    for query in build_workload(
+        setup.schema,
+        setup.database.value_catalog,
+        count=400,
+        seed=7,
+        constraints=setup.constraints,
+    ):
+        distinct.setdefault(equivalence_key(query), query)
+    assert len(distinct) == 393
+    calls = 0
+    implies = initialization.implies
+
+    def counted(premise, conclusion):
+        nonlocal calls
+        calls += 1
+        return implies(premise, conclusion)
+
+    monkeypatch.setattr(initialization, "implies", counted)
+    fired = sum(
+        service.optimize(query, use_cache=False).result.transformations_applied
+        for query in distinct.values()
+    )
+    service.close()
+    assert fired > 0
+    assert 0 < calls <= 1500, calls
+
+
 def test_write_work_does_not_grow_with_the_extent(monkeypatch):
     """A write re-derives its class's rules and refreshes statistics unread.
 

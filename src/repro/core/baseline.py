@@ -128,12 +128,7 @@ class StraightforwardOptimizer:
                 )
                 if not decision.profitable:
                     continue
-                keep = [
-                    name
-                    for name in query.relationships
-                    if not self.schema.relationship(name).involves(class_name)
-                ]
-                query = query.without_classes([class_name]).keep_relationships(keep)
+                query = query.without_class(class_name, self.schema)
                 result.eliminated_classes.append(class_name)
                 result.applied.append(f"class elimination: {class_name}")
                 changed = True

@@ -89,17 +89,6 @@ class QueryFormulator:
                 candidates.append(class_name)
         return candidates
 
-    def _drop_class(self, query: Query, class_name: str) -> Query:
-        """Physically remove a class (and its relationships) from the query."""
-        keep_relationships = [
-            name
-            for name in query.relationships
-            if not self.schema.relationship(name).involves(class_name)
-        ]
-        return query.without_classes([class_name]).keep_relationships(
-            keep_relationships
-        )
-
     # ------------------------------------------------------------------
     # Formulation
     # ------------------------------------------------------------------
@@ -129,7 +118,7 @@ class QueryFormulator:
                     result.decisions[f"class:{class_name}"] = decision
                     if not decision.profitable:
                         continue
-                    working = self._drop_class(working, class_name)
+                    working = working.without_class(class_name, self.schema)
                     priced = priced and priced.reprice(working)
                     result.eliminated_classes.append(class_name)
                     if trace is not None:

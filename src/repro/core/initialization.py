@@ -29,7 +29,7 @@ for antecedents the optimizer may optionally accept a query predicate that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..constraints.horn_clause import SemanticConstraint
 from ..constraints.implication import implies
@@ -49,15 +49,30 @@ class InitializationResult:
     query_predicates: Tuple[Predicate, ...]
 
 
-def _query_contains(query_predicates: Sequence[Predicate], predicate: Predicate) -> bool:
-    target = predicate.normalized()
-    return any(p.normalized() == target for p in query_predicates)
+def _by_attribute(
+    query_predicates: Sequence[Predicate],
+) -> Dict[Tuple[str, str], List[Predicate]]:
+    """The normalized query predicates grouped by their left operand.
+
+    A predicate can only equal, or imply, one with the same left operand, so
+    each test below reads one group.  Within it, presence stays the
+    predicates' ``==`` (under which the constants ``1``, ``1.0`` and
+    ``True`` are equal), not equality of their ``key()``.
+    """
+    groups: Dict[Tuple[str, str], List[Predicate]] = {}
+    for predicate in query_predicates:
+        left = predicate.left
+        groups.setdefault((left.class_name, left.attribute_name), []).append(
+            predicate
+        )
+    return groups
 
 
-def _query_implies(
-    query_predicates: Sequence[Predicate], predicate: Predicate
-) -> bool:
-    return any(implies(p, predicate) for p in query_predicates)
+def _same_left(
+    groups: Dict[Tuple[str, str], List[Predicate]], predicate: Predicate
+) -> Sequence[Predicate]:
+    left = predicate.left
+    return groups.get((left.class_name, left.attribute_name), ())
 
 
 def collect_predicates(
@@ -125,18 +140,20 @@ def initialize(
     query_predicates = tuple(p.normalized() for p in query.predicates())
     predicates = collect_predicates(query, relevant)
     table = TransformationTable(relevant, predicates, query_predicates)
+    groups = _by_attribute(query_predicates)
 
+    # Constraint by constraint, so every column fills in constraint order.
     for constraint in relevant:
-        consequent = constraint.consequent
-        if _query_contains(query_predicates, consequent):
+        consequent = constraint.consequent.normalized()
+        if consequent in _same_left(groups, consequent):
             table.set(constraint.name, consequent, CellTag.IMPERATIVE)
         else:
             table.set(constraint.name, consequent, CellTag.ABSENT_CONSEQUENT)
         for antecedent in constraint.antecedents:
-            present = (
-                _query_implies(query_predicates, antecedent)
-                if use_implication
-                else _query_contains(query_predicates, antecedent)
+            antecedent = antecedent.normalized()
+            candidates = _same_left(groups, antecedent)
+            present = antecedent in candidates or (
+                use_implication and any(implies(p, antecedent) for p in candidates)
             )
             table.set(
                 constraint.name,

@@ -176,13 +176,7 @@ class ProfitabilityAnalyzer:
             if priced is None:
                 priced = self.cost_model.price(query)
             cost_with = priced.estimate().total
-            reduced = query.without_classes([class_name]).keep_relationships(
-                [
-                    name
-                    for name in query.relationships
-                    if not self.schema.relationship(name).involves(class_name)
-                ]
-            )
+            reduced = query.without_class(class_name, self.schema)
             cost_without = priced.reprice(reduced).estimate().total
             return ProfitabilityDecision(
                 profitable=cost_without + self.epsilon < cost_with,

@@ -12,8 +12,9 @@ matters when the optimizer runs under a transformation budget.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from .rules import DEFAULT_PRIORITIES, TransformationKind, priority_for
 
@@ -38,7 +39,7 @@ class TransformationQueue:
     """
 
     def __init__(self) -> None:
-        self._entries: List[QueueEntry] = []
+        self._entries: Deque[QueueEntry] = deque()
         self._pending: Dict[str, QueueEntry] = {}
         self._enqueued_total = 0
 
@@ -61,7 +62,7 @@ class TransformationQueue:
         """Remove and return the next entry (FIFO order)."""
         if not self._entries:
             raise IndexError("pop from an empty transformation queue")
-        entry = self._entries.pop(0)
+        entry = self._entries.popleft()
         self._pending.pop(entry.constraint_name, None)
         return entry
 
@@ -69,7 +70,7 @@ class TransformationQueue:
         """Remove a pending entry for ``constraint_name``, if any."""
         entry = self._pending.pop(constraint_name, None)
         if entry is not None:
-            self._entries = [e for e in self._entries if e is not entry]
+            self._entries.remove(entry)
 
     # ------------------------------------------------------------------
     # Introspection

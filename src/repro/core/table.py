@@ -38,15 +38,19 @@ class TransformationTable:
             c.name: c for c in constraints
         }
         self._constraint_order: List[str] = [c.name for c in constraints]
+        self._constraint_index: Dict[str, int] = {
+            name: index for index, name in enumerate(self._constraint_order)
+        }
+        #: Column key -> interned normalized predicate, in column order.
         self._predicates: Dict[Tuple, Predicate] = {}
-        self._predicate_order: List[Tuple] = []
         for predicate in predicates:
-            key = predicate.normalized().key()
+            key = predicate.key()
             if key not in self._predicates:
                 self._predicates[key] = predicate.normalized()
-                self._predicate_order.append(key)
-        self._query_keys = {p.normalized().key() for p in query_predicates}
-        self._cells: Dict[Tuple[str, Tuple], CellTag] = {}
+        self._query_keys = {p.key() for p in query_predicates}
+        #: The cells, column by column: ``{column key: {constraint: tag}}``,
+        #: each column's rows in constraint order.
+        self._columns: Dict[Tuple, Dict[str, CellTag]] = {}
 
     # ------------------------------------------------------------------
     # Structure
@@ -65,11 +69,11 @@ class TransformationTable:
 
     def predicates(self) -> List[Predicate]:
         """The predicates forming the columns, in insertion order."""
-        return [self._predicates[key] for key in self._predicate_order]
+        return list(self._predicates.values())
 
     def predicate_count(self) -> int:
         """Number of columns (``m`` in the complexity bound)."""
-        return len(self._predicate_order)
+        return len(self._predicates)
 
     def constraint_count(self) -> int:
         """Number of rows (``n`` in the complexity bound)."""
@@ -77,19 +81,17 @@ class TransformationTable:
 
     def was_in_query(self, predicate: Predicate) -> bool:
         """Whether ``predicate`` appeared in the original query."""
-        return predicate.normalized().key() in self._query_keys
+        return predicate.key() in self._query_keys
 
     # ------------------------------------------------------------------
     # Cell access
     # ------------------------------------------------------------------
-    def _key(self, predicate: Predicate) -> Tuple:
-        return predicate.normalized().key()
-
     def get(self, constraint_name: str, predicate: Predicate) -> CellTag:
         """The cell ``t(constraint, predicate)`` (``NOT_PRESENT`` by default)."""
-        return self._cells.get(
-            (constraint_name, self._key(predicate)), CellTag.NOT_PRESENT
-        )
+        column = self._columns.get(predicate.key())
+        if column is None:
+            return CellTag.NOT_PRESENT
+        return column.get(constraint_name, CellTag.NOT_PRESENT)
 
     def set(
         self, constraint_name: str, predicate: Predicate, tag: CellTag
@@ -97,27 +99,38 @@ class TransformationTable:
         """Set the cell ``t(constraint, predicate)``."""
         if constraint_name not in self._constraints:
             raise KeyError(f"unknown constraint {constraint_name!r}")
-        key = self._key(predicate)
-        if key not in self._predicates:
-            self._predicates[key] = predicate.normalized()
-            self._predicate_order.append(key)
-        self._cells[(constraint_name, key)] = tag
+        key = predicate.key()
+        column = self._columns.get(key)
+        if column is None:
+            if key not in self._predicates:
+                self._predicates[key] = predicate.normalized()
+            self._columns[key] = {constraint_name: tag}
+            return
+        if constraint_name in column:
+            column[constraint_name] = tag
+            return
+        index = self._constraint_index
+        last = next(reversed(column))
+        column[constraint_name] = tag
+        if index[constraint_name] < index[last]:
+            # Not the constraint-order append initialization makes: re-sort
+            # the column so it reads in constraint order.
+            self._columns[key] = {
+                name: column[name]
+                for name in sorted(column, key=index.__getitem__)
+            }
 
     def column(self, predicate: Predicate) -> Dict[str, CellTag]:
-        """All non-``NOT_PRESENT`` cells of the predicate's column."""
-        key = self._key(predicate)
-        return {
-            name: self._cells[(name, key)]
-            for name in self._constraint_order
-            if (name, key) in self._cells
-        }
+        """All non-``NOT_PRESENT`` cells of the predicate's column, in
+        constraint order."""
+        return dict(self._columns.get(predicate.key(), ()))
 
     def row(self, constraint_name: str) -> Dict[Tuple, CellTag]:
         """All non-``NOT_PRESENT`` cells of a constraint's row."""
         return {
-            key: tag
-            for (name, key), tag in self._cells.items()
-            if name == constraint_name
+            key: column[constraint_name]
+            for key, column in self._columns.items()
+            if constraint_name in column
         }
 
     # ------------------------------------------------------------------
@@ -147,7 +160,7 @@ class TransformationTable:
         returned.
         """
         lowest: Optional[PredicateTag] = None
-        for tag in self.column(predicate).values():
+        for tag in self._columns.get(predicate.key(), {}).values():
             predicate_tag = tag.as_predicate_tag()
             if predicate_tag is None:
                 continue
@@ -174,8 +187,7 @@ class TransformationTable:
         have to assume that all the predicates contribute to the results").
         """
         result: List[Tuple[Predicate, PredicateTag]] = []
-        for key in self._predicate_order:
-            predicate = self._predicates[key]
+        for predicate in self._predicates.values():
             classification = self.classification_of(predicate)
             if self.was_in_query(predicate):
                 result.append(

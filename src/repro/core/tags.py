@@ -38,17 +38,18 @@ class PredicateTag(enum.Enum):
     @property
     def rank(self) -> int:
         """Lowering rank: imperative (2) > optional (1) > redundant (0)."""
-        return _PREDICATE_RANK[self]
+        return _PREDICATE_RANK[self._value_]
 
     def is_lower_than(self, other: "PredicateTag") -> bool:
         """Whether this tag is a strict lowering of ``other``."""
         return self.rank < other.rank
 
 
+# Keyed by the members' string values, like the conversion tables below.
 _PREDICATE_RANK = {
-    PredicateTag.IMPERATIVE: 2,
-    PredicateTag.OPTIONAL: 1,
-    PredicateTag.REDUNDANT: 0,
+    PredicateTag.IMPERATIVE.value: 2,
+    PredicateTag.OPTIONAL.value: 1,
+    PredicateTag.REDUNDANT.value: 0,
 }
 
 
@@ -96,25 +97,29 @@ class CellTag(enum.Enum):
 
     def as_predicate_tag(self) -> Optional[PredicateTag]:
         """The predicate tag this cell encodes, if any."""
-        mapping = {
-            CellTag.IMPERATIVE: PredicateTag.IMPERATIVE,
-            CellTag.PRESENT_OPTIONAL: PredicateTag.OPTIONAL,
-            CellTag.PRESENT_REDUNDANT: PredicateTag.REDUNDANT,
-        }
-        return mapping.get(self)
+        return _CELL_TO_PREDICATE.get(self._value_)
 
     @staticmethod
     def from_predicate_tag(tag: PredicateTag) -> "CellTag":
         """The cell tag encoding a predicate classification."""
-        mapping = {
-            PredicateTag.IMPERATIVE: CellTag.IMPERATIVE,
-            PredicateTag.OPTIONAL: CellTag.PRESENT_OPTIONAL,
-            PredicateTag.REDUNDANT: CellTag.PRESENT_REDUNDANT,
-        }
-        return mapping[tag]
+        return _PREDICATE_TO_CELL[tag._value_]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+# Keyed by the members' string values: a str hashes in C, an enum member
+# through the Python-level ``Enum.__hash__``.
+_CELL_TO_PREDICATE = {
+    CellTag.IMPERATIVE.value: PredicateTag.IMPERATIVE,
+    CellTag.PRESENT_OPTIONAL.value: PredicateTag.OPTIONAL,
+    CellTag.PRESENT_REDUNDANT.value: PredicateTag.REDUNDANT,
+}
+_PREDICATE_TO_CELL = {
+    PredicateTag.IMPERATIVE.value: CellTag.IMPERATIVE,
+    PredicateTag.OPTIONAL.value: CellTag.PRESENT_OPTIONAL,
+    PredicateTag.REDUNDANT.value: CellTag.PRESENT_REDUNDANT,
+}
 
 
 def lower_of(first: PredicateTag, second: PredicateTag) -> PredicateTag:

@@ -60,6 +60,9 @@ class TransformationEngine:
         self.transformation_budget = transformation_budget
         self.trace = OptimizationTrace()
         self.stats = TransformationStats()
+        #: Per constraint name, ``(tag its firing assigns, consequent
+        #: indexed)``: fixed for a rule within one run.
+        self._targets: Dict[str, Tuple[PredicateTag, bool]] = {}
 
     # ------------------------------------------------------------------
     # Constraint assessment
@@ -76,6 +79,18 @@ class TransformationEngine:
         except Exception:
             return False
 
+    def _target(self, constraint: SemanticConstraint) -> Tuple[PredicateTag, bool]:
+        """The tag firing ``constraint`` assigns and whether its consequent
+        is indexed, derived once per run."""
+        target = self._targets.get(constraint.name)
+        if target is None:
+            indexed = self._consequent_indexed(constraint)
+            target = self._targets[constraint.name] = (
+                target_tag(constraint.classification, indexed),
+                indexed,
+            )
+        return target
+
     def _assess(
         self, constraint: SemanticConstraint
     ) -> Optional[Tuple[TransformationKind, PredicateTag, Optional[PredicateTag]]]:
@@ -86,8 +101,7 @@ class TransformationEngine:
         consequent predicate would be introduced rather than re-classified.
         """
         cell = self.table.consequent_cell(constraint)
-        indexed = self._consequent_indexed(constraint)
-        new_tag = target_tag(constraint.classification, indexed)
+        new_tag, indexed = self._target(constraint)
 
         if cell is CellTag.ABSENT_CONSEQUENT:
             kind = classify_transformation(present_in_query=False, consequent_indexed=indexed)

@@ -19,7 +19,7 @@ optimizers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..constraints.predicate import Predicate, partition_by_class
 from ..query.query import Query
@@ -104,8 +104,11 @@ class QueryPricing:
     without one predicate or one class, typically — under the same
     snapshot, carrying over the price of every class whose local predicates
     did not change: only the changed class is priced again, and the driver
-    choice and the binding walk re-run in the same arithmetic order, so the
-    variant costs bit for bit what pricing it from scratch would.  A set of
+    choice and the binding walk's sums re-run in the same arithmetic order,
+    so the variant costs bit for bit what pricing it from scratch would.
+    The walk's binding order, which depends on the driver, the classes and
+    the relationships only, is found once per driver and shared by every
+    reprice over the same classes and relationships.  A set of
     decisions made from one object therefore never straddles a weight swap
     or a statistics refresh.
 
@@ -146,14 +149,19 @@ class QueryPricing:
         self.local, self.cross = partition_by_class(
             query.predicates(), query.classes
         )
+        self._shape = (query.classes, query.relationships)
         self._prices: Dict[str, ClassPrice] = {}
+        #: Per driver, the order :meth:`estimate` binds the other classes
+        #: in; shared by reprices over the same classes and relationships.
+        self._walks: Dict[str, Tuple[List[str], List[str]]] = {}
         self._estimate: Optional[CostEstimate] = None
 
     def reprice(self, query: Query) -> "QueryPricing":
         """``query`` priced under this object's snapshot and mode.
 
         Class prices already computed here are kept for every class whose
-        local predicate list is the same in ``query``.
+        local predicate list is the same in ``query``, and binding orders
+        when ``query`` has the same classes and relationships.
         """
         other = QueryPricing(self, query, self.mode, self.workers)
         other._prices = {
@@ -161,6 +169,8 @@ class QueryPricing:
             for name, price in self._prices.items()
             if self.local[name] == other.local.get(name)
         }
+        if other._shape == self._shape:
+            other._walks = self._walks
         return other
 
     # ------------------------------------------------------------------
@@ -254,6 +264,35 @@ class QueryPricing:
 
         return min(self.classes, key=sort_key)
 
+    def _walk(self, driver: str) -> Tuple[List[str], List[str]]:
+        """The classes bound from ``driver`` by traversing relationships,
+        in binding order, and the rest (unreachable), in class-list order.
+
+        The order depends on the classes and relationships only, never on
+        a price, so every variant of one query shape reads one walk.
+        """
+        walk = self._walks.get(driver)
+        if walk is not None:
+            return walk
+        bound = {driver}
+        connected: List[str] = []
+        remaining = [name for name in self.classes if name != driver]
+        progress = True
+        while remaining and progress:
+            progress = False
+            for class_name in list(remaining):
+                if not any(
+                    rel.involves(class_name) and rel.other(class_name) in bound
+                    for rel in self.relationships
+                ):
+                    continue
+                connected.append(class_name)
+                bound.add(class_name)
+                remaining.remove(class_name)
+                progress = True
+        walk = self._walks[driver] = (connected, remaining)
+        return walk
+
     def estimate(self) -> CostEstimate:
         """The estimated execution cost (computed once per object).
 
@@ -280,35 +319,22 @@ class QueryPricing:
         # parallel mode those parts run partitioned across the workers.
         distributed = CostEstimate()
 
-        bound = {driver}
+        connected, disconnected = self._walk(driver)
         current_rows = max(1.0, driver_price.matching)
-        remaining = [name for name in self.classes if name != driver]
-
-        progress = True
-        while remaining and progress:
-            progress = False
-            for class_name in list(remaining):
-                if not any(
-                    rel.involves(class_name) and rel.other(class_name) in bound
-                    for rel in self.relationships
-                ):
-                    continue
-                # The executor builds the candidate set of the traversed
-                # class once (an index scan when one of its predicates is on
-                # an indexed attribute, a full extent scan otherwise) and
-                # then follows one pointer per partial result.
-                price = self.class_price(class_name)
-                distributed.retrieval += price.scan.retrieval
-                distributed.cpu += price.scan.cpu
-                distributed.traversal += current_rows * weights.pointer_traversal
-                current_rows = max(1.0, current_rows * price.selectivity)
-                bound.add(class_name)
-                remaining.remove(class_name)
-                progress = True
+        for class_name in connected:
+            # The executor builds the candidate set of the traversed class
+            # once (an index scan when one of its predicates is on an
+            # indexed attribute, a full extent scan otherwise) and then
+            # follows one pointer per partial result.
+            price = self.class_price(class_name)
+            distributed.retrieval += price.scan.retrieval
+            distributed.cpu += price.scan.cpu
+            distributed.traversal += current_rows * weights.pointer_traversal
+            current_rows = max(1.0, current_rows * price.selectivity)
 
         # Disconnected classes (should not occur for path queries): charge a
         # full scan and a cross filter.
-        for class_name in remaining:
+        for class_name in disconnected:
             price = self.class_price(class_name)
             distributed.retrieval += price.scan.retrieval
             distributed.cpu += price.scan.cpu

@@ -130,13 +130,13 @@ class Query:
         )
 
     def without_classes(self, class_names: Iterable[str]) -> "Query":
-        """A copy of the query with ``class_names`` (and everything that
-        referenced them) removed.
+        """A copy of the query with ``class_names`` and the predicates and
+        projections referencing them removed.
 
-        Used by class elimination: the classes are dropped from the class
-        list, relationships that no longer connect two remaining classes are
-        dropped, and predicates/projections referencing the dropped classes
-        are removed.
+        The relationship list is kept as it is: a query holds no schema, so
+        it cannot tell which relationships involve a dropped class.
+        :meth:`without_class` is the schema-aware drop class elimination
+        uses.
         """
         dropped = set(class_names)
         remaining = tuple(c for c in self.classes if c not in dropped)
@@ -161,6 +161,15 @@ class Query:
             join_predicates=joins,
             selective_predicates=selections,
             classes=remaining,
+        )
+
+    def without_class(self, class_name: str, schema: Schema) -> "Query":
+        """Class elimination's drop: :meth:`without_classes` for
+        ``class_name``, minus every relationship that involves it."""
+        return self.without_classes([class_name]).keep_relationships(
+            name
+            for name in self.relationships
+            if not schema.relationship(name).involves(class_name)
         )
 
     def keep_relationships(self, names: Iterable[str]) -> "Query":

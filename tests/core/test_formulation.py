@@ -204,9 +204,17 @@ def _decision_lines(formulation):
 #: pricing became a value computed once (PR 12, 81212a2).
 SPINE_DIGEST = "d369e60fcdde9ada1841de46865c08f246b79a311efb2f39911237e4f664d27c"
 
+#: sha256 over what ``SPINE_DIGEST`` leaves out, for the same 393 queries:
+#: every trace record in firing order, the final predicate tags, the
+#: eliminated classes and the final transformation table read column by
+#: column.  Recorded before the transformation table was stored by column.
+SPINE_TRACE_DIGEST = "1692534f9086a13e45ad3a58fe9b197d7b1d0599e51301e9acba3e645ac5a848"
 
-def test_spine_queries_optimize_to_the_recorded_costs(formulations):
-    """The ``optimize_cold`` workload, decision by decision, bit for bit."""
+
+@pytest.fixture(scope="module")
+def spine_optimizations():
+    """``(service result, formulation, transformation table)`` for each of
+    the 393 ``optimize_cold`` queries, optimized cold in generation order."""
     setup = build_evaluation_setup(TABLE_4_1_SPECS["DB4"], query_count=1)
     service = OptimizationService(
         setup.schema,
@@ -225,15 +233,81 @@ def test_spine_queries_optimize_to_the_recorded_costs(formulations):
     ):
         distinct.setdefault(equivalence_key(query), query)
     assert len(distinct) == 393
-    digest = hashlib.sha256()
-    for query in distinct.values():
-        del formulations[:]
-        optimized = service.optimize(query, use_cache=False).optimized
-        (formulation,) = formulations
-        lines = [format_query(optimized)] + _decision_lines(formulation)
-        digest.update("\n".join(lines).encode() + b"\0")
+    captured = []
+    formulate = QueryFormulator.formulate
+    transform = TransformationEngine.run
+
+    def recording(self, *args, **kwargs):
+        result = formulate(self, *args, **kwargs)
+        captured.append(result)
+        return result
+
+    def running(self):
+        captured.append(self.table)
+        return transform(self)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QueryFormulator, "formulate", recording)
+        patch.setattr(TransformationEngine, "run", running)
+        for query in distinct.values():
+            del captured[:]
+            served = service.optimize(query, use_cache=False)
+            table, formulation = captured
+            runs.append((served, formulation, table))
     service.close()
+    return runs
+
+
+def test_spine_queries_optimize_to_the_recorded_costs(spine_optimizations):
+    """The ``optimize_cold`` workload, decision by decision, bit for bit."""
+    digest = hashlib.sha256()
+    for served, formulation, _table in spine_optimizations:
+        lines = [format_query(served.optimized)] + _decision_lines(formulation)
+        digest.update("\n".join(lines).encode() + b"\0")
     assert digest.hexdigest() == SPINE_DIGEST
+
+
+def _tag(tag):
+    return tag.value if tag is not None else "-"
+
+
+def test_spine_queries_fire_the_recorded_traces(spine_optimizations):
+    """The same workload's firing order, final tags, dropped classes and
+    final tables (each column's rows in the order ``column()`` gives)."""
+    digest = hashlib.sha256()
+    for served, _formulation, table in spine_optimizations:
+        result = served.result
+        lines = [
+            "%s|%s|%s|%s|%s|%s"
+            % (
+                record.kind.value,
+                record.constraint_name,
+                record.predicate,
+                _tag(record.new_tag),
+                _tag(record.previous_tag),
+                record.eliminated_class,
+            )
+            for record in result.trace.records
+        ]
+        lines += sorted(
+            "%s=%s" % (predicate, tag.value)
+            for predicate, tag in result.predicate_tags.items()
+        )
+        lines.append(",".join(result.eliminated_classes))
+        lines += [
+            "%s:%s"
+            % (
+                predicate,
+                ",".join(
+                    "%s=%s" % (name, tag.value)
+                    for name, tag in table.column(predicate).items()
+                ),
+            )
+            for predicate in table.predicates()
+        ]
+        digest.update("\n".join(lines).encode() + b"\0")
+    assert digest.hexdigest() == SPINE_TRACE_DIGEST
 
 
 def test_weight_swap_mid_formulation_cannot_split_a_decision(

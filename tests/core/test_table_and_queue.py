@@ -47,6 +47,33 @@ def test_cell_set_get_and_column():
         table.set("cX", p1, CellTag.IMPERATIVE)
 
 
+def test_column_reads_in_constraint_order_and_agrees_with_row():
+    constraints = build_example_constraints()
+    names = [c.name for c in constraints]
+    predicates = [p for c in constraints for p in c.predicates()]
+    table = TransformationTable(constraints, predicates, [])
+    shared = Predicate.equals("cargo.desc", "frozen food")
+    tags = list(CellTag)
+    # Cells set last row first: the column still reads in row order.
+    for index, name in reversed(list(enumerate(names))):
+        table.set(name, shared, tags[index % len(tags)])
+    for constraint in constraints:
+        for predicate in constraint.predicates():
+            table.set(constraint.name, predicate, CellTag.PRESENT_ANTECEDENT)
+    assert list(table.column(shared)) == names
+    by_column = {}
+    for predicate in table.predicates():
+        column = table.column(predicate)
+        assert list(column) == [name for name in names if name in column]
+        for name, tag in column.items():
+            assert table.get(name, predicate) is tag
+            by_column[name, predicate.key()] = tag
+    by_row = {
+        (name, key): tag for name in names for key, tag in table.row(name).items()
+    }
+    assert by_row == by_column
+
+
 def test_final_predicates_defaults_to_imperative():
     table, constraints, (p1, p2, p3) = build_table()
     finals = dict(table.final_predicates())

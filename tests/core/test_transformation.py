@@ -109,6 +109,36 @@ def test_chained_constraints_fire_through_introduced_predicate():
     )
 
 
+def test_constraints_enabled_together_fire_in_constraint_order():
+    """One introduction enables two constraints: they are queued, and fire,
+    in the order of their rows, read down the introduced predicate's column."""
+    desc = Predicate.equals("cargo.desc", "frozen food")
+    first = SemanticConstraint.build(
+        "r1",
+        [Predicate.equals("cargo.category", "perishable")],
+        desc,
+        anchor_classes={"cargo"},
+    )
+    consumers = [
+        SemanticConstraint.build(
+            name, [desc], consequent, anchor_classes={"cargo"}
+        )
+        for name, consequent in (
+            ("r2", Predicate.selection("cargo.quantity", "<=", 100)),
+            ("r3", Predicate.equals("cargo.code", "F")),
+        )
+    ]
+    query = make_query(
+        [Predicate.equals("cargo.category", "perishable")], ["cargo"]
+    )
+    for constraints in ([first] + consumers, consumers[::-1] + [first]):
+        _engine, trace, _table = run_engine(query, constraints)
+        fired = [record.constraint_name for record in trace.records]
+        assert fired == ["r1"] + [
+            c.name for c in constraints if c is not first
+        ]
+
+
 def test_duplicate_firings_are_skipped():
     """Two constraints implying the same present predicate: the second is a no-op."""
     a = SemanticConstraint.build(

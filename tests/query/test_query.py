@@ -69,6 +69,23 @@ def test_without_classes_drops_predicates_and_projections():
         query.without_classes(["supplier", "cargo", "vehicle"])
 
 
+def test_without_classes_keeps_relationships_and_without_class_drops_them(
+    evaluation_schema,
+):
+    query = make_query()
+    # A query holds no schema, so it cannot tell which relationships a
+    # dropped class was on.
+    assert query.without_classes(["supplier"]).relationships == (
+        "collects",
+        "supplies",
+    )
+    reduced = query.without_class("supplier", evaluation_schema)
+    assert reduced == query.without_classes(["supplier"]).keep_relationships(
+        ["collects"]
+    )
+    assert reduced.classes == ("cargo", "vehicle")
+
+
 def test_keep_relationships():
     query = make_query()
     kept = query.keep_relationships(["collects"])
