@@ -177,16 +177,9 @@ def test_closure_tries_only_same_attribute_pairs(monkeypatch):
     assert 0 < calls <= 3 * pairs, (calls, pairs)
 
 
-def test_initialization_tries_only_same_attribute_predicates(monkeypatch):
-    """Initialization tests an antecedent against same-attribute predicates.
-
-    Counted, not timed: over the 393 distinct ``optimize_cold`` queries on
-    DB4 with dynamic rules on, ``initialize`` calls ``implies`` at most
-    1,500 times — only a query predicate on the antecedent's attribute can
-    imply it.  When every query predicate was tried against every
-    antecedent it made 13,428 calls on these queries.
-    """
-    from repro.core import initialization
+def _spine_cold_queries():
+    """A DB4 service with dynamic rules on and the 393 distinct
+    ``optimize_cold`` queries, in generation order."""
     from repro.data import TABLE_4_1_SPECS, build_workload
     from repro.query import equivalence_key
 
@@ -208,6 +201,21 @@ def test_initialization_tries_only_same_attribute_predicates(monkeypatch):
     ):
         distinct.setdefault(equivalence_key(query), query)
     assert len(distinct) == 393
+    return service, list(distinct.values())
+
+
+def test_initialization_tries_only_same_attribute_predicates(monkeypatch):
+    """Initialization tests an antecedent against same-attribute predicates.
+
+    Counted, not timed: over the 393 distinct ``optimize_cold`` queries on
+    DB4 with dynamic rules on, ``initialize`` calls ``implies`` at most
+    1,500 times — only a query predicate on the antecedent's attribute can
+    imply it.  When every query predicate was tried against every
+    antecedent it made 13,428 calls on these queries.
+    """
+    from repro.core import initialization
+
+    service, queries = _spine_cold_queries()
     calls = 0
     implies = initialization.implies
 
@@ -219,11 +227,48 @@ def test_initialization_tries_only_same_attribute_predicates(monkeypatch):
     monkeypatch.setattr(initialization, "implies", counted)
     fired = sum(
         service.optimize(query, use_cache=False).result.transformations_applied
-        for query in distinct.values()
+        for query in queries
     )
     service.close()
     assert fired > 0
     assert 0 < calls <= 1500, calls
+
+
+def test_formulation_prices_each_optional_predicate_as_a_delta(monkeypatch):
+    """An optional predicate's "without" variant reads no statistics.
+
+    Counted, not timed: one cold pass of the 393 distinct
+    ``optimize_cold`` queries (DB4, dynamic rules on) makes 1,417 optional
+    predicate decisions, constructs at most 900 ``QueryPricing`` objects
+    and calls ``DatabaseStatistics.selectivity`` at most 2,300 times (886
+    and 2,190) — each variant is a one-class delta of its query's
+    pricing.  When every variant rebuilt its query and priced it again,
+    the pass made 2,303 constructions and 4,566 selectivity calls.
+    """
+    from repro.engine.cost_model import QueryPricing
+
+    service, queries = _spine_cold_queries()
+    calls = Counter()
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(QueryPricing, "__init__")
+    counting(DatabaseStatistics, "selectivity")
+    optional = 0
+    for query in queries:
+        result = service.optimize(query, use_cache=False).result
+        optional += len(result.retained_optional) + len(result.discarded_optional)
+    service.close()
+    assert optional > 1000, optional
+    assert 0 < calls["__init__"] <= 900, calls
+    assert 0 < calls["selectivity"] <= 2300, calls
 
 
 def test_warm_executes_plan_once_per_statistics_snapshot(monkeypatch):

@@ -9,10 +9,10 @@ that decision procedure:
   statistics available), the analyzer compares the estimated execution cost
   of the working query with and without the candidate predicate/class and
   keeps whichever alternative is cheaper.  The working query is priced
-  once (:meth:`ProfitabilityAnalyzer.price`) and every question about it
-  prices only its "without" variant from that
-  :class:`~repro.engine.cost_model.QueryPricing` — k + 1 estimates for k
-  optional predicates, all against one statistics-and-weights snapshot;
+  once (:meth:`ProfitabilityAnalyzer.price`); each optional predicate's
+  "without" variant is a one-class delta of that
+  :class:`~repro.engine.cost_model.QueryPricing` — one estimate and k deltas
+  for k optional predicates, all against one statistics-and-weights snapshot;
 * without a cost model, it falls back to a structural heuristic: optional
   predicates on indexed attributes are retained (they enable index scans,
   the paper's primary motivation for index introduction), other optional
@@ -101,10 +101,16 @@ class ProfitabilityAnalyzer:
         """Should ``predicate`` be retained in ``query``?
 
         ``query`` is the working query *including* the predicate when it is
-        already part of it; the analyzer always compares the variant with the
-        predicate against the variant without it.  ``priced`` is ``query``
-        as :meth:`price` returned it: k decisions about one query then cost
-        k + 1 estimates, not 2k, all against one snapshot.
+        already part of it (else the predicate is appended and that query
+        priced, whatever ``priced`` holds); the analyzer always compares
+        the variant with the predicate against the variant without it.
+        ``priced`` is ``query`` as :meth:`price` returned it: k decisions
+        about one query then cost one estimate and k one-class deltas
+        (:meth:`QueryPricing.without`), all against one snapshot.
+
+        The variant without drops copies from the selective list only, so
+        an optional *join* predicate is priced against itself (``cost_with
+        == cost_without``) and never retained; the spine digest pins that.
         """
         if self.cost_model is not None:
             if not query.has_predicate(predicate):
@@ -113,10 +119,16 @@ class ProfitabilityAnalyzer:
                 priced = self.cost_model.price(query)
             cost_with = priced.estimate().total
             target = predicate.normalized()
-            without = query.with_selective_predicates(
-                [p for p in query.selective_predicates if p.normalized() != target]
-            )
-            cost_without = priced.reprice(without).estimate().total
+            joins, selections = query.join_predicates, query.selective_predicates
+            # ``without`` drops the local copies: the selective list's drop
+            # unless a copy sits in the list of the other kind.
+            other_kind = joins if len(target.referenced_classes()) == 1 else selections
+            if any(p.normalized() == target for p in other_kind):
+                kept = [p for p in selections if p.normalized() != target]
+                variant = priced.reprice(query.with_selective_predicates(kept))
+            else:
+                variant = priced.without(target)
+            cost_without = variant.estimate().total
             return ProfitabilityDecision(
                 profitable=cost_with + self.epsilon < cost_without,
                 cost_with=cost_with,

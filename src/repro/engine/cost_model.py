@@ -91,6 +91,8 @@ class ClassPrice(NamedTuple):
     indexed: Optional[Predicate]
     #: Cost of producing the class's matching instances (never mutated).
     scan: CostEstimate
+    #: Each local predicate's selectivity, in local order (never mutated).
+    selectivities: List[float]
 
 
 class QueryPricing:
@@ -101,16 +103,16 @@ class QueryPricing:
     by class; each class's :class:`ClassPrice` is computed the first time
     it is needed; :meth:`estimate` walks the bindings over those values and
     keeps its result.  :meth:`reprice` prices another query — a variant
-    without one predicate or one class, typically — under the same
-    snapshot, carrying over the price of every class whose local predicates
-    did not change: only the changed class is priced again, and the driver
-    choice and the binding walk's sums re-run in the same arithmetic order,
-    so the variant costs bit for bit what pricing it from scratch would.
-    The walk's binding order, which depends on the driver, the classes and
-    the relationships only, is found once per driver and shared by every
-    reprice over the same classes and relationships.  A set of
-    decisions made from one object therefore never straddles a weight swap
-    or a statistics refresh.
+    without one class, typically (:meth:`without` drops one predicate) —
+    under the same snapshot, carrying over the price of every class whose
+    local predicates did not change: only the changed class is priced
+    again, and the driver choice and the binding walk's sums re-run in the
+    same arithmetic order, so the variant costs bit for bit what pricing it
+    from scratch would.  The walk's binding order, which depends on the
+    driver, the classes and the relationships only, is found once per
+    driver and shared by every variant over the same classes and
+    relationships.  A set of decisions made from one object therefore
+    never straddles a weight swap or a statistics refresh.
 
     The object is a value for one caller: it holds no version and outlives
     no call.
@@ -173,6 +175,27 @@ class QueryPricing:
             other._walks = self._walks
         return other
 
+    def without(self, predicate: Predicate) -> "QueryPricing":
+        """This query minus every local copy of ``predicate``, under the same
+        snapshot and with no query built: only that class is priced again,
+        from the selectivities its price holds, and every other class price
+        and the walks are shared.  A cross-class predicate, or one with no
+        local copy, changes nothing: ``self`` is returned."""
+        target = predicate.normalized()
+        (class_name, *more) = target.referenced_classes()
+        predicates = () if more else self.local.get(class_name, ())
+        kept = [i for i, p in enumerate(predicates) if p.normalized() != target]
+        if len(kept) == len(predicates):
+            return self
+        selectivities = self.class_price(class_name).selectivities
+        other = object.__new__(QueryPricing)
+        other.__dict__.update(self.__dict__)
+        other.local = {**self.local, class_name: [predicates[i] for i in kept]}
+        other._prices = {n: p for n, p in self._prices.items() if n != class_name}
+        other._estimate = None
+        other.class_price(class_name, [selectivities[i] for i in kept])
+        return other
+
     # ------------------------------------------------------------------
     # Per-class pricing
     # ------------------------------------------------------------------
@@ -196,7 +219,9 @@ class QueryPricing:
             self.weights.predicate_compilation + self.weights.batch_column_setup
         )
 
-    def class_price(self, class_name: str) -> ClassPrice:
+    def class_price(
+        self, class_name: str, selectivities: Optional[List[float]] = None
+    ) -> ClassPrice:
         """The class's price under its local predicates (kept once computed).
 
         When one of the predicates is a selection on an indexed attribute,
@@ -205,7 +230,8 @@ class QueryPricing:
         Otherwise a full extent scan retrieves every instance and evaluates
         every predicate on each.  Under the batched modes the per-row
         evaluation uses the (cheaper) compiled-predicate weight plus a
-        one-off compilation and column-setup charge per predicate.
+        one-off compilation and column-setup charge per predicate.  Given
+        ``selectivities`` (the local predicates', in order), none is read.
         """
         price = self._prices.get(class_name)
         if price is not None:
@@ -217,8 +243,10 @@ class QueryPricing:
         selectivity = 1.0
         indexed = None
         indexed_selectivity = 1.0
+        known, selectivities = selectivities, []
         for predicate in predicates:
-            own = statistics.selectivity(predicate)
+            own = known[len(selectivities)] if known else statistics.selectivity(predicate)
+            selectivities.append(own)
             selectivity *= own
             if (
                 indexed is None
@@ -244,7 +272,7 @@ class QueryPricing:
             len(predicates) - (1 if indexed is not None else 0)
         )
         price = self._prices[class_name] = ClassPrice(
-            selectivity, cardinality * selectivity, indexed, scan
+            selectivity, cardinality * selectivity, indexed, scan, selectivities
         )
         return price
 

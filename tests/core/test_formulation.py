@@ -1,6 +1,7 @@
 """Unit tests for query formulation, profitability and class elimination."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -176,6 +177,54 @@ def test_optimizer_requires_constraints_or_repository(schema):
 # ----------------------------------------------------------------------
 # Pricing inside formulation: one snapshot, the parent's exact numbers
 # ----------------------------------------------------------------------
+def test_priced_query_lacking_the_predicate_is_not_trusted(small_setup):
+    """A predicate missing from ``query`` is appended and that query
+    priced, so a ``priced`` of ``query`` as given changes nothing."""
+    analyzer = ProfitabilityAnalyzer(
+        small_setup.schema, cost_model=small_setup.cost_model
+    )
+    moved = 0
+    for query in small_setup.queries:
+        for predicate in query.predicates():
+            lacking = replace(
+                query,
+                join_predicates=[p for p in query.join_predicates if p != predicate],
+                selective_predicates=[
+                    p for p in query.selective_predicates if p != predicate
+                ],
+            )
+            priced = analyzer.price(lacking)
+            decision = analyzer.predicate_is_profitable(lacking, predicate, priced)
+            assert decision == analyzer.predicate_is_profitable(lacking, predicate)
+            moved += decision.cost_with != priced.estimate().total
+    assert moved
+
+
+def test_variant_without_drops_the_selective_copies_only(small_setup):
+    """Wherever the predicate's copies sit, ``cost_without`` prices the
+    query minus its selective-list copies, rebuilt and priced afresh."""
+    model = small_setup.cost_model
+    analyzer = ProfitabilityAnalyzer(small_setup.schema, cost_model=model)
+    for query in small_setup.queries:
+        for predicate in query.predicates():
+            target = predicate.normalized()
+            for placed in (
+                query,
+                replace(query, join_predicates=query.join_predicates + (predicate,)),
+                query.with_selective_predicates(
+                    query.selective_predicates + (predicate,)
+                ),
+            ):
+                variant = placed.with_selective_predicates(
+                    p for p in placed.selective_predicates if p.normalized() != target
+                )
+                decision = analyzer.predicate_is_profitable(
+                    placed, predicate, analyzer.price(placed)
+                )
+                assert decision.cost_with == model.estimate_query(placed).total
+                assert decision.cost_without == model.estimate_query(variant).total
+
+
 @pytest.fixture()
 def formulations(monkeypatch):
     """Every ``FormulationResult`` produced while the fixture is live."""

@@ -11,6 +11,7 @@ is no part of its identity or its pickled form.
 
 import hashlib
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -44,6 +45,22 @@ def _variants(schema, query):
         )
 
 
+def _without(query, predicate):
+    """``query`` minus every copy of ``predicate`` local to one class."""
+    target = predicate.normalized()
+    if len(target.referenced_classes()) > 1:
+        return query
+
+    def kept(predicates):
+        return [p for p in predicates if p.normalized() != target]
+
+    return replace(
+        query,
+        join_predicates=kept(query.join_predicates),
+        selective_predicates=kept(query.selective_predicates),
+    )
+
+
 @pytest.mark.parametrize("database", ["DB1", "DB2", "DB3", "DB4"])
 def test_variant_costs_equal_pricing_the_rebuilt_query(database):
     setup = build_evaluation_setup(
@@ -70,10 +87,19 @@ def test_variant_costs_equal_pricing_the_rebuilt_query(database):
                 assert repriced.estimate().total == scratch.total
                 assert repriced.driver() == cost_model.driver_class(variant)
                 checked += 1
+            for dropped in query.predicates():
+                variant = _without(query, dropped)
+                delta = priced.without(dropped)
+                scratch = cost_model.estimate_query(variant, mode, workers=3)
+                assert _breakdown(delta.estimate()) == _breakdown(scratch)
+                assert delta.driver() == cost_model.driver_class(variant)
+                # A cross-class predicate is no local copy: nothing changes.
+                assert (delta is priced) == (variant is query)
+                checked += 1
     assert checked > 100
 
 
-def test_reprice_keeps_unchanged_class_prices_only(small_setup):
+def test_reprice_keeps_unchanged_class_prices_only(small_setup, monkeypatch):
     query = next(
         q
         for q in small_setup.queries
@@ -89,6 +115,28 @@ def test_reprice_keeps_unchanged_class_prices_only(small_setup):
     assert set(repriced._prices) == set(query.classes) - {changed}
     for name, price in repriced._prices.items():
         assert price is priced.class_price(name)
+    # The delta prices the changed class at once from the selectivities
+    # its price holds (here the class keeps a second predicate), and
+    # shares every other class price.
+    priced = small_setup.cost_model.price(
+        query.add_selective_predicates([dropped.negated()])
+    )
+    priced.estimate()
+    calls = []
+    monkeypatch.setattr(
+        type(small_setup.statistics),
+        "selectivity",
+        lambda *args: calls.append(args) or 1.0,
+    )
+    delta = priced.without(dropped)
+    delta.estimate()
+    assert calls == []
+    assert delta.local[changed] == [dropped.negated()]
+    assert set(delta._prices) == set(query.classes)
+    for name in set(query.classes) - {changed}:
+        assert delta.class_price(name) is priced.class_price(name)
+    assert delta.class_price(changed) is not priced.class_price(changed)
+    assert delta._walks is priced._walks
 
 
 def test_pricing_reads_statistics_and_weights_once(small_setup):
