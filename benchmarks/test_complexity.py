@@ -271,18 +271,10 @@ def test_formulation_prices_each_optional_predicate_as_a_delta(monkeypatch):
     assert 0 < calls["selectivity"] <= 2300, calls
 
 
-def test_warm_executes_plan_once_per_statistics_snapshot(monkeypatch):
-    """A warm execute runs the plan its cached optimization already holds.
-
-    Counted, not timed: five warm passes of ``service.execute`` over 40
-    generated queries on a 2-shard store twice DB4's size call
-    ``ConventionalPlanner.plan`` at most once per query, and a write
-    between passes (a new statistics snapshot) costs at most one more pass
-    of planning.  When every execute planned afresh, the five passes made
-    200 calls.
-    """
-    from repro.data import DatabaseSpec, build_workload
-    from repro.engine import planner
+def _db4x2_service():
+    """A service over a 2-shard store twice DB4's size, and 40 seed-7
+    generated queries (``execute_scan``'s store)."""
+    from repro.data import build_workload
 
     setup = build_evaluation_setup(
         DatabaseSpec("DB4x2", 416, 1232), query_count=1, shard_count=2
@@ -300,6 +292,22 @@ def test_warm_executes_plan_once_per_statistics_snapshot(monkeypatch):
         seed=7,
         constraints=setup.constraints,
     )
+    return setup, service, queries
+
+
+def test_warm_executes_plan_once_per_statistics_snapshot(monkeypatch):
+    """A warm execute runs the plan its cached optimization already holds.
+
+    Counted, not timed: five warm passes of ``service.execute`` over 40
+    generated queries on a 2-shard store twice DB4's size call
+    ``ConventionalPlanner.plan`` at most once per query, and a write
+    between passes (a new statistics snapshot) costs at most one more pass
+    of planning.  When every execute planned afresh, the five passes made
+    200 calls.
+    """
+    from repro.engine import planner
+
+    setup, service, queries = _db4x2_service()
     calls = 0
     plan = planner.ConventionalPlanner.plan
 
@@ -323,6 +331,40 @@ def test_warm_executes_plan_once_per_statistics_snapshot(monkeypatch):
     service.mutate("insert", "cargo", values=row)
     assert 0 < passes(1) <= 40, calls
     service.close()
+
+
+def test_warm_vectorized_pass_runs_no_frame_per_element():
+    """A warm vectorized execute runs no Python frame per element.
+
+    Counted, not timed: one warm pass of ``service.execute`` over the 40
+    queries of the store above makes at most 16,000 Python-level calls
+    (``sys.setprofile`` "call" events) — a few per plan node and one per
+    joined source row, none per mask element, index hit or result row.
+    When the join built a match dict per source row, index hits resumed a
+    generator each and ordering kernels called a comparator per element,
+    the pass made 29,615.
+    """
+    import sys
+
+    _setup, service, queries = _db4x2_service()
+    for query in queries:
+        service.execute(query, execution_mode="vectorized")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for query in queries:
+            service.execute(query, execution_mode="vectorized")
+    finally:
+        sys.setprofile(previous)
+    service.close()
+    assert 0 < calls <= 16_000, calls
 
 
 def test_write_work_does_not_grow_with_the_extent(monkeypatch):

@@ -28,7 +28,7 @@ from ..query.query import Query
 from ..schema.schema import Schema
 from .formulation import FormulationResult, QueryFormulator
 from .initialization import InitializationResult, initialize
-from .profitability import ProfitabilityAnalyzer
+from .profitability import IndexProbe, ProfitabilityAnalyzer
 from .queue import PriorityTransformationQueue, TransformationQueue
 from .tags import PredicateTag
 from .trace import OptimizationTrace
@@ -141,7 +141,7 @@ class SemanticQueryOptimizer:
         constraints: Optional[Sequence[SemanticConstraint]] = None,
         cost_model: Optional["CostModel"] = None,
         config: Optional[OptimizerConfig] = None,
-        index_probe: Optional[Callable[[str, str], Optional[bool]]] = None,
+        index_probe: Optional[IndexProbe] = None,
     ) -> None:
         if repository is None and constraints is None:
             raise ValueError(
@@ -153,8 +153,8 @@ class SemanticQueryOptimizer:
         self.explicit_constraints = list(constraints) if constraints else None
         self.cost_model = cost_model
         self.config = config or OptimizerConfig()
-        # Live index availability for profitability decisions; the static
-        # schema is only the fallback (see ProfitabilityAnalyzer).
+        # Live index availability for transformation and profitability
+        # decisions; the static schema is only the fallback (is_indexed).
         self.index_probe = index_probe
         # Optional predicate over retrieved constraints; a service wires a
         # rule-payoff tracker here so demoted rules sit out of
@@ -224,6 +224,7 @@ class SemanticQueryOptimizer:
             self.schema,
             queue=queue,
             transformation_budget=self.config.transformation_budget,
+            index_probe=self.index_probe,
         )
         trace = engine.run()
         timings.transformation = time.perf_counter() - start

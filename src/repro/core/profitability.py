@@ -34,6 +34,37 @@ if TYPE_CHECKING:  # pragma: no cover - the analyzer only calls its cost model
     from ..engine.cost_model import CostModel, QueryPricing
 
 
+#: Live index availability, ``(class, attribute) -> indexed?``; ``None``
+#: means unknown.
+IndexProbe = Callable[[str, str], Optional[bool]]
+
+
+def is_indexed(
+    schema: Schema,
+    index_probe: Optional[IndexProbe],
+    class_name: str,
+    attribute_name: str,
+) -> bool:
+    """Whether ``class_name.attribute_name`` carries an index.
+
+    ``index_probe`` (e.g. a store's ``is_indexed``) answers first: the
+    schema records only the *declared* index set, and a runtime create or
+    drop (the auto-indexer, an operator) must steer the optimizer too.  A
+    probe that is absent, raises or answers ``None`` defers to the schema.
+    """
+    if index_probe is not None:
+        try:
+            known = index_probe(class_name, attribute_name)
+        except Exception:
+            known = None
+        if known is not None:
+            return bool(known)
+    try:
+        return schema.is_indexed(class_name, attribute_name)
+    except Exception:
+        return False
+
+
 @dataclass
 class ProfitabilityDecision:
     """Outcome of a profitability question, with the numbers behind it."""
@@ -59,30 +90,14 @@ class ProfitabilityAnalyzer:
         schema: Schema,
         cost_model: Optional["CostModel"] = None,
         epsilon: float = 1e-9,
-        index_probe: Optional[Callable[[str, str], Optional[bool]]] = None,
+        index_probe: Optional[IndexProbe] = None,
     ) -> None:
         self.schema = schema
         self.cost_model = cost_model
         self.epsilon = epsilon
-        # Live index availability (e.g. the store's IndexManager).  The
-        # static schema only records the *declared* index set; runtime
-        # create/drop (the auto-indexer, operators) must steer the
-        # heuristic too, or a dropped index keeps attracting predicates
-        # that no longer pay off.
+        # Live index availability (see is_indexed): a dropped index must
+        # not keep attracting predicates that no longer pay off.
         self.index_probe = index_probe
-
-    def _is_indexed(self, class_name: str, attribute_name: str) -> bool:
-        if self.index_probe is not None:
-            try:
-                known = self.index_probe(class_name, attribute_name)
-            except Exception:
-                known = None
-            if known is not None:
-                return bool(known)
-        try:
-            return self.schema.is_indexed(class_name, attribute_name)
-        except Exception:
-            return False
 
     def price(self, query: Query) -> Optional["QueryPricing"]:
         """``query`` priced once, for the ``priced`` argument of the decisions
@@ -143,7 +158,7 @@ class ProfitabilityAnalyzer:
         if predicate.is_selection:
             class_name = predicate.left.class_name
             attribute_name = predicate.left.attribute_name
-            if self._is_indexed(class_name, attribute_name):
+            if is_indexed(self.schema, self.index_probe, class_name, attribute_name):
                 return ProfitabilityDecision(
                     profitable=True,
                     reason="selection on an indexed attribute enables an index scan",

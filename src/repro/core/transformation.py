@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..constraints.horn_clause import SemanticConstraint
 from ..constraints.predicate import Predicate
 from ..schema.schema import Schema
+from .profitability import IndexProbe, is_indexed
 from .queue import QueueEntry, TransformationQueue
 from .rules import TransformationKind, classify_transformation, target_tag
 from .table import TransformationTable
@@ -53,9 +54,13 @@ class TransformationEngine:
         schema: Schema,
         queue: Optional[TransformationQueue] = None,
         transformation_budget: Optional[int] = None,
+        index_probe: Optional[IndexProbe] = None,
     ) -> None:
         self.table = table
         self.schema = schema
+        #: The live index set the consequents are judged against (the
+        #: schema's declared one without a probe; see :func:`is_indexed`).
+        self.index_probe = index_probe
         self.queue = queue if queue is not None else TransformationQueue()
         self.transformation_budget = transformation_budget
         self.trace = OptimizationTrace()
@@ -72,12 +77,12 @@ class TransformationEngine:
         consequent = constraint.consequent
         if not consequent.is_selection:
             return False
-        try:
-            return self.schema.is_indexed(
-                consequent.left.class_name, consequent.left.attribute_name
-            )
-        except Exception:
-            return False
+        return is_indexed(
+            self.schema,
+            self.index_probe,
+            consequent.left.class_name,
+            consequent.left.attribute_name,
+        )
 
     def _target(self, constraint: SemanticConstraint) -> Tuple[PredicateTag, bool]:
         """The tag firing ``constraint`` assigns and whether its consequent

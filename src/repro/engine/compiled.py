@@ -10,7 +10,7 @@ plan into a closure specialized for its evaluation context:
   of one known class (scan and traverse filters).  Operand resolution,
   operator dispatch and the constant are all bound at compile time; the
   returned kernel maps a column of attribute-value mappings to a boolean
-  mask in one tight loop.
+  mask in one comprehension over the raw operator.
 * :func:`compile_for_binding` — the predicate spans the classes of a
   binding batch (cross-class :class:`~repro.engine.plan.FilterNode`
   predicates).  The kernel receives the batch's per-class columns and
@@ -19,8 +19,11 @@ plan into a closure specialized for its evaluation context:
 The compiled kernels reproduce ``Predicate.evaluate`` semantics *exactly*:
 a missing class or attribute evaluates to ``False``, and comparing values of
 incompatible types under an ordering operator yields ``False`` instead of
-raising.  The differential oracle (``tests/engine/test_differential_oracle``)
-and the metrics-parity tests pin this equivalence.
+raising.  The one pass raises ``TypeError`` on either (an absent attribute
+reads as a value that refuses to compare), and only then does the kernel
+answer through the guarded per-element comparison.  ``tests/engine/
+test_compiled`` checks each kernel against ``evaluate`` element by element;
+the differential oracle and the metrics-parity tests pin it end to end.
 """
 
 from __future__ import annotations
@@ -34,10 +37,22 @@ from ..constraints.predicate import (
     Predicate,
 )
 
-#: Sentinel distinguishing "attribute absent" from any stored value
-#: (including ``None``); absent operands make the predicate false, exactly
-#: as ``Predicate.evaluate`` treats missing attributes.
-_MISSING = object()
+
+class _Absent:
+    """What an absent attribute reads as: any comparison with it raises
+    ``TypeError``, so a kernel's one pass stops and its guarded
+    :func:`_comparator` answers (absent operands are false there)."""
+
+    __slots__ = ()
+
+    def _refuse(self, other: Any) -> bool:
+        raise TypeError("absent operand")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse  # type: ignore
+    __hash__ = object.__hash__
+
+
+_MISSING = _Absent()
 
 _RAW_OPERATORS = {
     ComparisonOperator.EQ: _operator.eq,
@@ -55,13 +70,12 @@ ColumnKernel = Callable[[Sequence[Mapping[str, Any]]], List[bool]]
 BindingKernel = Callable[[Mapping[str, Sequence[Mapping[str, Any]]], int], List[bool]]
 
 
-def _comparator(op: ComparisonOperator) -> Callable[[Any, Any], bool]:
-    """An element comparator with ``Predicate.evaluate`` semantics.
+def _comparator(raw: Callable[[Any, Any], Any]) -> Callable[[Any, Any], bool]:
+    """The raw operator ``raw`` with ``Predicate.evaluate`` semantics.
 
     Missing operands are false; ``TypeError`` from an incompatible
     comparison is false (mirroring ``ComparisonOperator.apply``).
     """
-    raw = _RAW_OPERATORS[op]
 
     def compare(left: Any, right: Any) -> bool:
         if left is _MISSING or right is _MISSING:
@@ -90,18 +104,22 @@ def compile_for_class(predicate: Predicate, class_name: str) -> ColumnKernel:
         return _false_kernel
     attr = left.attribute_name
     right = predicate.right
+    raw = _RAW_OPERATORS[predicate.operator]
+    compare = _comparator(raw)
 
     if isinstance(right, AttributeOperand):
         if right.class_name != class_name:
             return _false_kernel
         other = right.attribute_name
-        compare = _comparator(predicate.operator)
 
         def attr_kernel(rows: Sequence[Mapping[str, Any]]) -> List[bool]:
-            return [
-                compare(r.get(attr, _MISSING), r.get(other, _MISSING))
-                for r in rows
-            ]
+            try:
+                return [raw(r.get(attr, _MISSING), r.get(other, _MISSING)) for r in rows]
+            except TypeError:
+                return [
+                    compare(r.get(attr, _MISSING), r.get(other, _MISSING))
+                    for r in rows
+                ]
 
         return attr_kernel
 
@@ -109,18 +127,21 @@ def compile_for_class(predicate: Predicate, class_name: str) -> ColumnKernel:
     if predicate.operator is ComparisonOperator.EQ and isinstance(
         constant, (str, int, float, bool)
     ):
-        # Hottest case: equality against a plain constant.  ``==`` on the
-        # sentinel is identity (false) and never raises for the value types
-        # the store holds, so the guard and the try/except both fold away.
+        # Hottest case: equality against a plain constant, spelled inline.
+        # Only an absent attribute raises here.
         def eq_kernel(rows: Sequence[Mapping[str, Any]]) -> List[bool]:
-            return [r.get(attr, _MISSING) == constant for r in rows]
+            try:
+                return [r.get(attr, _MISSING) == constant for r in rows]
+            except TypeError:
+                return [compare(r.get(attr, _MISSING), constant) for r in rows]
 
         return eq_kernel
 
-    compare = _comparator(predicate.operator)
-
     def const_kernel(rows: Sequence[Mapping[str, Any]]) -> List[bool]:
-        return [compare(r.get(attr, _MISSING), constant) for r in rows]
+        try:
+            return [raw(r.get(attr, _MISSING), constant) for r in rows]
+        except TypeError:
+            return [compare(r.get(attr, _MISSING), constant) for r in rows]
 
     return const_kernel
 
@@ -136,7 +157,8 @@ def compile_for_binding(predicate: Predicate) -> BindingKernel:
     left_class = predicate.left.class_name
     left_attr = predicate.left.attribute_name
     right = predicate.right
-    compare = _comparator(predicate.operator)
+    raw = _RAW_OPERATORS[predicate.operator]
+    compare = _comparator(raw)
 
     if isinstance(right, AttributeOperand):
         right_class = right.class_name
@@ -149,13 +171,16 @@ def compile_for_binding(predicate: Predicate) -> BindingKernel:
             right_col = columns.get(right_class)
             if left_col is None or right_col is None:
                 return [False] * n
-            return [
-                compare(
-                    left_col[i].get(left_attr, _MISSING),
-                    right_col[i].get(right_attr, _MISSING),
-                )
-                for i in range(n)
-            ]
+            try:
+                return [
+                    raw(a.get(left_attr, _MISSING), b.get(right_attr, _MISSING))
+                    for a, b in zip(left_col, right_col)
+                ]
+            except TypeError:
+                return [
+                    compare(a.get(left_attr, _MISSING), b.get(right_attr, _MISSING))
+                    for a, b in zip(left_col, right_col)
+                ]
 
         return join_kernel
 
@@ -167,9 +192,9 @@ def compile_for_binding(predicate: Predicate) -> BindingKernel:
         left_col = columns.get(left_class)
         if left_col is None:
             return [False] * n
-        return [
-            compare(left_col[i].get(left_attr, _MISSING), constant)
-            for i in range(n)
-        ]
+        try:
+            return [raw(a.get(left_attr, _MISSING), constant) for a in left_col]
+        except TypeError:
+            return [compare(a.get(left_attr, _MISSING), constant) for a in left_col]
 
     return selection_kernel

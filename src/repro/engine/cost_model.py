@@ -444,11 +444,10 @@ class CostModel:
         """Read statistics through ``provider()`` from now on.
 
         Pass a store's ``statistics`` so estimates always price against
-        its current contents.  When the provider returns ``None`` (a
-        service whose store is detached) estimates read the last
-        explicitly set snapshot.
+        its current contents.  When there is no provider, or it returns
+        ``None``, estimates read the last explicitly set snapshot.
         """
-        self._statistics_provider = provider
+        self._statistics_provider = provider or _no_live_statistics
 
     def set_weights(self, weights: CostWeights) -> None:
         """Swap in new weights (calibration), bumping the generation."""

@@ -130,13 +130,17 @@ def build_rows(
                 row.update(instance.qualified_values())
             rows.append(row)
         return rows
-    values = []
-    for projection in projections:
+    # Filled a column at a time: one-key rows for the first projection,
+    # then each further one assigned down the rows.  Keys stay in
+    # projection-list order, so the wire bytes do not depend on it.
+    first, *rest = projections
+    class_name, attribute = first.split(".", 1)
+    rows = [{first: instance.values.get(attribute)} for instance in columns[class_name]]
+    for projection in rest:
         class_name, attribute = projection.split(".", 1)
-        values.append(
-            [instance.values.get(attribute) for instance in columns[class_name]]
-        )
-    return [dict(zip(projections, row)) for row in zip(*values)]
+        for row, instance in zip(rows, columns[class_name]):
+            row[projection] = instance.values.get(attribute)
+    return rows
 
 
 class QueryExecutor:

@@ -23,12 +23,12 @@ class ObjectInstance:
     values:
         Attribute name -> value.  Pointer attributes store the target OID.
 
-    One value derived from ``values`` alone — the normalized pointer lists
-    — is memoized on the instance (:meth:`pointers`).  The memo is no part
-    of the instance's identity: equality, ``repr`` and :meth:`copy` ignore it.
-    Whoever changes ``values`` must call :meth:`forget_derived`; the store
-    does, in the only two places stored values change
-    (:meth:`~repro.engine.storage.StoreShard.update` and
+    One value derived from ``values`` alone — the distinct OIDs of each
+    pointer attribute — is memoized on the instance (:meth:`pointers`).  The
+    memo is no part of the instance's identity: equality, ``repr`` and
+    :meth:`copy` ignore it.  Whoever changes ``values`` must call
+    :meth:`forget_derived`; the store does, in the only two places stored
+    values change (:meth:`~repro.engine.storage.StoreShard.update` and
     :meth:`~repro.engine.storage.StoreShard.rebuild_indexes`).
 
     The instance knows its own pointers only.  Who points *at* it is kept
@@ -125,13 +125,16 @@ class ObjectInstance:
     # Memoized derivation (read by the batch executors)
     # ------------------------------------------------------------------
     def pointers(self, attribute_name: str) -> List[int]:
-        """:meth:`pointer_oids`, built once per attribute; read-only."""
+        """:meth:`pointer_oids` without repeats (an OID repeated in one list
+        is one link), built once per attribute; read-only."""
         memo = self._pointers
         if memo is None:
             memo = self._pointers = {}
         oids = memo.get(attribute_name)
         if oids is None:
-            oids = memo[attribute_name] = self.pointer_oids(attribute_name)
+            oids = memo[attribute_name] = list(
+                dict.fromkeys(self.pointer_oids(attribute_name))
+            )
         return oids
 
     def forget_derived(self) -> None:

@@ -312,20 +312,23 @@ class _ShardedIndexView:
     entered the store through inserts.
     """
 
-    def __init__(self, store: "ShardedObjectStore") -> None:
-        self._store = store
+    def __init__(self, shards: List[StoreShard]) -> None:
+        # The shard list, not the store: the store holds this view, and a
+        # view holding the store back would make a cycle only the
+        # collector frees.
+        self._shards = shards
 
     def indexed_attributes(self) -> List[Tuple[str, str]]:
         """All (class, attribute) pairs that carry an index."""
-        return self._store.shards[0].indexes.indexed_attributes()
+        return self._shards[0].indexes.indexed_attributes()
 
     def is_indexed(self, class_name: str, attribute_name: str) -> bool:
         """Whether an index exists for ``class_name.attribute_name``."""
-        return self._store.shards[0].indexes.is_indexed(class_name, attribute_name)
+        return self._shards[0].indexes.is_indexed(class_name, attribute_name)
 
     def can_answer(self, predicate: Predicate) -> bool:
         """Whether :meth:`lookup` would answer ``predicate`` (an O(1) probe)."""
-        return self._store.shards[0].indexes.can_answer(predicate)
+        return self._shards[0].indexes.can_answer(predicate)
 
     def lookup(self, predicate: Predicate) -> Optional[List[int]]:
         """Merged candidate OIDs for ``predicate`` (``None`` if unanswerable).
@@ -342,7 +345,7 @@ class _ShardedIndexView:
         # ``(value, oid)`` entries totally ordered, so sorting the
         # concatenation *is* the merge, without a generator resumption per
         # answer.
-        shards = self._store.shards
+        shards = self._shards
         if predicate.operator is ComparisonOperator.EQ:
             oids: List[int] = []
             for shard in shards:
@@ -358,7 +361,7 @@ class _ShardedIndexView:
     def distinct_count(self, class_name: str, attribute_name: str) -> Optional[int]:
         """Distinct indexed values for an attribute across all shards."""
         distinct: set = set()
-        for shard in self._store.shards:
+        for shard in self._shards:
             values = shard.indexes.distinct_index_values(class_name, attribute_name)
             if values is None:
                 return None
@@ -427,7 +430,7 @@ class ShardedObjectStore:
         self._merged_version = -1
         self._merged_extents: Dict[str, List[ObjectInstance]] = {}
         self._merged_oid_maps: Dict[str, Dict[int, ObjectInstance]] = {}
-        self._index_view = _ShardedIndexView(self) if shard_count > 1 else None
+        self._index_view = _ShardedIndexView(self.shards) if shard_count > 1 else None
         # Runtime index lifecycle (the tuning advisor's lever), applied on
         # top of the schema baseline: (class, attribute) -> True means a
         # runtime-created index, False a dropped schema-declared one.
@@ -508,6 +511,10 @@ class ShardedObjectStore:
         if self._index_view is not None:
             return self._index_view
         return self.shards[0].indexes
+
+    def is_indexed(self, class_name: str, attribute_name: str) -> bool:
+        """Whether ``class_name.attribute_name`` carries an index now."""
+        return self.indexes.is_indexed(class_name, attribute_name)
 
     # ------------------------------------------------------------------
     # Shard topology

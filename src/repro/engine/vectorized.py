@@ -10,13 +10,15 @@ and re-interprets every predicate per row, this executor:
   so extending a join appends columns instead of copying per-row dicts);
 * evaluates predicates as **compiled closures** — each predicate is lowered
   once per plan by :mod:`repro.engine.compiled` and then applied to whole
-  columns in tight loops;
+  columns in one pass; masks are applied with ``itertools.compress`` and
+  index hits resolved with ``map``, so no Python frame runs per element;
 * performs pointer traversals as **probes per source row**: forward through
-  the row's memoized pointer lists
+  the row's memoized distinct pointer lists
   (:meth:`~repro.engine.instance.ObjectInstance.pointers`), backward through
   the store's reverse-pointer index
-  (:meth:`~repro.engine.storage.ShardedObjectStore.referrer_oids`) — a hash
-  join builds nothing per execution that the store already keeps.
+  (:meth:`~repro.engine.storage.ShardedObjectStore.referrer_oids`), each
+  match appended straight into the target column — a hash join builds
+  nothing per execution, or per row, that the store already keeps.
 
 The executor holds no state derived from the store: everything it reuses
 across executions lives on the row or the store it was derived from and is
@@ -49,6 +51,7 @@ worker metrics plus the deduplicated ledger equal a single-shard run.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.predicate import Predicate
@@ -361,7 +364,7 @@ class VectorizedExecutor:
                 oid_index = self.store.oid_index(class_name)
                 instances = [
                     instance
-                    for instance in (oid_index.get(oid) for oid in oids)
+                    for instance in map(oid_index.get, oids)
                     if instance is not None
                 ]
                 retrieved += len(instances)
@@ -379,10 +382,8 @@ class VectorizedExecutor:
                 kernel = context.class_kernel(class_name, predicate)
                 evaluations += len(survivors)
                 mask = kernel(values)
-                survivors = [
-                    instance for instance, keep in zip(survivors, mask) if keep
-                ]
-                values = [row for row, keep in zip(values, mask) if keep]
+                survivors = list(compress(survivors, mask))
+                values = list(compress(values, mask))
         deltas = (retrieved, evaluations, lookups)
         context.store_candidates(memo_key, survivors, deltas)
         return survivors, deltas
@@ -458,33 +459,36 @@ class VectorizedExecutor:
         context.metrics.pointer_traversals += len(source_column)
         row_indices: List[int] = []
         target_column: List[ObjectInstance] = []
+        append = target_column.append
         for i, source_instance in enumerate(source_column):
             # Forward pointers in pointer order, then reverse-only
             # referrers in candidate order, none twice (the row-wise
-            # discipline, which reads both off the rows themselves).
-            matches: Dict[int, ObjectInstance] = {}
-            for forward_oid in source_instance.pointers(source_attribute):
-                candidate = resolve(forward_oid)
+            # discipline, which reads both off the rows themselves).  Both
+            # lists hold distinct OIDs, so matches append straight into the
+            # target column.
+            start = len(target_column)
+            forward = source_instance.pointers(source_attribute)
+            for oid in forward:
+                candidate = resolve(oid)
                 if candidate is not None:
-                    matches[forward_oid] = candidate
+                    append(candidate)
             held = referrers_of(source_instance.oid)
             if held is not None:
-                reverse_only = 0
+                tail = len(target_column)
                 for oid in (held,) if held.__class__ is int else held:
-                    if oid not in matches:
+                    if oid not in forward:
                         candidate = resolve(oid)
                         if candidate is not None:
-                            matches[oid] = candidate
-                            reverse_only += 1
-                if reverse_only > 1 and filtered:
+                            append(candidate)
+                if filtered and len(target_column) - tail > 1:
                     if rank is None:
                         rank = {oid: n for n, oid in enumerate(by_oid)}
-                    tail = sorted(list(matches)[-reverse_only:], key=rank.__getitem__)
-                    for oid in tail:
-                        matches[oid] = matches.pop(oid)
-            if matches:
-                row_indices.extend([i] * len(matches))
-                target_column.extend(matches.values())
+                    target_column[tail:] = sorted(
+                        target_column[tail:], key=lambda c: rank[c.oid]
+                    )
+            count = len(target_column) - start
+            if count:
+                row_indices.extend([i] * count)
         return self._extend(batch, row_indices, node.target_class, target_column)
 
     def _run_traverse_nested_loop(
@@ -580,7 +584,7 @@ class VectorizedExecutor:
                 for name, column in value_columns.items()
             }
             mask = kernel(sub_columns, len(indices))
-            indices = [i for i, keep in zip(indices, mask) if keep]
+            indices = list(compress(indices, mask))
         if len(indices) == batch.length:
             return batch
         return batch.take(indices)

@@ -181,18 +181,7 @@ class OptimizationService:
         #: Self-tuning manager (:meth:`enable_self_tuning`); ``None`` when
         #: the feedback loop is off.
         self._tuning = None
-        # Profitability estimates price against the attached store's
-        # *current* contents (whichever store that is at the time), not the
-        # snapshot the model was constructed with.
-        if self.optimizer.cost_model is not None:
-            self.optimizer.cost_model.bind_statistics(self._live_statistics)
-        # Profitability heuristics consult the store's live index set
-        # (runtime-created and dropped indexes included), falling back to
-        # the static schema only without a store.
-        self.optimizer.index_probe = self._live_index_probe
-        # Demoted rules sit out of retrieval; a no-op until self-tuning
-        # with rule learning is enabled.
-        self.optimizer.rule_filter = self._rule_filter
+        self._bind_store_views()
 
     @property
     def repository(self) -> Optional[ConstraintRepository]:
@@ -206,29 +195,29 @@ class OptimizationService:
     # ------------------------------------------------------------------
     # Live views of the attached store (statistics, index set)
     # ------------------------------------------------------------------
-    def _live_statistics(self):
-        """The store's current statistics; ``None`` (= unknown) without a store."""
-        store = self.store
-        return store.statistics() if store is not None else None
+    def _bind_store_views(self) -> None:
+        """Point the optimizer at the attached store's own live views.
 
-    def _live_index_probe(
-        self, class_name: str, attribute_name: str
-    ) -> Optional[bool]:
-        """The store's live index set; ``None`` (= unknown) without a store."""
+        Profitability estimates price against the store's *current*
+        contents, not the snapshot the cost model was built with, and the
+        optimizer reads the store's live index set (runtime-created and
+        dropped indexes included); without a store they fall back to that
+        snapshot and to the schema.  The store's methods are bound, not the
+        service's, so nothing the optimizer holds refers back to the
+        service: a closed service is freed by reference counting.
+        """
         store = self.store
-        if store is None:
-            return None
-        try:
-            return store.indexes.is_indexed(class_name, attribute_name)
-        except Exception:
-            return None
+        if self.optimizer.cost_model is not None:
+            self.optimizer.cost_model.bind_statistics(
+                None if store is None else store.statistics
+            )
+        self.optimizer.index_probe = None if store is None else store.is_indexed
 
     def _rule_filter(self, constraint) -> bool:
-        """Whether ``constraint`` may participate in optimization."""
+        """Whether ``constraint`` may participate in optimization (the
+        optimizer's filter once self-tuning is on)."""
         tuning = self._tuning
-        if tuning is None or not tuning.config.learn_rules:
-            return True
-        return not tuning.is_demoted(constraint.name)
+        return not (tuning.config.learn_rules and tuning.is_demoted(constraint.name))
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -412,6 +401,7 @@ class OptimizationService:
     def attach_store(self, store) -> None:
         """Attach (or replace) the object store used by :meth:`execute`."""
         self.store = store
+        self._bind_store_views()
         self._drop_executors()
 
     def attach_durability(self, manager) -> None:
@@ -953,8 +943,10 @@ class OptimizationService:
             self.optimizer.cost_model = EngineCostModel(
                 self.schema, self.store.statistics()
             )
-        self.optimizer.cost_model.bind_statistics(self._live_statistics)
+        self.optimizer.cost_model.bind_statistics(self.store.statistics)
         self._tuning = SelfTuningManager(config)
+        # Demoted rules sit out of retrieval (a no-op without rule learning).
+        self.optimizer.rule_filter = self._rule_filter
         return self._tuning
 
     def _tuning_feedback(self, result: ExecutionEnvelope, baseline=None) -> None:

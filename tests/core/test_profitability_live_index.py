@@ -97,11 +97,11 @@ def test_service_wires_live_probe_into_optimizer(setup):
     )
     try:
         assert service.optimizer.index_probe is not None
-        assert service._live_index_probe("cargo", "category") is True
+        assert service.optimizer.index_probe("cargo", "category") is True
         setup.store.drop_index("cargo", "category")
-        assert service._live_index_probe("cargo", "category") is False
+        assert service.optimizer.index_probe("cargo", "category") is False
         setup.store.create_index("cargo", "category")
-        assert service._live_index_probe("cargo", "category") is True
+        assert service.optimizer.index_probe("cargo", "category") is True
     finally:
         service.close()
 
