@@ -21,8 +21,8 @@ def record_bench(artifact: str, section: str, payload: dict) -> Path:
     ``artifact`` is the file name (e.g. ``"BENCH_engine.json"``); each
     benchmark owns one ``section`` key so reruns replace their own numbers
     without clobbering the other sections.  Environment context that
-    affects interpretation (core count, engine matrix leg, smoke mode) is
-    stamped at the top level.
+    affects interpretation (core count, smoke mode) is stamped at the top
+    level.
     """
     path = ARTIFACT_DIR / artifact
     try:
@@ -32,7 +32,6 @@ def record_bench(artifact: str, section: str, payload: dict) -> Path:
     data[section] = payload
     data["context"] = {
         "cpu_count": os.cpu_count(),
-        "engine_env": os.environ.get("REPRO_ENGINE", ""),
         "smoke": bool(os.environ.get("REPRO_BENCH_SMOKE")),
     }
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

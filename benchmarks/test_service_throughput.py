@@ -118,8 +118,7 @@ def test_execute_many_throughput_recorded(bench_setup):
     ``execute_many`` optimizes the workload once (batch dedup + result
     cache) and executes it on each engine against the same store; every
     engine must return the same rows, and the per-engine wall times land in
-    the service artifact.  No speedup gate: on a single-core runner the
-    parallel engine is *expected* to lose — the point of the record is the
+    the service artifact.  No speedup gate: the point of the record is the
     trajectory on real hardware.
     """
     workload = list(bench_setup.queries)
@@ -129,12 +128,11 @@ def test_execute_many_throughput_recorded(bench_setup):
         cost_model=bench_setup.cost_model,
         config=OptimizerConfig(record_access_statistics=False),
         store=bench_setup.store,
-        engine_workers=4,
     )
     try:
         reference = None
         throughput = {}
-        for mode in ("rowwise", "vectorized", "parallel"):
+        for mode in ("rowwise", "vectorized"):
             best = None
             for _ in range(2):
                 batch = service.execute_many(workload, execution_mode=mode)
@@ -157,7 +155,6 @@ def test_execute_many_throughput_recorded(bench_setup):
                 )
                 if best.stats.execute_time > 0
                 else None,
-                "workers": best.stats.workers,
             }
             print(f"\nexecute_many[{mode}]: {best.summary()}")
         record_bench(

@@ -123,21 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=["rowwise", "vectorized", "parallel"],
+        choices=["rowwise", "vectorized"],
         default=None,
-        help=(
-            "execution engine used by --execute and the experiments "
-            "(default: REPRO_ENGINE env var, else rowwise)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker-pool width for the parallel engine "
-            "(default: REPRO_WORKERS env var, else the core count)"
-        ),
+        help="execution engine used by --execute and the experiments "
+        "(default: vectorized)",
     )
     parser.add_argument(
         "--execute",
@@ -161,12 +150,10 @@ def _execute_comparison(args: argparse.Namespace, schema, constraints, service, 
     service.attach_store(database.store)
     cost_model = CostModel(schema, database.store.statistics())
     original = service.execute(
-        result.original, optimize=False, execution_mode=args.engine,
-        workers=args.workers,
+        result.original, optimize=False, execution_mode=args.engine
     )
     optimized = service.execute(
-        result.original, optimize=True, execution_mode=args.engine,
-        workers=args.workers,
+        result.original, optimize=True, execution_mode=args.engine
     )
     print(f"\nExecution ({original.execution_mode} engine, demo database):")
     print(f"  original : {original.summary()}")
@@ -268,16 +255,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="which Table 4.1 database instance to generate and serve",
     )
     parser.add_argument(
-        "--shards", type=int, default=1, help="store shard count (parallel engine)"
+        "--shards", type=int, default=1, help="store shard count"
     )
     parser.add_argument(
         "--engine",
-        choices=["rowwise", "vectorized", "parallel"],
+        choices=["rowwise", "vectorized"],
         default=None,
-        help="default execution engine (default: REPRO_ENGINE, else rowwise)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="parallel-engine pool width"
+        help="default execution engine (default: vectorized)",
     )
     parser.add_argument(
         "--worker-threads", type=int, default=4, help="gateway worker thread count"
@@ -465,7 +449,6 @@ def run_serve(argv: List[str]) -> int:
             cost_model=setup.cost_model,
             store=store,
             execution_mode=args.engine,
-            engine_workers=args.workers,
         )
         if manager is not None:
             service.attach_durability(manager)
@@ -751,7 +734,7 @@ def build_bench_client_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=["rowwise", "vectorized", "parallel"],
+        choices=["rowwise", "vectorized"],
         default=None,
         help="execution_mode option sent with every request",
     )
@@ -939,7 +922,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiments:
         from .experiments import run_all
 
-        report = run_all(quick=args.quick, engine=args.engine, workers=args.workers)
+        report = run_all(quick=args.quick, engine=args.engine)
         print(report.render())
         return 0
 

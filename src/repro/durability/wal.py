@@ -32,7 +32,7 @@ applies the fsync policy:
     drain/shutdown path — still fsyncs unconditionally.
 
 The Python-level flush in every commit is load-bearing beyond
-durability: the parallel engine forks workers while holding the read
+durability: a parallel executor forks workers while holding the read
 lock, mutually exclusive with the write lock this runs under, so a
 child process never inherits half-buffered WAL bytes it could later
 double-write.

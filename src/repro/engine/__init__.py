@@ -12,12 +12,7 @@ from .instance import ObjectInstance
 from .indexes import HashIndex, IndexManager, SortedIndex
 from .storage import ObjectStore, ShardedObjectStore, StorageError, StoreShard
 from .statistics import AttributeStatistics, DatabaseStatistics
-from .modes import (
-    ExecutionMode,
-    create_executor,
-    default_execution_mode,
-    default_worker_count,
-)
+from .modes import ExecutionMode, create_executor
 from .plan import (
     FilterNode,
     PlanNode,
@@ -67,7 +62,5 @@ __all__ = [
     "compile_for_binding",
     "compile_for_class",
     "create_executor",
-    "default_execution_mode",
-    "default_worker_count",
     "plan_predicates",
 ]

@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from ..constraints.predicate import Predicate, partition_by_class
 from ..query.query import Query
 from ..schema.schema import Schema
-from .modes import ExecutionMode, resolve_execution_mode, resolve_worker_count
+from .modes import ExecutionMode, resolve_execution_mode
 from .statistics import DatabaseStatistics
 
 
@@ -53,12 +53,6 @@ class CostWeights:
     predicate_compilation: float = 0.05
     #: Per-column setup charge for batching (column extraction and masks).
     batch_column_setup: float = 0.02
-    #: One-off dispatch cost per parallel worker per query (task pickling,
-    #: queue round trip, driver-partition transport).
-    worker_dispatch: float = 10.0
-    #: Parent-side merge cost per output row of a parallel execution
-    #: (rebuilding the row from shipped OID columns and position-merging).
-    parallel_merge_per_row: float = 0.01
 
 
 @dataclass
@@ -123,18 +117,16 @@ class QueryPricing:
         source: Union["CostModel", "QueryPricing"],
         query: Query,
         mode: Optional[Union[str, ExecutionMode]] = None,
-        workers: Optional[int] = None,
     ) -> None:
         # The one read of the model's (live) statistics and weights; from
         # an earlier pricing, the snapshot it took.
         self.schema = source.schema
         self.statistics = source.statistics
         self.weights = source.weights
-        # Estimates default to the row-wise baseline (not the process
-        # default): callers compare modes explicitly, so an env var must
-        # not silently change what an unqualified estimate means.
+        # Estimates default to the row-wise baseline (not the engine
+        # default): callers compare modes explicitly, so a change of the
+        # served engine must not change what an unqualified estimate means.
         self.mode = resolve_execution_mode(mode, default=ExecutionMode.ROWWISE)
-        self.workers = workers
         self._batched = self.mode is not ExecutionMode.ROWWISE
         #: Per-row cost of one predicate evaluation under the mode.
         self._evaluation = (
@@ -165,7 +157,7 @@ class QueryPricing:
         local predicate list is the same in ``query``, and binding orders
         when ``query`` has the same classes and relationships.
         """
-        other = QueryPricing(self, query, self.mode, self.workers)
+        other = QueryPricing(self, query, self.mode)
         other._prices = {
             name: price
             for name, price in self._prices.items()
@@ -329,13 +321,7 @@ class QueryPricing:
         classes, carrying forward the estimated number of partial results
         and charging retrieval for every instance touched along the way.
         The vectorized engine touches the same instances and pointers but
-        pays the compiled (batch) rate per predicate evaluation, and the
-        parallel engine additionally spreads everything past the driver
-        scan over ``workers`` partitions (``None`` = the process default
-        worker count) while paying dispatch and merge overheads — the
-        estimate is *wall-clock-shaped*, so on small extents the overhead
-        dominates and the model correctly predicts that fan-out is not
-        worth it.
+        pays the compiled (batch) rate per predicate evaluation.
         """
         if self._estimate is not None:
             return self._estimate
@@ -343,8 +329,9 @@ class QueryPricing:
         driver = self.driver()
         driver_price = self.class_price(driver)
         driver_scan = driver_price.scan
-        # Everything after the driver scan is accumulated separately: in
-        # parallel mode those parts run partitioned across the workers.
+        # Everything after the driver scan is accumulated separately and
+        # added to it last: the formulation digests pin this summation
+        # order bit for bit.
         distributed = CostEstimate()
 
         connected, disconnected = self._walk(driver)
@@ -374,25 +361,9 @@ class QueryPricing:
         construction = current_rows * weights.result_construction
 
         estimate = self._estimate = CostEstimate()
-        if self.mode is ExecutionMode.PARALLEL:
-            width = max(1, resolve_worker_count(self.workers))
-            estimate.retrieval = (
-                driver_scan.retrieval + distributed.retrieval / width
-            )
-            estimate.traversal = distributed.traversal / width
-            # The driver scan, the final materialization and the merge all
-            # run in the parent; dispatch is paid once per worker.
-            estimate.cpu = (
-                driver_scan.cpu
-                + distributed.cpu / width
-                + construction
-                + current_rows * weights.parallel_merge_per_row
-                + width * weights.worker_dispatch
-            )
-        else:
-            estimate.retrieval = driver_scan.retrieval + distributed.retrieval
-            estimate.traversal = distributed.traversal
-            estimate.cpu = driver_scan.cpu + distributed.cpu + construction
+        estimate.retrieval = driver_scan.retrieval + distributed.retrieval
+        estimate.traversal = distributed.traversal
+        estimate.cpu = driver_scan.cpu + distributed.cpu + construction
         return estimate
 
 
@@ -461,13 +432,12 @@ class CostModel:
         self,
         query: Query,
         mode: Optional[Union[str, ExecutionMode]] = None,
-        workers: Optional[int] = None,
     ) -> QueryPricing:
         """``query`` priced against the current statistics and weights.
 
         ``mode`` selects the engine being estimated (default: row-wise).
         """
-        return QueryPricing(self, query, mode, workers)
+        return QueryPricing(self, query, mode)
 
     def scan_estimate(
         self,
@@ -489,19 +459,17 @@ class CostModel:
         self,
         query: Query,
         mode: Optional[Union[str, ExecutionMode]] = None,
-        workers: Optional[int] = None,
     ) -> CostEstimate:
         """Estimate the execution cost of ``query`` (:meth:`QueryPricing.estimate`)."""
-        return self.price(query, mode, workers).estimate()
+        return self.price(query, mode).estimate()
 
     def estimate_query_cost(
         self,
         query: Query,
         mode: Optional[Union[str, ExecutionMode]] = None,
-        workers: Optional[int] = None,
     ) -> float:
         """Scalar convenience wrapper around :meth:`estimate_query`."""
-        return self.estimate_query(query, mode, workers).total
+        return self.estimate_query(query, mode).total
 
     def vectorization_speedup(self, query: Query) -> float:
         """Estimated rowwise/vectorized cost ratio for ``query`` (>= 0)."""
@@ -509,24 +477,6 @@ class CostModel:
         if vectorized <= 0:
             return 1.0
         return self.estimate_query_cost(query, ExecutionMode.ROWWISE) / vectorized
-
-    def parallelization_speedup(
-        self, query: Query, workers: Optional[int] = None
-    ) -> float:
-        """Estimated vectorized/parallel cost ratio at ``workers`` width.
-
-        Values above 1 predict that fanning the query out pays for its
-        dispatch and merge overheads; small extents land below 1, which is
-        the model's way of telling the executor to stay in-process.
-        """
-        parallel = self.estimate_query_cost(
-            query, ExecutionMode.PARALLEL, workers=workers
-        )
-        if parallel <= 0:
-            return 1.0
-        return (
-            self.estimate_query_cost(query, ExecutionMode.VECTORIZED) / parallel
-        )
 
     # ------------------------------------------------------------------
     # Measured cost

@@ -1,8 +1,9 @@
 """Partition-parallel plan execution over a shard set.
 
-This is the third execution path of the engine
-(:data:`~repro.engine.modes.ExecutionMode.PARALLEL`).  It executes the same
-plans as the other engines, against the same (optionally sharded)
+An engine-level executor that no execution mode selects: it is built
+directly (``ParallelExecutor(schema, store, workers=...)``) and runs
+vectorized plans.  It executes the same plans as the other engines,
+against the same (optionally sharded)
 :class:`~repro.engine.storage.ObjectStore`, and returns the same rows and
 the same :class:`~repro.engine.executor.ExecutionMetrics` — the
 differential-oracle and metrics-parity suites pin both — but it splits the
@@ -51,6 +52,7 @@ in-process pipeline, so correctness never depends on the pool.
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import threading
 import time
@@ -63,7 +65,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..query.query import Query
 from ..schema.schema import Schema
 from .executor import ExecutionMetrics, ExecutionResult, ShardReport, build_rows
-from .modes import ExecutionMode, resolve_worker_count
+from .modes import ExecutionMode
 from .plan import QueryPlan, ScanNode
 from .statistics import DatabaseStatistics
 from .storage import ObjectStore
@@ -73,6 +75,10 @@ from .vectorized import BindingBatch, VectorizedExecutor, _PlanContext
 #: below it the executor stays in-process (transport costs more than the
 #: pipeline).  Tests force the pool path by passing ``min_partition_rows=1``.
 DEFAULT_MIN_PARTITION_ROWS = 128
+
+#: Upper bound on the worker count chosen from the core count; an explicit
+#: ``workers=`` may exceed it.
+MAX_DEFAULT_WORKERS = 4
 
 #: How many plans one batch-mode worker task carries.  Larger chunks
 #: amortize the per-task submit/collect round trip; smaller chunks let the
@@ -129,6 +135,23 @@ def _init_worker(schema: Schema, store: ObjectStore, join_strategy: str) -> None
     _WORKER_STATE = _WorkerState(schema, store, join_strategy)
 
 
+def resolve_worker_count(value: Optional[int]) -> int:
+    """The pool width for ``workers=value``: ``None`` is the core count
+    capped at :data:`MAX_DEFAULT_WORKERS` (``1`` on a single core, which
+    keeps execution in-process); anything else must be an integer >= 1."""
+    if value is None:
+        return max(1, min(MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
+    try:
+        workers = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"worker count must be an integer, got {value!r}"
+        ) from None
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    return workers
+
+
 def _apply_worker_journal(records) -> int:
     """Replay a journal delta into this worker's forked store snapshot."""
     state = _WORKER_STATE
@@ -138,8 +161,6 @@ def _apply_worker_journal(records) -> int:
 
 def _worker_pid() -> int:
     """This worker process's PID (test/debug introspection)."""
-    import os
-
     return os.getpid()
 
 
@@ -224,14 +245,15 @@ class ParallelExecutor:
     """Executes query plans with per-shard pipelines on a worker pool.
 
     Parameters mirror the other executors; additionally ``workers`` sets
-    the pool width (``None`` = ``REPRO_WORKERS`` env var, else the core
-    count capped at 4) and ``min_partition_rows`` the driver-set size below
+    the pool width (``None`` = the core count capped at 4) and
+    ``min_partition_rows`` the driver-set size below
     which execution stays in-process.  With ``workers=1`` the executor is
     an in-process engine with exactly the vectorized engine's behaviour.
     """
 
-    #: The mode this executor implements (introspection/factory symmetry).
-    mode = ExecutionMode.PARALLEL
+    #: The mode of the plans this executor runs: per-shard vectorized
+    #: pipelines, so its plans are the vectorized engine's.
+    mode = ExecutionMode.VECTORIZED
 
     def __init__(
         self,

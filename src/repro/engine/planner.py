@@ -37,16 +37,15 @@ class ConventionalPlanner:
     """Builds a :class:`~repro.engine.plan.QueryPlan` for a five-part query.
 
     ``execution_mode`` selects which engine the emitted plans target
-    (row-wise interpretation, vectorized batches, or partition-parallel
-    batches).  The plan *shape* is deliberately identical in every mode —
-    each executor accepts any plan, and metric parity between the engines
+    (row-wise interpretation or vectorized batches; default vectorized).
+    The plan *shape* is deliberately identical in every mode — each
+    executor accepts any plan, and metric parity between the engines
     depends on it — so the mode is purely recorded on the plan (and in its
     notes) for executor factories and traces.  The left-deep chains this
     planner emits always satisfy the partition contract
     (:meth:`~repro.engine.plan.QueryPlan.partition_leaf`), which is what
-    lets the parallel engine split the driver scan without changing the
-    plan shape.  The default is the process default (``REPRO_ENGINE`` env
-    var, else rowwise).
+    lets :class:`~repro.engine.parallel.ParallelExecutor` split the driver
+    scan without changing the plan shape.
     """
 
     def __init__(
@@ -177,11 +176,6 @@ class ConventionalPlanner:
         node = ProjectNode(child=node, projections=tuple(query.projections))
         if self.execution_mode is ExecutionMode.VECTORIZED:
             notes.append("vectorized batch execution")
-        elif self.execution_mode is ExecutionMode.PARALLEL:
-            notes.append(
-                f"parallel partitioned execution (driver {driver} "
-                "hash-partitioned by OID)"
-            )
         return QueryPlan(
             root=node,
             class_order=tuple(order),

@@ -81,16 +81,14 @@ def run_all(
     seed: int = 7,
     quick: bool = False,
     engine: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentReport:
     """Run every experiment.
 
     ``quick`` shrinks workloads so the full report finishes in a few seconds
     (used by tests); the default parameters match the paper's setup.
     ``engine`` selects the execution engine for the cost-measuring
-    experiments (``"rowwise"`` / ``"vectorized"`` / ``"parallel"``;
-    ``None`` = process default) and ``workers`` the parallel engine's pool
-    width — counters, and therefore the reported numbers, are
+    experiments (``"rowwise"`` / ``"vectorized"``; ``None`` = vectorized)
+    — counters, and therefore the reported numbers, are
     engine-independent.
     """
     count = 12 if quick else query_count
@@ -104,7 +102,6 @@ def run_all(
         seed=seed,
         check_answers=not quick,
         execution_mode=engine,
-        workers=workers,
     )
     report.complexity = run_complexity(
         constraint_counts=(8, 16, 32) if quick else (8, 16, 32, 64, 128),
@@ -128,15 +125,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=["rowwise", "vectorized", "parallel"],
+        choices=["rowwise", "vectorized"],
         default=None,
-        help="execution engine for the cost-measuring experiments",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-pool width for the parallel engine",
+        help="execution engine for the cost-measuring experiments "
+        "(default: vectorized)",
     )
     args = parser.parse_args(argv)
     report = run_all(
@@ -144,7 +136,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         quick=args.quick,
         engine=args.engine,
-        workers=args.workers,
     )
     print(report.render())
     return 0

@@ -180,7 +180,6 @@ def run_table_4_2(
     check_answers: bool = True,
     queries: Optional[Sequence[Query]] = None,
     execution_mode: Optional[ExecutionMode] = None,
-    workers: Optional[int] = None,
     shard_count: int = 1,
 ) -> Table42Result:
     """Reproduce Table 4.2.
@@ -200,16 +199,14 @@ def run_table_4_2(
     queries:
         Optional explicit workload overriding the generated one.
     execution_mode:
-        Which engine executes the workload (``None`` = process default).
+        Which engine executes the workload (``None`` = vectorized).
         The engines report identical cost counters — the golden-snapshot
         tests pin this — so the mode changes the experiment's wall-clock
         time, never its numbers.
-    workers:
-        Worker-pool width for the parallel engine (ignored by the others).
     shard_count:
         Hash-partition the generated stores into this many shards.  The
         generated data and the measured counters are identical for every
-        shard count; sharding only feeds the parallel engine's partitions.
+        shard count.
     """
     specs = dict(specs or TABLE_4_1_SPECS)
     schema = evaluation.build_evaluation_schema()
@@ -246,7 +243,6 @@ def run_table_4_2(
             database.store,
             mode=execution_mode,
             join_strategy="nested_loop",
-            workers=workers,
         )
 
         row = Table42Row(database=name)

@@ -92,22 +92,13 @@ def answers_match(
     attributes were projected; projected classes are never eliminated).
     ``execution_mode`` selects the engine (an
     :class:`~repro.engine.modes.ExecutionMode` or its name); ``None`` uses
-    the process default, so the whole suite's answer checks run under
-    whichever engine the CI matrix selects.
+    ``vectorized``.
     """
     from ..engine.modes import create_executor
 
     executor = create_executor(schema, store, mode=execution_mode)
-    try:
-        original_result = executor.execute(original)
-        optimized_result = executor.execute(optimized)
-    finally:
-        # The parallel engine may have forked a worker pool for this
-        # one-shot executor; release it deterministically rather than
-        # leaving the processes to the GC finalizer.
-        close = getattr(executor, "close", None)
-        if close is not None:
-            close()
+    original_result = executor.execute(original)
+    optimized_result = executor.execute(optimized)
 
     optimized_classes = set(optimized.classes)
     shared_projections = [

@@ -105,9 +105,9 @@ frame is only emitted after its mutation's WAL commit is durable.
 
 Option values accepted by ``optimize``/``execute``/``execute_batch``:
 ``optimize`` (bool), ``use_cache`` (bool), ``execution_mode``
-(``rowwise``/``vectorized``/``parallel``), ``join_strategy``
-(``hash``/``nested_loop``), ``workers`` (int ≥ 1) and ``timeout``
-(seconds, capped by the server's own request timeout).  ``timeout``
+(``rowwise``/``vectorized``), ``join_strategy`` (``hash``/``nested_loop``)
+and ``timeout`` (positive seconds, not NaN, capped by the server's own
+request timeout).  ``timeout``
 bounds only queued or pooled work: an ``optimize``/``execute`` whose
 optimization is already cached is answered on the event loop without
 waiting (see :class:`OpSpec`'s ``warm``), so it never times out.
@@ -159,7 +159,6 @@ OPTION_KEYS = (
     "use_cache",
     "execution_mode",
     "join_strategy",
-    "workers",
     "timeout",
 )
 
@@ -332,18 +331,13 @@ def _parse_options(raw: Any) -> Dict[str, Any]:
             raise ProtocolError(
                 "option 'join_strategy' must be 'hash' or 'nested_loop'"
             )
-    if "workers" in options:
-        if (
-            not isinstance(options["workers"], int)
-            or isinstance(options["workers"], bool)
-            or options["workers"] < 1
-        ):
-            raise ProtocolError("option 'workers' must be an integer >= 1")
     if "timeout" in options:
+        timeout = options["timeout"]
         if (
-            not isinstance(options["timeout"], (int, float))
-            or isinstance(options["timeout"], bool)
-            or options["timeout"] <= 0
+            not isinstance(timeout, (int, float))
+            or isinstance(timeout, bool)
+            # ``not >``, not ``<=``: NaN compares false both ways.
+            or not timeout > 0
         ):
             raise ProtocolError("option 'timeout' must be a positive number")
     return options
@@ -602,12 +596,10 @@ def execution_payload(envelope: ExecutionEnvelope) -> Dict[str, Any]:
     """The ``result`` object of an ``execute`` response.
 
     Carries the answer rows (the projection, exactly as the engine built
-    them), the engine's cost counters, wall-clock timings, cache
-    provenance of the optimization half, and per-shard reports when the
-    parallel engine fanned out.
+    them), the engine's cost counters, wall-clock timings and the cache
+    provenance of the optimization half.
     """
     optimization = envelope.optimization
-    shard_timings = envelope.shard_timings
     return {
         "rows": envelope.execution.rows,
         "row_count": envelope.execution.row_count,
@@ -622,11 +614,6 @@ def execution_payload(envelope: ExecutionEnvelope) -> Dict[str, Any]:
             "optimized": optimization is not None,
             "source": optimization.source.value if optimization else None,
         },
-        "shard_timings": (
-            {str(shard): elapsed for shard, elapsed in shard_timings.items()}
-            if shard_timings is not None
-            else None
-        ),
     }
 
 
@@ -649,7 +636,6 @@ def batch_payload(batch) -> Dict[str, Any]:
             "wall_time": batch.stats.wall_time,
             "optimize_time": batch.stats.optimize_time,
             "execute_time": batch.stats.execute_time,
-            "workers": batch.stats.workers,
             "execution_mode": batch.stats.execution_mode,
             "throughput": batch.stats.throughput,
         },

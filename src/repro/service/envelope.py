@@ -21,7 +21,7 @@ from ..core.trace import OptimizationTrace
 from ..query.query import Query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.executor import ExecutionMetrics, ExecutionResult, ShardReport
+    from ..engine.executor import ExecutionMetrics, ExecutionResult
 
 
 class ResultSource(enum.Enum):
@@ -97,10 +97,6 @@ class ServiceStats:
     repository_generation: int = 0
     #: Number of declared (pre-closure) constraints.
     repository_constraints: int = 0
-    #: ``mode/join_strategy`` labels of the executors the service keeps:
-    #: the parallel ones (each owns a worker pool); in-process executors
-    #: are built per call.
-    executors: Tuple[str, ...] = ()
     #: Whether an object store is attached (``execute`` is available).
     store_attached: bool = False
     #: The attached store's mutation counter (0 without a store).
@@ -142,7 +138,6 @@ class ServiceStats:
                 "generation": self.repository_generation,
                 "constraints": self.repository_constraints,
             },
-            "executors": list(self.executors),
             "store_attached": self.store_attached,
             "store_version": self.store_version,
             "mutations_applied": self.mutations_applied,
@@ -258,23 +253,6 @@ class ExecutionEnvelope:
         """The engine's primitive-operation counters."""
         return self.execution.metrics
 
-    @property
-    def shard_reports(self) -> Optional[List["ShardReport"]]:
-        """Per-shard accounting when the parallel engine fanned out."""
-        return self.execution.shard_reports
-
-    @property
-    def shard_timings(self) -> Optional[Dict[int, float]]:
-        """Per-shard worker wall-clock seconds (``None`` unless fanned out).
-
-        The spread across shards shows partition skew; the maximum is the
-        pool-side critical path of this execution.
-        """
-        reports = self.execution.shard_reports
-        if reports is None:
-            return None
-        return {report.shard_id: report.elapsed for report in reports}
-
     def summary(self) -> str:
         """One-line human-readable execution summary."""
         prefix = (
@@ -282,11 +260,9 @@ class ExecutionEnvelope:
             if self.optimization is not None
             else "[unoptimized] "
         )
-        reports = self.execution.shard_reports
-        shards = f" across {len(reports)} shards" if reports else ""
         return (
             f"{prefix}{self.execution.row_count} rows via "
-            f"{self.execution_mode} engine{shards} in "
+            f"{self.execution_mode} engine in "
             f"{self.execute_time * 1000:.2f} ms"
         )
 
@@ -371,7 +347,6 @@ class ExecutionBatchStats:
     wall_time: float = 0.0
     optimize_time: float = 0.0
     execute_time: float = 0.0
-    workers: int = 1
     execution_mode: str = ""
 
     @property
@@ -419,7 +394,6 @@ class BatchStats:
     computed: int = 0
     result_cache_hits: int = 0
     wall_time: float = 0.0
-    workers: int = 1
 
     @property
     def duplicates(self) -> int:

@@ -33,7 +33,7 @@ from ..constraints.dynamic import DerivationConfig, DynamicRuleDeriver
 from ..constraints.horn_clause import ConstraintOrigin, SemanticConstraint
 from ..constraints.repository import ConstraintRepository, RepositoryCacheStats
 from ..core.optimizer import OptimizerConfig, SemanticQueryOptimizer
-from ..engine.modes import ExecutionMode, resolve_execution_mode
+from ..engine.modes import create_executor, resolve_execution_mode
 from ..query.equivalence import equivalence_key
 from ..query.query import Query
 from ..schema.schema import Schema
@@ -86,15 +86,7 @@ class OptimizationService:
     execution_mode:
         Default engine for :meth:`execute` — an
         :class:`~repro.engine.modes.ExecutionMode` or its name
-        (``"rowwise"`` / ``"vectorized"`` / ``"parallel"``).  ``None`` uses
-        the process default (``REPRO_ENGINE`` env var, else rowwise).
-    engine_workers:
-        Default worker-pool width for the parallel engine (``None`` =
-        ``REPRO_WORKERS`` env var, else the core count capped at 4).
-    engine_min_partition_rows:
-        Driver-set size below which the parallel engine stays in-process
-        (``None`` = the engine default).  Tests and benchmarks lower it to
-        force fan-out on small stores.
+        (``"rowwise"`` / ``"vectorized"``).  ``None`` uses ``vectorized``.
 
     Examples
     --------
@@ -129,8 +121,6 @@ class OptimizationService:
         result_cache_size: int = 1024,
         store=None,
         execution_mode=None,
-        engine_workers: Optional[int] = None,
-        engine_min_partition_rows: Optional[int] = None,
     ) -> None:
         self.optimizer = SemanticQueryOptimizer(
             schema,
@@ -141,9 +131,7 @@ class OptimizationService:
         )
         self.schema = schema
         self.store = store
-        self.execution_mode = execution_mode
-        self.engine_workers = engine_workers
-        self.engine_min_partition_rows = engine_min_partition_rows
+        self.execution_mode = resolve_execution_mode(execution_mode)
         self._result_cache: LruCache = LruCache(result_cache_size)
         # Single-writer coordination for the live mutation path: query
         # executions hold the shared side, :meth:`mutate` the exclusive
@@ -160,15 +148,9 @@ class OptimizationService:
         # touching a tracked class re-derives only that class's rules.
         self._deriver: Optional[DynamicRuleDeriver] = None
         self._dynamic_classes: Optional[set] = None
-        # The parallel executors, one per (mode, strategy, width): each
-        # owns forked workers that must survive between requests.  The
-        # in-process executors hold no state and are built per call.
-        self._executors: Dict[Tuple, object] = {}
-        # Guards check-then-create on the executor map: concurrent first
-        # requests (gateway worker threads) must not build duplicate
-        # executors — a replaced parallel executor would leak its forked
-        # worker pool.
-        self._executor_lock = threading.Lock()
+        # Guards the lazy build of the subscription registry: concurrent
+        # first subscribers must share one.
+        self._subscriptions_lock = threading.Lock()
         #: In-flight deduplication map: the async gateway keys whole
         #: request payloads with it.  Safe to drive from threads and from
         #: an event loop alike.
@@ -264,7 +246,7 @@ class OptimizationService:
 
         The view the gateway's ``stats`` RPC serializes: cache counters,
         single-flight dedup counters, repository generation/size and the
-        executor set, each counter group read under its own lock.
+        store's counters, each counter group read under its own lock.
         """
         return ServiceStats(
             cache=self.cache_stats(),
@@ -276,12 +258,6 @@ class OptimizationService:
                 len(self.repository.declared())
                 if self.repository is not None
                 else 0
-            ),
-            executors=tuple(
-                sorted(
-                    f"{mode}/{strategy}"
-                    for mode, strategy, _ in list(self._executors)
-                )
             ),
             store_attached=self.store is not None,
             store_version=getattr(self.store, "version", 0) or 0,
@@ -402,7 +378,6 @@ class OptimizationService:
         """Attach (or replace) the object store used by :meth:`execute`."""
         self.store = store
         self._bind_store_views()
-        self._drop_executors()
 
     def attach_durability(self, manager) -> None:
         """Attach an opened durability manager to the write path.
@@ -524,9 +499,8 @@ class OptimizationService:
         """Apply replicated mutation records on a replica; returns count.
 
         The replica-side write path: records stream in from the
-        primary's feed and replay through the store's ``apply_journal``
-        — exactly how forked parallel workers catch up — so shard
-        versions advance like the original writes and every
+        primary's feed and replay through the store's ``apply_journal``,
+        so shard versions advance like the original writes and every
         shard-granular cache invalidates identically.  Everything after
         the apply is the primary's own commit path (:meth:`_commit_write`).
         """
@@ -549,7 +523,7 @@ class OptimizationService:
         follower after each applied WAL frame), so the registry lives on
         the service, not on the gateway.
         """
-        with self._executor_lock:
+        with self._subscriptions_lock:
             if self.subscriptions is None:
                 from ..subscriptions import SubscriptionRegistry
 
@@ -575,16 +549,12 @@ class OptimizationService:
         self._commit_write("resync", swap)
 
     def close(self) -> None:
-        """Release execution resources (worker pools, cached executors).
+        """Flush the durability layer's pending group commit, if any.
 
-        The service stays usable afterwards — the next execution simply
-        rebuilds what it needs — so this is about *deterministic* release
-        of the parallel engine's forked worker processes instead of
-        waiting for garbage collection.  Also usable as a context manager:
-        ``with OptimizationService(...) as service: ...``.
+        The service stays usable afterwards.  Also usable as a context
+        manager: ``with OptimizationService(...) as service: ...``.
         """
         self.flush_durability()
-        self._drop_executors()
 
     def __enter__(self) -> "OptimizationService":
         return self
@@ -599,53 +569,16 @@ class OptimizationService:
                 "store= at construction or call attach_store()"
             )
 
-    def _drop_executors(self) -> None:
-        """Forget the parallel executors, shutting down their worker pools."""
-        with self._executor_lock:
-            executors = list(self._executors.values())
-            self._executors.clear()
-        for executor in executors:
-            executor.close()
-
-    def _engine(self, execution_mode) -> ExecutionMode:
-        """The engine a call runs on: its own mode, else the service's
-        default, else the process default (``REPRO_ENGINE``)."""
-        return resolve_execution_mode(
-            execution_mode if execution_mode is not None else self.execution_mode
-        )
-
-    def _executor(self, execution_mode, join_strategy: str, workers=None):
-        """The executor for one (mode, strategy, workers) triple.
-
-        A parallel executor is kept and reused so its forked worker pool
-        survives between requests; the in-process engines are stateless and
-        built for the call.
-        """
-        from ..engine.modes import create_executor, resolve_worker_count
-
+    def _executor(self, execution_mode, join_strategy: str):
+        """An executor of ``execution_mode`` (``None``: the service's) with
+        ``join_strategy``, built for the call: the engines hold no state."""
         self._require_store()
-        resolved = self._engine(execution_mode)
-        if resolved is not ExecutionMode.PARALLEL:
-            return create_executor(
-                self.schema, self.store, mode=resolved, join_strategy=join_strategy
-            )
-        width = resolve_worker_count(
-            workers if workers is not None else self.engine_workers
+        return create_executor(
+            self.schema,
+            self.store,
+            mode=self.execution_mode if execution_mode is None else execution_mode,
+            join_strategy=join_strategy,
         )
-        key = (resolved.value, join_strategy, width)
-        with self._executor_lock:
-            executor = self._executors.get(key)
-            if executor is None:
-                executor = create_executor(
-                    self.schema,
-                    self.store,
-                    mode=resolved,
-                    join_strategy=join_strategy,
-                    workers=width,
-                    min_partition_rows=self.engine_min_partition_rows,
-                )
-                self._executors[key] = executor
-        return executor
 
     def execute(
         self,
@@ -654,17 +587,14 @@ class OptimizationService:
         use_cache: bool = True,
         execution_mode=None,
         join_strategy: str = "hash",
-        workers: Optional[int] = None,
     ) -> ExecutionEnvelope:
         """Optimize ``query`` (optionally) and execute it against the store.
 
         The optimization half reuses :meth:`optimize` (including the result
         cache); the execution half runs on the engine selected by
-        ``execution_mode`` (service default, else process default), with
-        ``workers`` widening the parallel engine's pool.  Every engine
+        ``execution_mode`` (else the service's default).  Every engine
         returns identical rows and cost counters, so the mode only changes
-        wall-clock time; parallel executions additionally report per-shard
-        timings on the envelope.
+        wall-clock time.
         """
         # One read-lock span covers the optimize half too: dynamic rules
         # derived from store state feed the optimization, so a rule
@@ -674,14 +604,14 @@ class OptimizationService:
         with self._store_lock.read():
             key = self._cache_key(query, use_cache) if optimize else None
             result, baseline = self._execute(
-                query, optimize, key, execution_mode, join_strategy, workers
+                query, optimize, key, execution_mode, join_strategy
             )
         if self._tuning is not None:
             self._tuning_feedback(result, baseline)
         return result
 
     def _execute(
-        self, query: Query, optimize, key, execution_mode, join_strategy, workers
+        self, query: Query, optimize, key, execution_mode, join_strategy
     ) -> Tuple[ExecutionEnvelope, Any]:
         """:meth:`execute` under cache ``key``, for a caller holding the store lock.
 
@@ -694,7 +624,7 @@ class OptimizationService:
         if optimize:
             envelope, entry = self._optimize_keyed(query, key)
             target = envelope.optimized
-        executor = self._executor(execution_mode, join_strategy, workers)
+        executor = self._executor(execution_mode, join_strategy)
         start = time.perf_counter()
         execution = executor.execute_plan(self._plan(executor, target, entry))
         elapsed = time.perf_counter() - start
@@ -750,7 +680,6 @@ class OptimizationService:
         use_cache: bool = True,
         execution_mode=None,
         join_strategy: str = "hash",
-        workers: Optional[int] = None,
     ):
         """:meth:`execute` (or, with ``execute=False``, :meth:`optimize`) if
         it can run now without waiting or optimizing; else ``None``.
@@ -766,13 +695,9 @@ class OptimizationService:
         * the query's optimization is in the result cache under the current
           epoch (or it executes with ``optimize=False``) — checked without
           counting, so only the real lookup counts its hit;
-        * it does not execute on the ``parallel`` engine, which waits on
-          worker processes;
         * self-tuning is off: its maintenance takes the write lock.
         """
         if self._tuning is not None:
-            return None
-        if execute and self._engine(execution_mode) is ExecutionMode.PARALLEL:
             return None
         with self._store_lock.try_read() as held:
             if not held:
@@ -783,7 +708,7 @@ class OptimizationService:
             if not execute:
                 return self._optimize_keyed(query, key)[0]
             return self._execute(
-                query, optimize, key, execution_mode, join_strategy, workers
+                query, optimize, key, execution_mode, join_strategy
             )[0]
 
     def execute_many(
@@ -793,18 +718,14 @@ class OptimizationService:
         use_cache: bool = True,
         execution_mode=None,
         join_strategy: str = "hash",
-        workers: Optional[int] = None,
     ) -> ExecutionBatchResult:
         """Optimize (optionally) and execute a batch of queries.
 
         The optimization half reuses :meth:`optimize_many` (batch dedup,
-        result cache).  The execution half depends on the engine: the
-        **parallel** engine plans every query and feeds the plans to its
-        pipelined ``execute_plans`` batch API, so shard tasks of different
-        queries overlap on one worker pool; the in-process engines execute
-        the batch in order on the calling thread (pure-Python work gains
-        nothing from threads under the interpreter lock).  Results always
-        come back aligned with the input order.
+        result cache).  The execution half runs the batch in order on one
+        executor on the calling thread (pure-Python work gains nothing from
+        threads under the interpreter lock), timing each execution.
+        Results come back aligned with the input order.
         """
         batch = list(queries)
         start = time.perf_counter()
@@ -824,39 +745,26 @@ class OptimizationService:
                 targets = optimized.optimized_queries()
                 optimize_time = optimized.stats.wall_time
 
-            resolved = self._engine(execution_mode)
+            executor = self._executor(execution_mode, join_strategy)
             execute_start = time.perf_counter()
-            if resolved is ExecutionMode.PARALLEL:
-                timed_executions, pool_width = self._execute_batch_parallel(
-                    targets, entries, join_strategy, workers
-                )
-            else:
-                timed_executions, pool_width = self._execute_batch_serial(
-                    targets, entries, resolved, join_strategy
-                )
+            timed_executions = []
+            for target, entry in zip(targets, entries):
+                began = time.perf_counter()
+                execution = executor.execute_plan(self._plan(executor, target, entry))
+                timed_executions.append((execution, time.perf_counter() - began))
             execute_time = time.perf_counter() - execute_start
 
-        # Per-envelope timing: the in-process paths measure each execution
-        # individually; pipelined parallel executions report their worker
-        # critical path (max shard elapsed) when they fanned out, and fall
-        # back to the batch mean otherwise — queries overlap on one pool,
-        # so an exclusive per-query wall clock does not exist there.
-        mean_time = execute_time / len(batch) if batch else 0.0
+        mode = executor.mode.value
         if self._tuning is not None and batch:
             for query, (execution, elapsed) in zip(batch, timed_executions):
-                self._tuning.observe_execution(
-                    resolved.value,
-                    query,
-                    execution.metrics,
-                    elapsed if elapsed is not None else mean_time,
-                )
-            self._tuning_maintenance(resolved.value)
+                self._tuning.observe_execution(mode, query, execution.metrics, elapsed)
+            self._tuning_maintenance(mode)
         results = [
             ExecutionEnvelope(
                 query=query,
                 execution=execution,
-                execution_mode=resolved.value,
-                execute_time=elapsed if elapsed is not None else mean_time,
+                execution_mode=mode,
+                execute_time=elapsed,
                 optimization=envelope,
             )
             for query, (execution, elapsed), envelope in zip(
@@ -868,47 +776,9 @@ class OptimizationService:
             wall_time=time.perf_counter() - start,
             optimize_time=optimize_time,
             execute_time=execute_time,
-            workers=pool_width,
-            execution_mode=resolved.value,
+            execution_mode=mode,
         )
         return ExecutionBatchResult(results=results, stats=stats)
-
-    def _execute_batch_parallel(self, targets, entries, join_strategy: str, workers):
-        """Execute a batch on the (shared) parallel engine, pipelined.
-
-        Returns ``(execution, elapsed-or-None)`` pairs: ``elapsed`` is the
-        worker critical path (max shard elapsed) for fanned-out plans and
-        ``None`` for inline ones.
-        """
-        executor = self._executor("parallel", join_strategy, workers)
-        if not targets:
-            return [], executor.workers
-        plans = [self._plan(executor, *pair) for pair in zip(targets, entries)]
-        timed = [
-            (
-                execution,
-                max(report.elapsed for report in execution.shard_reports)
-                if execution.shard_reports
-                else None,
-            )
-            for execution in executor.execute_plans(plans)
-        ]
-        return timed, executor.workers
-
-    def _execute_batch_serial(self, targets, entries, resolved, join_strategy: str):
-        """Execute a batch in order on one in-process executor.
-
-        Returns ``(execution, elapsed)`` pairs with a real per-query wall
-        clock, and the width 1.  No lock here: execute_many holds the
-        shared side for the whole batch.
-        """
-        executor = self._executor(resolved, join_strategy)
-        timed = []
-        for target, entry in zip(targets, entries):
-            start = time.perf_counter()
-            execution = executor.execute_plan(self._plan(executor, target, entry))
-            timed.append((execution, time.perf_counter() - start))
-        return timed, 1
 
     # ------------------------------------------------------------------
     # Self-tuning (measured-cost calibration, auto-indexing, rule payoff)
@@ -1012,7 +882,7 @@ class OptimizationService:
 
         Index ops go through the store's journaled write path under the
         exclusive lock — exactly like data writes — so replicas, the WAL
-        and parallel workers all converge on the same index set.
+        all converge on the same index set.
         """
         tuning = self._tuning
         store = self.store

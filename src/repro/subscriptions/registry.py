@@ -243,7 +243,6 @@ class SubscriptionRegistry:
         return self.service._executor(
             view.options.get("execution_mode"),
             view.options.get("join_strategy", "hash"),
-            view.options.get("workers"),
         )
 
     # ------------------------------------------------------------------

@@ -14,8 +14,8 @@ observed seconds.  Fits are per engine mode, because the modes really do
 have different per-operation costs (a compiled vectorized predicate is far
 cheaper per row than a re-interpreted one), and the resulting weights are
 normalized so ``instance_retrieval == 1.0`` — the cost model's contract is
-*relative* weights, and normalizing keeps the untouched batch/parallel
-weights in comparable units.
+*relative* weights, and normalizing keeps the untouched batch weights in
+comparable units.
 
 Determinism: the sample reservoir uses Vitter's algorithm R driven by a
 seeded generator, and the normal-equation solve is exact Gaussian
@@ -179,7 +179,7 @@ class CostCalibrator:
         """Fit weights for ``mode``; ``None`` when not enough signal.
 
         ``base`` supplies the weight fields the fit does not touch (the
-        batch/parallel shape parameters); defaults to :class:`CostWeights`
+        batch shape parameters); defaults to :class:`CostWeights`
         defaults.
         """
         samples = self._samples.get(mode, [])

@@ -24,6 +24,10 @@ SNAPSHOT_FRAMES = 40
 
 QUERY_TEXT = "(SELECT {cargo.desc} { } {cargo.quantity >= 250} { } {cargo})"
 
+#: Every served engine: the child's interleaved executes take turns on
+#: them, and the parent checks each answers right after recovery.
+ENGINES = ("rowwise", "vectorized")
+
 
 def build_schedule(total, seed=SCHEDULE_SEED):
     """``total`` seeded mutation specs (insert-heavy, with update/delete).
@@ -99,9 +103,8 @@ def main(argv):
         data_dir, fsync_policy="always", snapshot_frames=SNAPSHOT_FRAMES
     )
     store, _ = manager.open(store)
-    # Engine comes from REPRO_ENGINE (the CI matrix leg); interleaved
-    # executes keep the read path — and under the parallel engine, the
-    # fork machinery — live while frames are being appended.
+    # Interleaved executes, on each engine in turn, keep the read paths
+    # live while frames are being appended.
     service = OptimizationService(schema, repository=repository, store=store)
     service.attach_durability(manager)
     query = parse_query(QUERY_TEXT)
@@ -114,7 +117,8 @@ def main(argv):
         )
         print(f"ACK {index} {result.store_version}", flush=True)
         if (index + 1) % 10 == 0:
-            service.execute(query)
+            engine = ENGINES[(index // 10) % len(ENGINES)]
+            service.execute(query, execution_mode=engine)
     print("DONE", flush=True)
     return 0
 

@@ -2,8 +2,9 @@
 
 Covers the integration contracts: durability metadata on mutation results
 and stats, WAL commit inside the write-lock span, sink fork-safety
-(replay never double-writes frames), and the parallel engine's worker catch-up running against a WAL-sinked store
-without duplicating a single frame.
+(replay never double-writes frames), and a parallel executor's worker
+catch-up running against a WAL-sinked store without duplicating a single
+frame.
 """
 
 import asyncio
@@ -13,6 +14,7 @@ import pytest
 from repro.constraints import ConstraintRepository
 from repro.data import build_evaluation_schema
 from repro.durability import DurabilityManager, recover
+from repro.engine.parallel import ParallelExecutor
 from repro.engine.storage import ShardedObjectStore
 from repro.query import parse_query
 from repro.service import OptimizationService
@@ -93,31 +95,29 @@ def test_sink_fires_even_with_journal_disabled(schema):
 
 
 def test_parallel_worker_sync_does_not_duplicate_wal_frames(tmp_path, schema):
-    service, manager = _durable_service(
-        schema,
-        tmp_path,
-        execution_mode="parallel",
-        engine_workers=2,
-        engine_min_partition_rows=1,
-    )
+    service, manager = _durable_service(schema, tmp_path)
+    parallel = ParallelExecutor(schema, service.store, workers=2, min_partition_rows=1)
     query = parse_query(
         "(SELECT {cargo.desc} { } {cargo.quantity >= 5} { } {cargo})"
     )
     mutations = 0
-    for round_index in range(3):
-        for row_index in range(4):
-            service.mutate(
-                "insert",
-                "cargo",
-                values={
-                    "desc": f"r{round_index}-{row_index}",
-                    "quantity": row_index * 10,
-                },
-            )
-            mutations += 1
-        # Forces the forked workers to catch up via journal replay while
-        # the store carries a live WAL sink.
-        service.execute(query, optimize=False)
+    try:
+        for round_index in range(3):
+            for row_index in range(4):
+                service.mutate(
+                    "insert",
+                    "cargo",
+                    values={
+                        "desc": f"r{round_index}-{row_index}",
+                        "quantity": row_index * 10,
+                    },
+                )
+                mutations += 1
+            # Forces the forked workers to catch up via journal replay
+            # while the store carries a live WAL sink.
+            assert parallel.execute(query).shard_reports is not None
+    finally:
+        parallel.close()
     assert manager.stats()["wal_frames"] == mutations
     service.close()
     service.flush_durability()

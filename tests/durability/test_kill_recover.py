@@ -12,8 +12,7 @@ and asserts
   version counters, and OID allocators all equal an uninterrupted run of
   the same schedule prefix on a fresh store;
 * **engines agree after recovery** — the recovered store answers a query
-  identically to the oracle store on the configured ``REPRO_ENGINE``
-  (CI runs this file once per engine leg).
+  identically to the oracle store on every served engine.
 """
 
 import importlib.util
@@ -117,28 +116,20 @@ def test_sigkill_at_seeded_frame_recovers_exactly(tmp_path, kill_seed):
     assert recovered.snapshot_header() == oracle.snapshot_header()
     assert report.final_version == recovered.version
 
-    # The recovered store must answer like the oracle on this engine leg.
+    # The recovered store must answer like the oracle on every engine.
     query = parse_query(crash_child.QUERY_TEXT)
-    engine_kwargs = {}
-    if os.environ.get("REPRO_ENGINE") == "parallel":
-        engine_kwargs = {
-            "engine_workers": 2,
-            "engine_min_partition_rows": 1,
-        }
     with OptimizationService(
-        schema,
-        repository=ConstraintRepository(schema),
-        store=recovered,
-        **engine_kwargs,
+        schema, repository=ConstraintRepository(schema), store=recovered
     ) as service, OptimizationService(
-        schema,
-        repository=ConstraintRepository(schema),
-        store=oracle,
-        **engine_kwargs,
+        schema, repository=ConstraintRepository(schema), store=oracle
     ) as oracle_service:
-        got = service.execute(query, optimize=False)
-        expected = oracle_service.execute(query, optimize=False)
-        assert got.execution.rows == expected.execution.rows
+        for engine in crash_child.ENGINES:
+            got = service.execute(query, optimize=False, execution_mode=engine)
+            expected = oracle_service.execute(
+                query, optimize=False, execution_mode=engine
+            )
+            assert got.execution_mode == engine
+            assert got.execution.rows == expected.execution.rows
 
 
 def test_uninterrupted_child_run_recovers_to_full_schedule(tmp_path):

@@ -33,7 +33,7 @@ import pytest
 
 from repro.constraints import ConstraintRepository
 from repro.data import build_evaluation_constraints
-from repro.engine import DatabaseStatistics, ObjectStore, QueryExecutor
+from repro.engine import DatabaseStatistics, ObjectStore, ParallelExecutor, QueryExecutor
 from repro.engine.planner import ConventionalPlanner
 from repro.query import parse_query
 from repro.service import OptimizationService
@@ -181,9 +181,14 @@ def _run_schedule(schema, queries, engine, rng_seed, ops):
         schema,
         repository=_repository(schema),
         store=store,
-        execution_mode=engine,
-        engine_workers=2,
-        engine_min_partition_rows=1 if engine == "parallel" else None,
+        execution_mode="vectorized" if engine == "parallel" else engine,
+    )
+    # The parallel leg runs the service's optimized query on one persistent
+    # executor, so its forked workers stay warm and catch up by journal.
+    parallel = (
+        ParallelExecutor(schema, store, workers=2, min_partition_rows=1)
+        if engine == "parallel"
+        else None
     )
     applied = []  # the write log the oracle replays
 
@@ -225,26 +230,29 @@ def _run_schedule(schema, queries, engine, rng_seed, ops):
                 service.optimize(queries[op[1]])
             else:  # execute
                 query = queries[op[1]]
-                envelope = service.execute(query)
-                target = envelope.executed_query
+                if parallel is None:
+                    envelope = service.execute(query)
+                    target, execution = envelope.executed_query, envelope.execution
+                else:
+                    target = service.optimize(query).optimized
+                    execution = parallel.execute(target)
                 expected = oracle_result(target)
-                if envelope.execution.rows != expected.rows:
+                if execution.rows != expected.rows:
                     raise _Mismatch(
                         f"step {step}: rows diverged for {query.name} "
-                        f"({len(envelope.execution.rows)} vs "
+                        f"({len(execution.rows)} vs "
                         f"{len(expected.rows)} oracle rows)"
                     )
-                if (
-                    envelope.execution.metrics.as_dict()
-                    != expected.metrics.as_dict()
-                ):
+                if execution.metrics.as_dict() != expected.metrics.as_dict():
                     raise _Mismatch(
                         f"step {step}: metrics diverged for {query.name}: "
-                        f"{envelope.execution.metrics.as_dict()} vs "
+                        f"{execution.metrics.as_dict()} vs "
                         f"{expected.metrics.as_dict()}"
                     )
     finally:
         service.close()
+        if parallel is not None:
+            parallel.close()
 
 
 def _shrink(schema, queries, engine, rng_seed, ops):

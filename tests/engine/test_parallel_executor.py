@@ -1,20 +1,20 @@
 """Parallel executor: parity with the in-process engines, fallbacks, pools."""
 
+import os
+
 import pytest
 
 from repro.data import TABLE_4_1_SPECS, build_evaluation_setup
 from repro.engine import (
     ConventionalPlanner,
-    CostModel,
     ExecutionMode,
     ParallelExecutor,
     QueryExecutor,
     ScanNode,
     VectorizedExecutor,
     create_executor,
-    default_worker_count,
 )
-from repro.engine.modes import WORKERS_ENV_VAR, resolve_worker_count
+from repro.engine.parallel import resolve_worker_count
 
 
 @pytest.fixture(scope="module")
@@ -204,46 +204,22 @@ def test_partition_contract_on_planned_queries(sharded_setup):
 
 
 def test_mode_parsing_factory_and_workers(sharded_setup, monkeypatch):
+    """No mode selects this executor; ``workers=None`` is the core count
+    capped at 4."""
     setup = sharded_setup
-    assert ExecutionMode.parse("parallel") is ExecutionMode.PARALLEL
-    executor = create_executor(
-        setup.schema, setup.store, mode="parallel", workers=3
-    )
-    assert isinstance(executor, ParallelExecutor)
-    assert executor.mode is ExecutionMode.PARALLEL
+    with pytest.raises(ValueError, match="choose from: rowwise, vectorized"):
+        ExecutionMode.parse("parallel")
+    with pytest.raises(ValueError, match="unknown execution mode"):
+        create_executor(setup.schema, setup.store, mode="parallel")
+    executor = ParallelExecutor(setup.schema, setup.store, workers=3)
+    assert executor.mode is ExecutionMode.VECTORIZED  # it runs vectorized plans
     assert executor.workers == 3
     executor.close()
 
-    monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-    assert default_worker_count() == 7
-    assert resolve_worker_count(None) == 7
-    monkeypatch.delenv(WORKERS_ENV_VAR)
-    assert 1 <= default_worker_count() <= 4
+    for cores, width in ((None, 1), (1, 1), (2, 2), (4, 4), (16, 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        assert resolve_worker_count(None) == width
     with pytest.raises(ValueError):
         resolve_worker_count("zero")
     with pytest.raises(ValueError):
         resolve_worker_count(0)
-
-
-def test_cost_model_parallel_estimates(sharded_setup):
-    setup = sharded_setup
-    cost_model = CostModel(setup.schema, setup.statistics)
-    query = setup.queries[0]
-    vectorized = cost_model.estimate_query_cost(query, ExecutionMode.VECTORIZED)
-    solo = cost_model.estimate_query_cost(query, ExecutionMode.PARALLEL, workers=1)
-    wide = cost_model.estimate_query_cost(query, ExecutionMode.PARALLEL, workers=4)
-    # One worker buys no division but pays dispatch: never cheaper than
-    # the vectorized engine it wraps.
-    assert solo >= vectorized
-    # Widening the pool monotonically sheds distributed work but adds
-    # dispatch; both estimates stay positive and finite.
-    assert wide > 0.0
-    speedup = cost_model.parallelization_speedup(query, workers=4)
-    assert speedup > 0.0
-    # Per-worker dispatch is modelled: on DB1-sized extents an absurdly
-    # wide pool costs more than a sane one, and predicts a worse speedup.
-    extreme = cost_model.estimate_query_cost(
-        query, ExecutionMode.PARALLEL, workers=64
-    )
-    assert extreme > wide
-    assert cost_model.parallelization_speedup(query, workers=64) < speedup

@@ -77,12 +77,12 @@ def test_variant_costs_equal_pricing_the_rebuilt_query(database):
     checked = 0
     for query in queries:
         for mode in MODES:
-            priced = cost_model.price(query, mode, workers=3)
-            scratch = cost_model.estimate_query(query, mode, workers=3)
+            priced = cost_model.price(query, mode)
+            scratch = cost_model.estimate_query(query, mode)
             assert _breakdown(priced.estimate()) == _breakdown(scratch)
             for variant in _variants(setup.schema, query):
                 repriced = priced.reprice(variant)
-                scratch = cost_model.estimate_query(variant, mode, workers=3)
+                scratch = cost_model.estimate_query(variant, mode)
                 assert _breakdown(repriced.estimate()) == _breakdown(scratch)
                 assert repriced.estimate().total == scratch.total
                 assert repriced.driver() == cost_model.driver_class(variant)
@@ -90,7 +90,7 @@ def test_variant_costs_equal_pricing_the_rebuilt_query(database):
             for dropped in query.predicates():
                 variant = _without(query, dropped)
                 delta = priced.without(dropped)
-                scratch = cost_model.estimate_query(variant, mode, workers=3)
+                scratch = cost_model.estimate_query(variant, mode)
                 assert _breakdown(delta.estimate()) == _breakdown(scratch)
                 assert delta.driver() == cost_model.driver_class(variant)
                 # A cross-class predicate is no local copy: nothing changes.

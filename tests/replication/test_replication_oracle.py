@@ -5,9 +5,7 @@ single rows and batches) through the primary while two replicas tail
 the feed, then asserts the replicated promise exactly: every replica's
 rows (including attribute order), per-shard version counters and OID
 allocators match the primary byte for byte, and a query answered by a
-replica returns the same rows as the primary.  Runs under whatever
-``REPRO_ENGINE`` leg CI selected, so all three engines are covered
-across the matrix.
+replica returns the same rows as the primary on every served engine.
 """
 
 import asyncio
@@ -78,8 +76,9 @@ def test_seeded_schedules_converge_byte_identical(
             ]
             direct = harness.service.execute(QUERY, use_cache=False)
             answers = [
-                service.execute(QUERY, use_cache=False)
+                service.execute(QUERY, use_cache=False, execution_mode=engine)
                 for service in harness.replica_services
+                for engine in ("rowwise", "vectorized")
             ]
             return primary, replicas, direct, answers
         finally:
@@ -95,5 +94,5 @@ def test_seeded_schedules_converge_byte_identical(
         for index, answer in enumerate(answers):
             got = json.dumps(answer.execution.rows, sort_keys=True)
             assert got == expected, (
-                f"replica {index} answered differently (seed {seed})"
+                f"replica answer {index} differed (seed {seed})"
             )

@@ -2,8 +2,8 @@
 
 An ``optimize`` or ``execute`` whose optimization is already cached is
 answered on the event loop (``OptimizationService.serve_warm``); a cold
-one, one that meets a writer, one on the ``parallel`` engine, one with
-``use_cache`` off and any read of a self-tuning service go through
+one, one that meets a writer, one with ``use_cache`` off and any read
+of a self-tuning service go through
 single-flight to a ``gateway-worker`` thread.  Where a read ran is read
 off a spy on the service's optimize step and on the pool's ``submit``,
 never off timing.
@@ -47,11 +47,7 @@ def service(evaluation_schema):
         store.insert("cargo", _cargo(index))
     repository = ConstraintRepository(evaluation_schema)
     repository.add_all(build_evaluation_constraints())
-    # Pinned: under REPRO_ENGINE=parallel the process default would send
-    # every execute to the pool and these tests would show nothing.
-    service = OptimizationService(
-        evaluation_schema, repository=repository, store=store, execution_mode="vectorized"
-    )
+    service = OptimizationService(evaluation_schema, repository=repository, store=store)
     yield service
     service.close()
 
@@ -156,12 +152,9 @@ def test_a_read_meeting_a_writer_takes_the_pool_and_sees_the_write(writer, servi
     assert len(threads) == 2 and all(name.startswith("gateway-worker") for name in threads)
 
 
-@pytest.mark.parametrize("case", ["parallel", "use_cache_off", "self_tuning"])
+@pytest.mark.parametrize("case", ["use_cache_off", "self_tuning"])
 def test_these_reads_always_take_the_pool(case, service):
-    options = {
-        "parallel": {"execution_mode": "parallel"},
-        "use_cache_off": {"use_cache": False},
-    }.get(case, {})
+    options = {"use_cache": False} if case == "use_cache_off" else {}
     if case == "self_tuning":
         service.enable_self_tuning()
     threads = _threads(service)

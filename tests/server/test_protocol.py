@@ -82,12 +82,20 @@ def test_parse_request_rejects_unknown_option(evaluation_schema):
     "options,message",
     [
         ({"execution_mode": "warp"}, "unknown execution mode"),
-        ({"workers": 0}, "workers"),
+        # "workers" is not an option: every value is refused as unknown, by name.
+        ({"workers": 2}, "workers"),
         ({"workers": "four"}, "workers"),
         ({"workers": True}, "workers"),
         ({"timeout": -1}, "timeout"),
         ({"optimize": "yes"}, "optimize"),
         ({"join_strategy": "merge"}, "join_strategy"),
+        pytest.param({"workers": 2}, r"unknown option\(s\) workers", id="workers-unknown"),
+        pytest.param(
+            {"execution_mode": "parallel"},
+            r"choose from: rowwise, vectorized\)",
+            id="parallel-refused",
+        ),
+        pytest.param({"timeout": float("nan")}, "timeout", id="timeout-nan"),
     ],
 )
 def test_parse_request_rejects_bad_option_values(
@@ -98,6 +106,19 @@ def test_parse_request_rejects_bad_option_values(
             {"op": "execute", "query": QUERY, "options": options},
             evaluation_schema,
         )
+
+
+def test_timeout_from_the_wire_refuses_nan_and_keeps_infinity(evaluation_schema):
+    def timeout_of(literal):
+        frame = decode_frame(
+            b'{"op": "execute", "query": %s, "options": {"timeout": %s}}'
+            % (json.dumps(QUERY).encode(), literal)
+        )
+        return parse_request(frame, evaluation_schema).options["timeout"]
+
+    with pytest.raises(ProtocolError, match="timeout"):
+        timeout_of(b"NaN")
+    assert timeout_of(b"Infinity") == float("inf")
 
 
 def test_parse_request_batch(evaluation_schema):

@@ -254,7 +254,7 @@ def test_wire_rows_carry_exactly_the_projection(mutable_service):
     assert plain["row_count"] == pointer["row_count"] == 3
 
 
-@pytest.mark.parametrize("engine", ["rowwise", "vectorized", "parallel"])
+@pytest.mark.parametrize("engine", ["rowwise", "vectorized"])
 def test_view_diffs_are_diffs_of_the_answer(mutable_service, engine):
     service, store = mutable_service
     registry = service.subscription_registry()

@@ -16,7 +16,7 @@ from repro.constraints import ConstraintRepository
 from repro.constraints.dynamic import DerivationConfig, derive_rules
 from repro.core import OptimizerConfig
 from repro.data import build_evaluation_constraints
-from repro.engine import ObjectStore
+from repro.engine import ObjectStore, ParallelExecutor
 from repro.query import Query
 from repro.service import OptimizationService, ResultSource
 
@@ -44,7 +44,6 @@ def seeded_service(evaluation_schema):
         repository=repository,
         config=OptimizerConfig(record_access_statistics=False),
         store=store,
-        engine_workers=2,
     )
     yield schema, store, repository, service
     service.close()
@@ -95,20 +94,37 @@ def test_dynamic_rule_add_and_remove_bump_generation_and_cache(seeded_service):
 def test_store_mutation_invalidates_executor_caches(seeded_service, mode):
     schema, store, repository, service = seeded_service
     query = _query()
-
-    before = service.execute(query, execution_mode=mode, workers=2)
-    row_count = before.execution.row_count
-    assert row_count == store.count("cargo")
-
-    # Mutate the store: version-keyed executor caches (vectorized pointer
-    # and fragment caches, the parallel engine's forked pool) must notice.
-    store.insert(
-        "cargo",
-        {"code": "C-late", "desc": "frozen food", "quantity": 500,
-         "category": "perishable"},
+    # The parallel executor is no engine of the service: one persistent
+    # executor on the service's store runs the service's optimized query.
+    parallel = (
+        ParallelExecutor(schema, store, workers=2, min_partition_rows=1)
+        if mode == "parallel"
+        else None
     )
-    after = service.execute(query, execution_mode=mode, workers=2)
-    assert after.execution.row_count == row_count + 1
+
+    def execute():
+        if parallel is None:
+            return service.execute(query, execution_mode=mode).execution
+        return parallel.execute(service.optimize(query).optimized)
+
+    try:
+        before = execute()
+        row_count = before.row_count
+        assert row_count == store.count("cargo")
+
+        # Mutate the store: version-keyed executor caches (vectorized
+        # pointer and fragment caches, the parallel executor's forked pool)
+        # must notice.
+        store.insert(
+            "cargo",
+            {"code": "C-late", "desc": "frozen food", "quantity": 500,
+             "category": "perishable"},
+        )
+        after = execute()
+    finally:
+        if parallel is not None:
+            parallel.close()
+    assert after.row_count == row_count + 1
     assert any(
         row.get("cargo.code") == "C-late" for row in after.rows
     )

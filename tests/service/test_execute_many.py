@@ -1,4 +1,4 @@
-"""Concurrent service execution: execute_many across all three engines."""
+"""Concurrent service execution: execute_many across both engines."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import OptimizerConfig
 from repro.data import TABLE_4_1_SPECS, build_evaluation_setup
-from repro.engine import ParallelExecutor
 from repro.service import ExecutionBatchResult, OptimizationService
 
 
@@ -22,7 +21,6 @@ def service_setup():
         cost_model=setup.cost_model,
         config=OptimizerConfig(record_access_statistics=False),
         store=setup.store,
-        engine_workers=2,
     )
     yield setup, service
     service.close()
@@ -33,7 +31,7 @@ def test_execute_many_matches_execute_across_engines(service_setup):
     reference = [
         service.execute(query, execution_mode="rowwise") for query in setup.queries
     ]
-    for mode in ("rowwise", "vectorized", "parallel"):
+    for mode in ("rowwise", "vectorized"):
         batch = service.execute_many(setup.queries, execution_mode=mode)
         assert isinstance(batch, ExecutionBatchResult)
         assert len(batch) == len(setup.queries)
@@ -92,34 +90,22 @@ def test_execute_many_without_optimization(service_setup):
     assert all(envelope.executed_query is envelope.query for envelope in batch)
 
 
-def test_executor_cache_is_keyed_by_worker_width(service_setup):
-    _setup, service = service_setup
-    two = service._executor("parallel", "hash", 2)
-    three = service._executor("parallel", "hash", 3)
-    again = service._executor("parallel", "hash", 2)
-    assert isinstance(two, ParallelExecutor)
-    assert two is again
-    assert two is not three
-    assert two.workers == 2 and three.workers == 3
-    # In-process engines hold no state: built per call, never kept.
-    assert not isinstance(
-        service._executor("vectorized", "hash", 2), ParallelExecutor
-    )
-    assert {mode for mode, _, _ in service._executors} == {"parallel"}
-
-
-def test_attach_store_closes_worker_pools(service_setup):
+def test_parallel_is_no_engine_of_the_service(service_setup):
     setup, service = service_setup
-    executor = service._executor("parallel", "hash", 2)
-    assert service._executors
-    service.attach_store(setup.store)
-    assert not service._executors
-    assert executor._pool is None  # close() ran
+    with pytest.raises(ValueError, match="choose from: rowwise, vectorized"):
+        OptimizationService(
+            setup.schema,
+            repository=setup.repository,
+            store=setup.store,
+            execution_mode="parallel",
+        )
+    with pytest.raises(ValueError, match="unknown execution mode 'parallel'"):
+        service.execute(setup.queries[0], execution_mode="parallel")
 
 
 def test_empty_batch(service_setup):
     _setup, service = service_setup
-    batch = service.execute_many([], execution_mode="parallel")
+    batch = service.execute_many([], execution_mode="vectorized")
     assert len(batch) == 0
     assert batch.stats.total == 0
     assert batch.total_rows() == 0

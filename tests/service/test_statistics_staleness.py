@@ -2,9 +2,9 @@
 
 Two staleness bugs are pinned here:
 
-* the parallel batch path used to call ``DatabaseStatistics.collect`` —
-  a full walk of every extent — once **per batch**, even when the store
-  had not changed between batches.  Every consumer now reads
+* the batch path used to call ``DatabaseStatistics.collect`` — a full
+  walk of every extent — once **per batch**, even when the store had not
+  changed between batches.  Every consumer now reads
   ``store.statistics()``, one snapshot per store version read off the
   value summaries the writes maintain, so the serving path never walks an
   extent for statistics at all — and still sees a write at once;
@@ -44,7 +44,6 @@ def service_setup():
         cost_model=setup.cost_model,
         config=OptimizerConfig(record_access_statistics=False),
         store=setup.store,
-        engine_workers=2,
     )
     yield setup, service
     service.close()
@@ -53,10 +52,10 @@ def service_setup():
 def test_serving_path_never_collects_and_reads_fresh_statistics(
     service_setup, monkeypatch
 ):
-    """Parallel batches around a write: no statistics walk, no stale numbers."""
+    """Batches around a write: no statistics walk, no stale numbers."""
     setup, service = service_setup
     store = service.store
-    service.execute_many(setup.queries, execution_mode="parallel")
+    service.execute_many(setup.queries)
     before = store.statistics()
     collects = []
     real_collect = DatabaseStatistics.collect
@@ -67,7 +66,7 @@ def test_serving_path_never_collects_and_reads_fresh_statistics(
     )
 
     for _ in range(3):
-        batch = service.execute_many(setup.queries, execution_mode="parallel")
+        batch = service.execute_many(setup.queries)
         assert len(batch) == len(setup.queries)
     # An unchanged store serves one snapshot to every consumer.
     assert store.statistics() is before
@@ -81,7 +80,7 @@ def test_serving_path_never_collects_and_reads_fresh_statistics(
             "category": "general",
         },
     )
-    service.execute_many(setup.queries, execution_mode="parallel")
+    service.execute_many(setup.queries)
     assert collects == [], "the serving path walked an extent for statistics"
 
     after = store.statistics()

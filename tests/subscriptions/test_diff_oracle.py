@@ -30,7 +30,7 @@ Determinism and reproduction follow the mutation oracle:
 
 * the base seed comes from ``REPRO_ORACLE_SEED`` (defaults pinned);
 * ``REPRO_ORACLE_SCHEDULES`` overrides the per-engine schedule count
-  (defaults: 80 row-wise, 80 vectorized, 48 parallel — 208 total);
+  (defaults: 80 row-wise, 80 vectorized — 160 total);
 * on failure the mutation schedule is **shrunk** greedily to a minimal
   failing op list and printed together with the seed.
 
@@ -57,7 +57,6 @@ SEED = int(os.environ.get("REPRO_ORACLE_SEED", "19910408"))
 SCHEDULES = {
     "rowwise": int(os.environ.get("REPRO_ORACLE_SCHEDULES", "80")),
     "vectorized": int(os.environ.get("REPRO_ORACLE_SCHEDULES", "80")),
-    "parallel": int(os.environ.get("REPRO_ORACLE_SCHEDULES", "48")),
 }
 
 QUERY_TEXTS = [
@@ -243,8 +242,6 @@ def _run_schedule(schema, queries, engine, rng_seed, ops):
         repository=repository,
         store=store,
         execution_mode=engine,
-        engine_workers=2,
-        engine_min_partition_rows=1 if engine == "parallel" else None,
     )
     try:
         for class_name, values in _base_rows(rng):
@@ -355,14 +352,14 @@ def _shrink(schema, queries, engine, rng_seed, ops):
 
 #: Stable per-engine seed offsets (tuple hashes are not stable across
 #: interpreter runs, so the seed is derived arithmetically).
-_ENGINE_OFFSET = {"rowwise": 0, "vectorized": 1, "parallel": 2}
+_ENGINE_OFFSET = {"rowwise": 0, "vectorized": 1}
 
 
 def _seed_for(engine, index):
     return SEED + 7919 * index + 104729 * _ENGINE_OFFSET[engine]
 
 
-@pytest.mark.parametrize("engine", ["rowwise", "vectorized", "parallel"])
+@pytest.mark.parametrize("engine", ["rowwise", "vectorized"])
 def test_diff_streams_fold_to_fresh_execution(evaluation_schema, engine):
     schema = evaluation_schema
     queries = [

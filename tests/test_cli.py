@@ -1,7 +1,8 @@
 """Tests for the command-line interface."""
 
+import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_bench_client_parser, build_parser, build_serve_parser, main
 
 PAPER_QUERY = (
     '(SELECT {vehicle.vehicle#, cargo.desc, cargo.quantity} { } '
@@ -66,3 +67,31 @@ def test_cli_experiments_quick(capsys):
     assert exit_code == 0
     assert "Table 4.1" in captured.out
     assert "Table 4.2" in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # "--port x" ends a parse that accepted the engine with another
+        # error, so this case never boots a server.
+        ["serve", "--engine", "parallel", "--port", "x"],
+        ["bench-client", "--engine", "parallel", "--port", "x"],
+        ["--execute", "--engine", "parallel", PAPER_QUERY],
+        ["--experiments", "--engine", "parallel"],
+    ],
+)
+def test_engine_flags_refuse_parallel(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2  # argparse's usage error, before any work
+    assert "invalid choice: 'parallel'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "build", [build_parser, build_serve_parser, build_bench_client_parser]
+)
+def test_no_command_takes_workers(build):
+    parser = build()
+    engine = next(action for action in parser._actions if "--engine" in action.option_strings)
+    assert engine.choices == ["rowwise", "vectorized"]
+    assert not any("--workers" in action.option_strings for action in parser._actions)
