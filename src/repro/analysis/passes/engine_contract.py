@@ -3,12 +3,10 @@
 Two sub-checks over the engine layer:
 
 * ``node-declaration`` — every concrete :class:`PlanNode` subclass in
-  ``engine/plan.py`` must declare **both** ``required_columns`` and
-  ``partition_safe`` in its own class body.  Inheriting the base-class
-  defaults silently is how a new node ships with ``partition_safe()``
-  accidentally ``False`` (correct but never parallelized) — or, worse,
-  how a copied node ships accidentally ``True`` and breaks shard-local
-  execution.  The contract must be a visible, reviewed decision per node.
+  ``engine/plan.py`` must declare ``required_columns`` in its own class
+  body.  Inheriting the base-class default (no columns) silently is how a
+  new node ships reading columns it never declared; the column contract
+  must be a visible, reviewed decision per node.
 * ``executor-coverage`` — the exhaustiveness matrix: all three executors
   (``executor.py``, ``vectorized.py``, ``parallel.py``) must handle every
   concrete node.  "Handle" means an ``isinstance`` dispatch on the node
@@ -21,14 +19,14 @@ Two sub-checks over the engine layer:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 from ..astutils import class_defs, imported_names_from, own_methods, subclasses_of
 from ..framework import AnalysisContext, AnalysisPass, Finding
 
 PLAN_MODULE = "engine/plan.py"
 NODE_ROOT = "PlanNode"
-REQUIRED_DECLARATIONS = ("required_columns", "partition_safe")
+REQUIRED_DECLARATION = "required_columns"
 
 #: The executor modules that must each cover the full node set, and the
 #: executor class each one exports (used to resolve delegation).
@@ -47,7 +45,7 @@ EXECUTOR_CLASSES = {
 class EngineContractPass(AnalysisPass):
     rule = "engine-contract"
     description = (
-        "every plan node declares partition_safe + required_columns, and "
+        "every plan node declares required_columns, and "
         "all three executors dispatch on the full node set"
     )
 
@@ -63,24 +61,21 @@ class EngineContractPass(AnalysisPass):
 
         for name in sorted(nodes):
             node = nodes[name]
-            defined = set(own_methods(node))
-            for required in REQUIRED_DECLARATIONS:
-                if required not in defined:
-                    findings.append(
-                        self.finding(
-                            check="node-declaration",
-                            file=PLAN_MODULE,
-                            line=node.lineno,
-                            symbol=f"{name}.{required}",
-                            message=(
-                                f"plan node {name} does not declare"
-                                f" {required}() in its own body; the"
-                                " partition/column contract must be an"
-                                " explicit per-node decision, not an"
-                                " inherited default"
-                            ),
-                        )
+            if REQUIRED_DECLARATION not in own_methods(node):
+                findings.append(
+                    self.finding(
+                        check="node-declaration",
+                        file=PLAN_MODULE,
+                        line=node.lineno,
+                        symbol=f"{name}.{REQUIRED_DECLARATION}",
+                        message=(
+                            f"plan node {name} does not declare"
+                            f" {REQUIRED_DECLARATION}() in its own body; the"
+                            " column contract must be an explicit per-node"
+                            " decision, not an inherited default"
+                        ),
                     )
+                )
 
         node_names = set(nodes)
         handled_cache: Dict[str, Set[str]] = {}

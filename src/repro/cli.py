@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -59,6 +58,7 @@ from .data import build_evaluation_constraints, build_evaluation_schema
 from .query import format_query, parse_query
 from .schema import build_example_schema
 from .service import OptimizationService
+from .tuning import TuningConfig
 
 #: Named schema/constraint bundles selectable from the command line.
 BUNDLES = {
@@ -295,12 +295,15 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--self-tune",
-        action="store_true",
+        nargs="?",
+        const="all",
+        type=TuningConfig.parse,
+        metavar="COMPONENTS",
         help=(
-            "enable the self-tuning feedback loop: measured-cost weight "
-            "calibration, workload-driven auto-indexing and learned rule "
-            "profitability (equivalent to REPRO_TUNING=1; the env var can "
-            "also select components, e.g. REPRO_TUNING=calibrate,index)"
+            "enable the self-tuning feedback loop: 'all' (the default when "
+            "the flag is bare), or a comma list of calibrate (measured-cost "
+            "weight calibration), index (workload-driven auto-indexing) and "
+            "rules (learned rule profitability)"
         ),
     )
     parser.add_argument(
@@ -455,20 +458,8 @@ def run_serve(argv: List[str]) -> int:
         if args.dynamic_rules:
             derived = service.enable_dynamic_rules()
             print(f"dynamic rules enabled: {derived} derived", flush=True)
-        from .tuning import TuningConfig
-
-        tuning_config = None
-        if args.self_tune:
-            tuning_config = TuningConfig()
-        else:
-            try:
-                tuning_config = TuningConfig.from_env(
-                    os.environ.get("REPRO_TUNING")
-                )
-            except ValueError as exc:
-                print(f"ignoring REPRO_TUNING: {exc}", flush=True)
-        if tuning_config is not None:
-            manager_t = service.enable_self_tuning(tuning_config)
+        if args.self_tune is not None:
+            manager_t = service.enable_self_tuning(args.self_tune)
             enabled = [
                 name
                 for name, on in (

@@ -19,12 +19,11 @@ optimizers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..constraints.predicate import Predicate, partition_by_class
 from ..query.query import Query
 from ..schema.schema import Schema
-from .modes import ExecutionMode, resolve_execution_mode
 from .statistics import DatabaseStatistics
 
 
@@ -32,14 +31,9 @@ from .statistics import DatabaseStatistics
 class CostWeights:
     """Relative weights of the primitive operations.
 
-    The ``batch_*`` weights model the vectorized engine: a predicate lowered
-    to a compiled closure costs far less per row than a re-interpreted one,
-    but each predicate pays a one-off compilation charge per plan.  Measured
-    counters are engine-independent (both executors perform the same
-    primitive operations), so :meth:`CostModel.measured_cost` uses the
-    row-wise weights regardless of mode; the batch weights only shape
-    *estimates*, e.g. when a planner asks how much a plan would cost to run
-    vectorized.
+    One weight per counter of :class:`~repro.engine.executor.ExecutionMetrics`.
+    Every engine performs the same primitive operations and reports the same
+    counters, so one weight set prices every engine, estimated or measured.
     """
 
     instance_retrieval: float = 1.0
@@ -47,12 +41,6 @@ class CostWeights:
     pointer_traversal: float = 0.2
     index_lookup: float = 0.05
     result_construction: float = 0.05
-    #: Per-row cost of one *compiled* predicate evaluation.
-    batch_predicate_evaluation: float = 0.002
-    #: One-off cost of lowering one predicate into a compiled closure.
-    predicate_compilation: float = 0.05
-    #: Per-column setup charge for batching (column extraction and masks).
-    batch_column_setup: float = 0.02
 
 
 @dataclass
@@ -113,27 +101,13 @@ class QueryPricing:
     """
 
     def __init__(
-        self,
-        source: Union["CostModel", "QueryPricing"],
-        query: Query,
-        mode: Optional[Union[str, ExecutionMode]] = None,
+        self, source: Union["CostModel", "QueryPricing"], query: Query
     ) -> None:
         # The one read of the model's (live) statistics and weights; from
         # an earlier pricing, the snapshot it took.
         self.schema = source.schema
         self.statistics = source.statistics
         self.weights = source.weights
-        # Estimates default to the row-wise baseline (not the engine
-        # default): callers compare modes explicitly, so a change of the
-        # served engine must not change what an unqualified estimate means.
-        self.mode = resolve_execution_mode(mode, default=ExecutionMode.ROWWISE)
-        self._batched = self.mode is not ExecutionMode.ROWWISE
-        #: Per-row cost of one predicate evaluation under the mode.
-        self._evaluation = (
-            self.weights.batch_predicate_evaluation
-            if self._batched
-            else self.weights.predicate_evaluation
-        )
         self.classes = query.classes
         self.relationships = [
             self.schema.relationship(name) for name in query.relationships
@@ -151,13 +125,13 @@ class QueryPricing:
         self._estimate: Optional[CostEstimate] = None
 
     def reprice(self, query: Query) -> "QueryPricing":
-        """``query`` priced under this object's snapshot and mode.
+        """``query`` priced under this object's snapshot.
 
         Class prices already computed here are kept for every class whose
         local predicate list is the same in ``query``, and binding orders
         when ``query`` has the same classes and relationships.
         """
-        other = QueryPricing(self, query, self.mode)
+        other = QueryPricing(self, query)
         other._prices = {
             name: price
             for name, price in self._prices.items()
@@ -203,14 +177,6 @@ class QueryPricing:
             return known
         return self.schema.is_indexed(class_name, attribute_name)
 
-    def _batch_setup(self, predicate_count: int) -> float:
-        """One-off lowering/column-extraction charge for a batched node."""
-        if not self._batched or predicate_count == 0:
-            return 0.0
-        return predicate_count * (
-            self.weights.predicate_compilation + self.weights.batch_column_setup
-        )
-
     def class_price(
         self, class_name: str, selectivities: Optional[List[float]] = None
     ) -> ClassPrice:
@@ -220,10 +186,8 @@ class QueryPricing:
         the scan is assumed to go through the index: only the matching
         fraction of the extent is retrieved, plus an index-lookup charge.
         Otherwise a full extent scan retrieves every instance and evaluates
-        every predicate on each.  Under the batched modes the per-row
-        evaluation uses the (cheaper) compiled-predicate weight plus a
-        one-off compilation and column-setup charge per predicate.  Given
-        ``selectivities`` (the local predicates', in order), none is read.
+        every predicate on each.  Given ``selectivities`` (the local
+        predicates', in order), none is read.
         """
         price = self._prices.get(class_name)
         if price is not None:
@@ -251,18 +215,12 @@ class QueryPricing:
             matching = cardinality * indexed_selectivity
             scan.retrieval = matching * weights.instance_retrieval
             scan.cpu = (
-                matching * max(0, len(predicates) - 1) * self._evaluation
+                matching * max(0, len(predicates) - 1) * weights.predicate_evaluation
                 + weights.index_lookup
             )
         else:
             scan.retrieval = cardinality * weights.instance_retrieval
-            scan.cpu = cardinality * len(predicates) * self._evaluation
-        # The index predicate is answered by the index, never compiled, so
-        # it carries no lowering charge (mirroring the executor, which
-        # strips the chosen index predicate before compiling the rest).
-        scan.cpu += self._batch_setup(
-            len(predicates) - (1 if indexed is not None else 0)
-        )
+            scan.cpu = cardinality * len(predicates) * weights.predicate_evaluation
         price = self._prices[class_name] = ClassPrice(
             selectivity, cardinality * selectivity, indexed, scan, selectivities
         )
@@ -320,8 +278,6 @@ class QueryPricing:
         then traverse the query's relationships to bind the remaining
         classes, carrying forward the estimated number of partial results
         and charging retrieval for every instance touched along the way.
-        The vectorized engine touches the same instances and pointers but
-        pays the compiled (batch) rate per predicate evaluation.
         """
         if self._estimate is not None:
             return self._estimate
@@ -356,8 +312,9 @@ class QueryPricing:
             current_rows = max(1.0, current_rows * price.matching)
 
         # Cross-class predicates evaluated on the joined rows.
-        distributed.cpu += current_rows * len(self.cross) * self._evaluation
-        distributed.cpu += self._batch_setup(len(self.cross))
+        distributed.cpu += (
+            current_rows * len(self.cross) * weights.predicate_evaluation
+        )
         construction = current_rows * weights.result_construction
 
         estimate = self._estimate = CostEstimate()
@@ -372,10 +329,8 @@ class CostModel:
 
     Every estimate is made on a :class:`QueryPricing` (:meth:`price`): a
     value that reads the statistics and the weights once and prices the
-    query and its variants from them.  :meth:`estimate_query`,
-    :meth:`driver_class` and :meth:`scan_estimate` are that object used
-    once; a caller with several questions about one query (query
-    formulation, the planner) keeps it instead.
+    query and its variants from them; a caller with several questions
+    about one query (query formulation, the planner) keeps it.
 
     Statistics can be **bound to a provider** (:meth:`bind_statistics`,
     typically a store's ``statistics``)
@@ -428,55 +383,9 @@ class CostModel:
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
-    def price(
-        self,
-        query: Query,
-        mode: Optional[Union[str, ExecutionMode]] = None,
-    ) -> QueryPricing:
-        """``query`` priced against the current statistics and weights.
-
-        ``mode`` selects the engine being estimated (default: row-wise).
-        """
-        return QueryPricing(self, query, mode)
-
-    def scan_estimate(
-        self,
-        class_name: str,
-        predicates: Sequence[Predicate],
-        mode: Optional[Union[str, ExecutionMode]] = None,
-    ) -> CostEstimate:
-        """Estimated cost of producing the instances of ``class_name``
-        passing ``predicates`` (its local predicates): the one-class query's
-        :meth:`QueryPricing.class_price`."""
-        query = Query(classes=(class_name,), selective_predicates=predicates)
-        return self.price(query, mode).class_price(class_name).scan
-
-    def driver_class(self, query: Query) -> str:
-        """The class a conventional planner would scan first."""
-        return self.price(query).driver()
-
-    def estimate_query(
-        self,
-        query: Query,
-        mode: Optional[Union[str, ExecutionMode]] = None,
-    ) -> CostEstimate:
-        """Estimate the execution cost of ``query`` (:meth:`QueryPricing.estimate`)."""
-        return self.price(query, mode).estimate()
-
-    def estimate_query_cost(
-        self,
-        query: Query,
-        mode: Optional[Union[str, ExecutionMode]] = None,
-    ) -> float:
-        """Scalar convenience wrapper around :meth:`estimate_query`."""
-        return self.estimate_query(query, mode).total
-
-    def vectorization_speedup(self, query: Query) -> float:
-        """Estimated rowwise/vectorized cost ratio for ``query`` (>= 0)."""
-        vectorized = self.estimate_query_cost(query, ExecutionMode.VECTORIZED)
-        if vectorized <= 0:
-            return 1.0
-        return self.estimate_query_cost(query, ExecutionMode.ROWWISE) / vectorized
+    def price(self, query: Query) -> QueryPricing:
+        """``query`` priced against the current statistics and weights."""
+        return QueryPricing(self, query)
 
     # ------------------------------------------------------------------
     # Measured cost

@@ -54,17 +54,16 @@ DEFAULT_EXECUTION_MODE = ExecutionMode.VECTORIZED
 
 def resolve_execution_mode(
     value: Optional[Union[str, ExecutionMode]],
-    default: ExecutionMode = DEFAULT_EXECUTION_MODE,
 ) -> ExecutionMode:
     """Resolve a caller-supplied mode value to an :class:`ExecutionMode`.
 
-    ``None`` falls back to ``default`` (e.g. the cost model's fixed
-    row-wise baseline); anything else is parsed.  The single place
-    mode-resolution policy lives — every layer (executor factory, planner,
-    cost model, service) routes through it.
+    ``None`` falls back to :data:`DEFAULT_EXECUTION_MODE`; anything else is
+    parsed.  The single place mode-resolution policy lives — every layer
+    that picks an executor (executor factory, planner, service) routes
+    through it.
     """
     if value is None:
-        return default
+        return DEFAULT_EXECUTION_MODE
     return ExecutionMode.parse(value)
 
 

@@ -42,11 +42,11 @@ of being torn down and re-forked.  Replay goes through the replica's own
 and the replica's reverse-pointer index follows the same writes.
 A worker is re-forked only when the journal cannot bridge the gap (bounded
 retention overflow, or an index rebuild after un-journaled in-place
-repairs).  When forking is unavailable, the pool width is 1, the plan has
-no partition contract
-(:meth:`~repro.engine.plan.QueryPlan.partition_leaf`), or the driver set
-is too small to pay for transport, execution falls back to the identical
-in-process pipeline, so correctness never depends on the pool.
+repairs).  When forking is unavailable, the pool width is 1, the plan is
+not a chain that distributes over its driver scan (:func:`_fan_out_leaf`),
+or the driver set is too small to pay for transport, execution falls back
+to the identical in-process pipeline, so correctness never depends on the
+pool.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from ..query.query import Query
 from ..schema.schema import Schema
 from .executor import ExecutionMetrics, ExecutionResult, ShardReport, build_rows
 from .modes import ExecutionMode
-from .plan import QueryPlan, ScanNode
+from .plan import FilterNode, ProjectNode, QueryPlan, ScanNode, TraverseNode
 from .statistics import DatabaseStatistics
 from .storage import ObjectStore
 from .vectorized import BindingBatch, VectorizedExecutor, _PlanContext
@@ -85,6 +85,29 @@ MAX_DEFAULT_WORKERS = 4
 #: parent start merging earlier.  Four is a good middle on the Table 4.2
 #: style workloads (tens of plans, tens of microseconds of per-task IPC).
 DEFAULT_PLANS_PER_TASK = 4
+
+#: The nodes that distribute over a split of their input rows: running one
+#: on each disjoint split of its child's output (with whole-store access for
+#: lookups and join builds) and concatenating the outputs in input order
+#: yields exactly its single-partition output, because each output row is a
+#: function of one input row and shared store state.
+_PARTITIONED_NODES = (TraverseNode, FilterNode, ProjectNode)
+
+
+def _fan_out_leaf(plan: QueryPlan) -> Optional[ScanNode]:
+    """The scan whose output may be hash-partitioned across shards.
+
+    When the plan is a chain of :data:`_PARTITIONED_NODES` over one scan,
+    the scan's output can be split by driver OID, the rest of the chain run
+    per partition, and the outputs merged back in driver order to reproduce
+    the sequential result exactly.  Any other plan — one holding a node
+    kind not listed there — returns ``None`` and stays in-process, which is
+    always correct.
+    """
+    node = plan.root
+    while isinstance(node, _PARTITIONED_NODES):
+        node = node.child
+    return node if isinstance(node, ScanNode) else None
 
 
 @dataclass
@@ -437,7 +460,7 @@ class ParallelExecutor:
         local = self._local
         context = _PlanContext(ExecutionMetrics())
         prepared = _PreparedExecution(plan=plan, context=context)
-        leaf = plan.partition_leaf()
+        leaf = _fan_out_leaf(plan)
         if leaf is None:
             prepared.inline_result = local.execute_plan(plan)
             return prepared

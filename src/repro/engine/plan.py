@@ -67,21 +67,6 @@ class PlanNode:
         """
         return ()
 
-    def partition_safe(self) -> bool:
-        """Whether this node distributes over a partition of its input rows.
-
-        A node is partition-safe when executing it independently on any
-        disjoint split of its child's output — with whole-store access for
-        lookups and join builds — and concatenating the per-partition
-        outputs (in input order) yields exactly the single-partition
-        output.  Traversals, filters and projections qualify: each output
-        row is a function of one input row and shared store state.  The
-        scan contract is different (it *produces* the partitioning), so
-        scans report ``False`` and plans expose the scan through
-        :meth:`QueryPlan.partition_leaf` instead.
-        """
-        return False
-
 
 @dataclass(frozen=True)
 class ScanNode(PlanNode):
@@ -106,12 +91,6 @@ class ScanNode(PlanNode):
         if self.index_predicate is not None:
             predicates.append(self.index_predicate)
         return _predicate_columns(predicates)
-
-    def partition_safe(self) -> bool:
-        """Scans *produce* the partitioning rather than distributing over
-        one, so they sit under :meth:`QueryPlan.partition_leaf`, never
-        inside a partition-safe suffix."""
-        return False
 
 
 @dataclass(frozen=True)
@@ -145,10 +124,6 @@ class TraverseNode(PlanNode):
         columns.extend(_predicate_columns(self.predicates))
         return tuple(dict.fromkeys(columns))
 
-    def partition_safe(self) -> bool:
-        """Joins distribute over source-row partitions (build is shared)."""
-        return True
-
 
 @dataclass(frozen=True)
 class FilterNode(PlanNode):
@@ -169,10 +144,6 @@ class FilterNode(PlanNode):
 
     def required_columns(self) -> Tuple[str, ...]:
         return _predicate_columns(self.predicates)
-
-    def partition_safe(self) -> bool:
-        """Cross-class filters are per-row decisions and distribute freely."""
-        return True
 
 
 @dataclass(frozen=True)
@@ -202,10 +173,6 @@ class ProjectNode(PlanNode):
 
     def required_columns(self) -> Tuple[str, ...]:
         return tuple(self.projections)
-
-    def partition_safe(self) -> bool:
-        """One answer row per input binding; it distributes trivially."""
-        return True
 
 
 @dataclass(frozen=True)
@@ -246,27 +213,6 @@ class QueryPlan:
             for column in node.required_columns()
         )
         return tuple(seen)
-
-    def partition_leaf(self) -> Optional[ScanNode]:
-        """The scan whose output may be hash-partitioned across shards.
-
-        This is the plan's partition contract: when the plan is a single
-        left-deep chain whose every interior node is
-        :meth:`~PlanNode.partition_safe`, the leaf scan's output can be
-        split by driver OID, the remaining nodes executed per partition,
-        and the per-partition outputs merged back in driver order to
-        reproduce the sequential result exactly.  Returns ``None`` when no
-        such contract holds (bushy plan, or an unsafe interior node), which
-        tells the parallel executor to stay in-process.
-        """
-        node: PlanNode = self.root
-        while True:
-            children = node.children()
-            if not children:
-                return node if isinstance(node, ScanNode) else None
-            if len(children) > 1 or not node.partition_safe():
-                return None
-            node = children[0]
 
 
 def plan_predicates(plan: QueryPlan) -> List[Predicate]:

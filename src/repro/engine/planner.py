@@ -42,10 +42,9 @@ class ConventionalPlanner:
     executor accepts any plan, and metric parity between the engines
     depends on it — so the mode is purely recorded on the plan (and in its
     notes) for executor factories and traces.  The left-deep chains this
-    planner emits always satisfy the partition contract
-    (:meth:`~repro.engine.plan.QueryPlan.partition_leaf`), which is what
-    lets :class:`~repro.engine.parallel.ParallelExecutor` split the driver
-    scan without changing the plan shape.
+    planner emits are traversals, filters and a projection over one scan,
+    which is what lets :class:`~repro.engine.parallel.ParallelExecutor`
+    split the driver scan without changing the plan shape.
     """
 
     def __init__(

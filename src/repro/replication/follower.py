@@ -26,7 +26,7 @@ restarted under a new epoch.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..durability.frames import FrameError, decode_frame, encode_frame
 from ..durability.snapshot import SNAPSHOT_FORMAT

@@ -757,8 +757,8 @@ class OptimizationService:
         mode = executor.mode.value
         if self._tuning is not None and batch:
             for query, (execution, elapsed) in zip(batch, timed_executions):
-                self._tuning.observe_execution(mode, query, execution.metrics, elapsed)
-            self._tuning_maintenance(mode)
+                self._tuning.observe_execution(query, execution.metrics, elapsed)
+            self._tuning_maintenance()
         results = [
             ExecutionEnvelope(
                 query=query,
@@ -824,8 +824,7 @@ class OptimizationService:
         tuning = self._tuning
         if tuning is None:
             return
-        mode = result.execution_mode
-        tuning.observe_execution(mode, result.query, result.metrics, result.execute_time)
+        tuning.observe_execution(result.query, result.metrics, result.execute_time)
         cost_model = self.optimizer.cost_model
         envelope = result.optimization
         if (
@@ -838,7 +837,7 @@ class OptimizationService:
                 cost_model.measured_cost(result.metrics),
                 cost_model.measured_cost(baseline.metrics),
             )
-        self._tuning_maintenance(mode)
+        self._tuning_maintenance()
 
     def _rule_epochs(self, names: Iterable[str]) -> List[Tuple[str, Tuple]]:
         """Each rule paired with its referenced classes' epochs."""
@@ -857,7 +856,7 @@ class OptimizationService:
             rules.append((name, epochs))
         return rules
 
-    def _tuning_maintenance(self, mode: str) -> None:
+    def _tuning_maintenance(self) -> None:
         """Apply any due calibration refit or index advice.
 
         Must be called WITHOUT the store lock held: index advice takes
@@ -867,8 +866,8 @@ class OptimizationService:
         if tuning is None:
             return
         cost_model = self.optimizer.cost_model
-        if cost_model is not None and tuning.due_calibration(mode):
-            report = tuning.calibrate(mode, base=cost_model.weights)
+        if cost_model is not None and tuning.due_calibration():
+            report = tuning.calibrate()
             if report is not None:
                 # The swap bumps weights_generation, which every cache
                 # epoch embeds — stale-priced results age out, cached

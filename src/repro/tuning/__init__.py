@@ -8,9 +8,9 @@ This package makes all three *measured* quantities:
 
 * :class:`~repro.tuning.calibrator.CostCalibrator` regresses
   :class:`~repro.engine.cost_model.CostWeights` from accumulated
-  ``(ExecutionMetrics, wall_time)`` pairs, per engine mode, so estimated
-  and measured costs are denominated in observed seconds rather than
-  hand-picked constants;
+  ``(ExecutionMetrics, wall_time)`` pairs, one fit for every engine, so
+  estimated and measured costs are denominated in observed seconds rather
+  than hand-picked constants;
 * :class:`~repro.tuning.advisor.IndexAdvisor` watches which
   ``class.attribute`` pairs the workload's selective predicates actually
   touch and proposes creating (or retiring) secondary indexes;
@@ -22,8 +22,8 @@ This package makes all three *measured* quantities:
 :class:`~repro.tuning.manager.SelfTuningManager` bundles the three behind
 one generation counter so the owning service can fold "the tuning state
 changed" into its cache epochs, and
-:class:`~repro.tuning.manager.TuningConfig` parses the ``REPRO_TUNING``
-environment variable.
+:class:`~repro.tuning.manager.TuningConfig` parses the components
+``serve --self-tune`` names.
 
 Everything in this package is deterministic under a seed: the calibration
 reservoir uses seeded reservoir sampling, A/B sampling is counter-based,

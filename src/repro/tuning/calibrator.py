@@ -10,12 +10,11 @@ actually running on.
 :class:`CostCalibrator` closes that gap by regression: every execution
 contributes one ``(counter vector, wall seconds)`` sample, and a ridge
 regularized least-squares fit recovers per-operation weights denominated in
-observed seconds.  Fits are per engine mode, because the modes really do
-have different per-operation costs (a compiled vectorized predicate is far
-cheaper per row than a re-interpreted one), and the resulting weights are
-normalized so ``instance_retrieval == 1.0`` — the cost model's contract is
-*relative* weights, and normalizing keeps the untouched batch weights in
-comparable units.
+observed seconds.  The cost model holds one weight set for every engine, so
+there is one reservoir and one fit: samples from every engine pool together.
+The fitted weights are normalized so ``instance_retrieval == 1.0`` — the
+cost model's contract is *relative* weights — and fill every
+:class:`CostWeights` field.
 
 Determinism: the sample reservoir uses Vitter's algorithm R driven by a
 seeded generator, and the normal-equation solve is exact Gaussian
@@ -24,7 +23,7 @@ elimination, so identical observation streams yield identical weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
@@ -40,7 +39,8 @@ FEATURES: Tuple[str, ...] = (
     "rows_output",
 )
 
-#: The weight fields the fit produces, aligned with :data:`FEATURES`.
+#: The weight fields the fit produces, aligned with :data:`FEATURES` (in
+#: :class:`CostWeights` field order: every field).
 WEIGHT_FIELDS: Tuple[str, ...] = (
     "instance_retrieval",
     "predicate_evaluation",
@@ -78,7 +78,6 @@ def _solve(matrix: List[List[float]], rhs: List[float]) -> Optional[List[float]]
 class CalibrationReport:
     """Outcome of one calibration fit."""
 
-    mode: str
     sample_count: int
     weights: CostWeights
     #: Raw (seconds-denominated) weights before normalization.
@@ -89,7 +88,6 @@ class CalibrationReport:
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view for stats payloads."""
         return {
-            "mode": self.mode,
             "samples": self.sample_count,
             "r_squared": round(self.r_squared, 6),
             "weights": {
@@ -105,7 +103,7 @@ class CostCalibrator:
     Parameters
     ----------
     reservoir_size:
-        Samples retained per engine mode.  Once full, replacement follows
+        Samples retained.  Once full, replacement follows
         seeded reservoir sampling, so the retained set stays a uniform
         sample of everything observed and old workload phases age out.
     min_samples:
@@ -134,55 +132,45 @@ class CostCalibrator:
         self.min_samples = min_samples
         self.ridge = ridge
         self._random = Random(seed)
-        self._samples: Dict[str, List[Tuple[Tuple[float, ...], float]]] = {}
-        self._observed: Dict[str, int] = {}
+        self._samples: List[Tuple[Tuple[float, ...], float]] = []
+        self._observed = 0
         self.fits = 0
 
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def observe(
-        self, mode: str, metrics: ExecutionMetrics, wall_time: float
-    ) -> None:
+    def observe(self, metrics: ExecutionMetrics, wall_time: float) -> None:
         """Record one execution's counters and wall-clock seconds."""
         if wall_time < 0:
             return
         sample = (_features(metrics), float(wall_time))
-        reservoir = self._samples.setdefault(mode, [])
-        seen = self._observed.get(mode, 0) + 1
-        self._observed[mode] = seen
-        if len(reservoir) < self.reservoir_size:
-            reservoir.append(sample)
+        self._observed += 1
+        if len(self._samples) < self.reservoir_size:
+            self._samples.append(sample)
         else:
-            slot = self._random.randrange(seen)
+            slot = self._random.randrange(self._observed)
             if slot < self.reservoir_size:
-                reservoir[slot] = sample
+                self._samples[slot] = sample
 
-    def sample_count(self, mode: str) -> int:
-        """Samples currently retained for ``mode``."""
-        return len(self._samples.get(mode, ()))
+    def sample_count(self) -> int:
+        """Samples currently retained."""
+        return len(self._samples)
 
-    def observed_count(self, mode: str) -> int:
-        """Total executions ever observed for ``mode``."""
-        return self._observed.get(mode, 0)
+    def observed_count(self) -> int:
+        """Total executions ever observed."""
+        return self._observed
 
-    def ready(self, mode: str) -> bool:
-        """Whether a fit for ``mode`` would be accepted."""
-        return self.sample_count(mode) >= self.min_samples
+    def ready(self) -> bool:
+        """Whether a fit would be accepted."""
+        return self.sample_count() >= self.min_samples
 
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
-    def calibrate(
-        self, mode: str, base: Optional[CostWeights] = None
-    ) -> Optional[CalibrationReport]:
-        """Fit weights for ``mode``; ``None`` when not enough signal.
-
-        ``base`` supplies the weight fields the fit does not touch (the
-        batch shape parameters); defaults to :class:`CostWeights`
-        defaults.
-        """
-        samples = self._samples.get(mode, [])
+    def calibrate(self) -> Optional[CalibrationReport]:
+        """Fit weights from the retained samples; ``None`` when not enough
+        signal."""
+        samples = self._samples
         if len(samples) < self.min_samples:
             return None
         n = len(FEATURES)
@@ -209,15 +197,10 @@ class CostCalibrator:
         if anchor <= 0:
             return None
         normalized = [w / anchor for w in clipped]
-        base = base or CostWeights()
-        weights = replace(
-            base, **{f: normalized[i] for i, f in enumerate(WEIGHT_FIELDS)}
-        )
         self.fits += 1
         return CalibrationReport(
-            mode=mode,
             sample_count=len(samples),
-            weights=weights,
+            weights=CostWeights(**dict(zip(WEIGHT_FIELDS, normalized))),
             raw=tuple(raw),
             r_squared=self._r_squared(samples, raw),
         )
@@ -240,15 +223,10 @@ class CostCalibrator:
     # Introspection
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """Per-mode sample counts for stats payloads."""
+        """Sample counts for stats payloads."""
         return {
             "reservoir_size": self.reservoir_size,
             "fits": self.fits,
-            "modes": {
-                mode: {
-                    "retained": len(reservoir),
-                    "observed": self._observed.get(mode, 0),
-                }
-                for mode, reservoir in sorted(self._samples.items())
-            },
+            "retained": len(self._samples),
+            "observed": self._observed,
         }

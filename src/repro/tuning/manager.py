@@ -4,7 +4,7 @@
 the service with a small surface:
 
 * :meth:`observe_execution` — called after every service execution with
-  the engine mode, the measured metrics and the wall time; feeds the
+  the query, the measured metrics and the wall time; feeds the
   calibrator and the index advisor and decides (counter-based, so
   deterministic) when a calibration refit or an advice pass is due;
 * :meth:`due_calibration` / :meth:`due_advice` — polled by the service at
@@ -26,10 +26,10 @@ and a single internal lock keeps the counters consistent.
 from __future__ import annotations
 
 import threading
+from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..engine.cost_model import CostWeights
 from ..engine.executor import ExecutionMetrics
 from ..query.query import Query
 from .advisor import IndexAction, IndexAdvisor
@@ -41,15 +41,15 @@ from .payoff import RulePayoffTracker
 class TuningConfig:
     """Switches and thresholds of the self-tuning loop.
 
-    ``REPRO_TUNING`` accepts ``1``/``on``/``all`` (everything), ``0`` /
-    ``off`` / empty (nothing), or a comma-separated subset of
-    ``calibrate``, ``index``, ``rules``.
+    :meth:`parse` reads the components ``serve --self-tune`` names: ``all``
+    (everything) or a comma-separated subset of ``calibrate``, ``index``,
+    ``rules``.
     """
 
     calibrate: bool = True
     auto_index: bool = True
     learn_rules: bool = True
-    #: Executions between calibration refits (per process, not per mode).
+    #: Executions between calibration refits.
     calibrate_interval: int = 64
     #: Executions between index-advice passes.
     advice_interval: int = 32
@@ -71,22 +71,23 @@ class TuningConfig:
         return self.calibrate or self.auto_index or self.learn_rules
 
     @staticmethod
-    def from_env(value: Optional[str]) -> Optional["TuningConfig"]:
-        """Parse a ``REPRO_TUNING`` value; ``None`` means disabled."""
-        if value is None:
-            return None
-        text = value.strip().lower()
-        if text in ("", "0", "off", "false", "no", "none"):
-            return None
-        if text in ("1", "on", "true", "yes", "all"):
+    def parse(value: str) -> "TuningConfig":
+        """The config naming ``value``'s components: ``all``, or a comma
+        list of ``calibrate``, ``index`` and ``rules``.
+
+        It is the ``--self-tune`` flag's argparse ``type``, so anything
+        else raises :class:`argparse.ArgumentTypeError`, whose message
+        (naming the known components) argparse prints as is.
+        """
+        parts = {part.strip() for part in value.lower().split(",")}
+        if parts == {"all"}:
             return TuningConfig()
-        parts = {part.strip() for part in text.split(",") if part.strip()}
-        known = {"calibrate", "index", "rules"}
-        unknown = parts - known
+        known = ("calibrate", "index", "rules")
+        unknown = parts.difference(known)
         if unknown:
-            raise ValueError(
-                f"REPRO_TUNING: unknown component(s) {sorted(unknown)!r}; "
-                f"expected a subset of {sorted(known)!r} or 'all'/'off'"
+            raise ArgumentTypeError(
+                f"unknown self-tuning component(s) {sorted(unknown)!r}; "
+                f"expected 'all' or a comma list of {', '.join(known)}"
             )
         return TuningConfig(
             calibrate="calibrate" in parts,
@@ -127,29 +128,25 @@ class SelfTuningManager:
     # Observation hooks (called on the execute path)
     # ------------------------------------------------------------------
     def observe_execution(
-        self,
-        mode: str,
-        query: Query,
-        metrics: ExecutionMetrics,
-        wall_time: float,
+        self, query: Query, metrics: ExecutionMetrics, wall_time: float
     ) -> None:
         """Fold one execution into the calibrator and the advisor."""
         with self._lock:
             self._executions += 1
             if self.config.calibrate:
-                self.calibrator.observe(mode, metrics, wall_time)
+                self.calibrator.observe(metrics, wall_time)
             if self.config.auto_index:
                 self.advisor.observe(query)
 
-    def due_calibration(self, mode: str) -> bool:
-        """Whether a refit for ``mode`` is due at this point."""
+    def due_calibration(self) -> bool:
+        """Whether a refit is due at this point."""
         if not self.config.calibrate:
             return False
         with self._lock:
             return (
                 self._executions > 0
                 and self._executions % self.config.calibrate_interval == 0
-                and self.calibrator.ready(mode)
+                and self.calibrator.ready()
             )
 
     def due_advice(self) -> bool:
@@ -165,12 +162,10 @@ class SelfTuningManager:
     # ------------------------------------------------------------------
     # Actions (called by the service under its own locks)
     # ------------------------------------------------------------------
-    def calibrate(
-        self, mode: str, base: CostWeights
-    ) -> Optional[CalibrationReport]:
-        """Refit weights for ``mode``; bumps the generation on success."""
+    def calibrate(self) -> Optional[CalibrationReport]:
+        """Refit the weights; bumps the generation on success."""
         with self._lock:
-            report = self.calibrator.calibrate(mode, base=base)
+            report = self.calibrator.calibrate()
             if report is not None:
                 self.last_calibration = report
                 self.weight_swaps += 1

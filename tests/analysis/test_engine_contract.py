@@ -13,23 +13,17 @@ VIOLATING = {
             def required_columns(self):
                 return ()
 
-            def partition_safe(self):
-                return False
-
 
         class GoodNode(PlanNode):
             def required_columns(self):
                 return ("cargo.desc",)
 
-            def partition_safe(self):
-                return True
-
 
         class BadNode(PlanNode):
-            """Declares columns but inherits partition_safe silently."""
+            """Inherits required_columns silently."""
 
-            def required_columns(self):
-                return ()
+            def explain(self):
+                return "Bad"
         '''
     ),
     "engine/executor.py": textwrap.dedent(
@@ -53,24 +47,15 @@ CLEAN = {
             def required_columns(self):
                 return ()
 
-            def partition_safe(self):
-                return False
-
 
         class GoodNode(PlanNode):
             def required_columns(self):
                 return ("cargo.desc",)
 
-            def partition_safe(self):
-                return True
-
 
         class OtherNode(PlanNode):
             def required_columns(self):
                 return ()
-
-            def partition_safe(self):
-                return False
         """
     ),
     "engine/executor.py": textwrap.dedent(
@@ -125,7 +110,7 @@ def test_violating_fixture_trips_only_engine_contract(build_tree, run_all_passes
         ("engine-contract", "executor-coverage"),
     }
     symbols = {f.symbol for f in findings}
-    assert "BadNode.partition_safe" in symbols
+    assert "BadNode.required_columns" in symbols
     assert "BadNode" in symbols  # executor.py does not dispatch on it
 
 

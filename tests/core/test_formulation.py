@@ -221,8 +221,8 @@ def test_variant_without_drops_the_selective_copies_only(small_setup):
                 decision = analyzer.predicate_is_profitable(
                     placed, predicate, analyzer.price(placed)
                 )
-                assert decision.cost_with == model.estimate_query(placed).total
-                assert decision.cost_without == model.estimate_query(variant).total
+                assert decision.cost_with == model.price(placed).estimate().total
+                assert decision.cost_without == model.price(variant).estimate().total
 
 
 @pytest.fixture()

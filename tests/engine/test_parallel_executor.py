@@ -8,13 +8,16 @@ from repro.data import TABLE_4_1_SPECS, build_evaluation_setup
 from repro.engine import (
     ConventionalPlanner,
     ExecutionMode,
+    FilterNode,
     ParallelExecutor,
+    PlanNode,
     QueryExecutor,
+    QueryPlan,
     ScanNode,
     VectorizedExecutor,
     create_executor,
 )
-from repro.engine.parallel import resolve_worker_count
+from repro.engine.parallel import _fan_out_leaf, resolve_worker_count
 
 
 @pytest.fixture(scope="module")
@@ -194,13 +197,13 @@ def test_partition_contract_on_planned_queries(sharded_setup):
     planner = ConventionalPlanner(setup.schema, setup.statistics)
     for query in setup.queries:
         plan = planner.plan(query)
-        leaf = plan.partition_leaf()
+        leaf = _fan_out_leaf(plan)
         assert isinstance(leaf, ScanNode)
         assert leaf.class_name == plan.class_order[0]
-        assert not leaf.partition_safe()
-        for node in plan.root.walk():
-            if node is not leaf:
-                assert node.partition_safe()
+        assert list(plan.root.walk())[-1] is leaf
+    # A node kind outside the chain keeps the plan in-process.
+    assert _fan_out_leaf(QueryPlan(root=PlanNode())) is None
+    assert _fan_out_leaf(QueryPlan(root=FilterNode(child=PlanNode()))) is None
 
 
 def test_mode_parsing_factory_and_workers(sharded_setup, monkeypatch):

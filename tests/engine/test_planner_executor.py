@@ -115,9 +115,8 @@ def test_cost_model_estimates_and_measured_costs(database):
     schema, store, statistics = database
     cost_model = CostModel(schema, statistics)
     query = two_class_query()
-    estimate = cost_model.estimate_query(query)
+    estimate = cost_model.price(query).estimate()
     assert estimate.total > 0
-    assert cost_model.estimate_query_cost(query) == pytest.approx(estimate.total)
     metrics = QueryExecutor(schema, store).execute(query).metrics
     assert cost_model.measured_cost(metrics) > 0
 
@@ -125,19 +124,20 @@ def test_cost_model_estimates_and_measured_costs(database):
 def test_index_scan_is_estimated_cheaper(database):
     schema, _store, statistics = database
     cost_model = CostModel(schema, statistics)
-    indexed = cost_model.scan_estimate(
-        "cargo", [Predicate.equals("cargo.desc", "frozen food")]
-    )
-    unindexed = cost_model.scan_estimate(
-        "cargo", [Predicate.equals("cargo.category", "general")]
-    )
+
+    def scan(predicate):
+        query = Query(classes=("cargo",), selective_predicates=(predicate,))
+        return cost_model.price(query).class_price("cargo").scan
+
+    indexed = scan(Predicate.equals("cargo.desc", "frozen food"))
+    unindexed = scan(Predicate.equals("cargo.category", "general"))
     assert indexed.total < unindexed.total
 
 
 def test_driver_class_prefers_selective_class(database):
     schema, _store, statistics = database
     cost_model = CostModel(schema, statistics)
-    assert cost_model.driver_class(two_class_query()) == "cargo"
+    assert cost_model.price(two_class_query()).driver() == "cargo"
 
 
 def test_plan_required_columns_contract(database):
@@ -180,48 +180,6 @@ def test_planner_mode_does_not_change_plan_shape(database):
     assert rowwise_plan.execution_mode.value == "rowwise"
     assert vectorized_plan.execution_mode.value == "vectorized"
     assert "vectorized batch execution" in vectorized_plan.notes
-
-
-def test_batch_cost_estimates(database, small_setup):
-    """Vectorized estimates discount per-row predicate CPU, plus a one-off
-    compilation charge — so they cross over with extent size."""
-    from repro.engine import ExecutionMode
-
-    schema, _store, statistics = database
-    cost_model = CostModel(schema, statistics)
-    query = two_class_query()
-    rowwise = cost_model.estimate_query(query, ExecutionMode.ROWWISE)
-    vectorized = cost_model.estimate_query(query, ExecutionMode.VECTORIZED)
-    # Same instances and pointers are touched; only predicate CPU changes.
-    assert vectorized.retrieval == pytest.approx(rowwise.retrieval)
-    assert vectorized.traversal == pytest.approx(rowwise.traversal)
-    # The default (no mode) remains the row-wise estimate.
-    assert cost_model.estimate_query_cost(query) == pytest.approx(rowwise.total)
-    # A predicate-free query pays no compilation setup, so the estimates
-    # coincide.
-    bare = Query(projections=("cargo.code",), classes=("cargo",))
-    assert cost_model.estimate_query_cost(
-        bare, ExecutionMode.VECTORIZED
-    ) == pytest.approx(cost_model.estimate_query_cost(bare))
-    assert cost_model.vectorization_speedup(bare) == pytest.approx(1.0)
-    # Workload-level behaviour on a DB1-sized database: retrieval/traversal
-    # never change, the compilation overhead is bounded (speedup never drops
-    # meaningfully below 1), and queries that evaluate predicates over whole
-    # extents estimate cheaper vectorized.
-    db1_cost_model = CostModel(small_setup.schema, small_setup.statistics)
-    speedups = []
-    for workload_query in small_setup.queries:
-        row_estimate = db1_cost_model.estimate_query(
-            workload_query, ExecutionMode.ROWWISE
-        )
-        vec_estimate = db1_cost_model.estimate_query(
-            workload_query, ExecutionMode.VECTORIZED
-        )
-        assert vec_estimate.retrieval == pytest.approx(row_estimate.retrieval)
-        assert vec_estimate.traversal == pytest.approx(row_estimate.traversal)
-        speedups.append(db1_cost_model.vectorization_speedup(workload_query))
-    assert min(speedups) > 0.9
-    assert max(speedups) > 1.0
 
 
 def test_execution_metrics_merge():

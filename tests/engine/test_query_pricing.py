@@ -3,8 +3,8 @@
 :class:`~repro.engine.cost_model.QueryPricing` prices a query once and its
 variants (one predicate or one class fewer) by carrying unchanged class
 prices over.  The contract pinned here is *exact float equality* with
-pricing the physically rebuilt variant from scratch, in every execution
-mode — the reuse may save work, never move a decision — and that the
+pricing the physically rebuilt variant from scratch — the reuse may save
+work, never move a decision — and that the
 memo a :class:`~repro.constraints.Predicate` keeps of its derived values
 is no part of its identity or its pickled form.
 """
@@ -18,10 +18,8 @@ import pytest
 from repro.constraints import Predicate
 from repro.core import SemanticQueryOptimizer
 from repro.data import TABLE_4_1_SPECS, build_evaluation_setup
-from repro.engine import ConventionalPlanner, CostModel, ExecutionMode
+from repro.engine import ConventionalPlanner, CostModel
 from repro.query import parse_query
-
-MODES = list(ExecutionMode)
 
 
 def _breakdown(estimate):
@@ -76,26 +74,25 @@ def test_variant_costs_equal_pricing_the_rebuilt_query(database):
     queries += [optimizer.optimize(query).optimized for query in setup.queries]
     checked = 0
     for query in queries:
-        for mode in MODES:
-            priced = cost_model.price(query, mode)
-            scratch = cost_model.estimate_query(query, mode)
-            assert _breakdown(priced.estimate()) == _breakdown(scratch)
-            for variant in _variants(setup.schema, query):
-                repriced = priced.reprice(variant)
-                scratch = cost_model.estimate_query(variant, mode)
-                assert _breakdown(repriced.estimate()) == _breakdown(scratch)
-                assert repriced.estimate().total == scratch.total
-                assert repriced.driver() == cost_model.driver_class(variant)
-                checked += 1
-            for dropped in query.predicates():
-                variant = _without(query, dropped)
-                delta = priced.without(dropped)
-                scratch = cost_model.estimate_query(variant, mode)
-                assert _breakdown(delta.estimate()) == _breakdown(scratch)
-                assert delta.driver() == cost_model.driver_class(variant)
-                # A cross-class predicate is no local copy: nothing changes.
-                assert (delta is priced) == (variant is query)
-                checked += 1
+        priced = cost_model.price(query)
+        scratch = cost_model.price(query).estimate()
+        assert _breakdown(priced.estimate()) == _breakdown(scratch)
+        for variant in _variants(setup.schema, query):
+            repriced = priced.reprice(variant)
+            scratch = cost_model.price(variant)
+            assert _breakdown(repriced.estimate()) == _breakdown(scratch.estimate())
+            assert repriced.estimate().total == scratch.estimate().total
+            assert repriced.driver() == scratch.driver()
+            checked += 1
+        for dropped in query.predicates():
+            variant = _without(query, dropped)
+            delta = priced.without(dropped)
+            scratch = cost_model.price(variant)
+            assert _breakdown(delta.estimate()) == _breakdown(scratch.estimate())
+            assert delta.driver() == scratch.driver()
+            # A cross-class predicate is no local copy: nothing changes.
+            assert (delta is priced) == (variant is query)
+            checked += 1
     assert checked > 100
 
 
@@ -167,7 +164,7 @@ def test_planner_plans_from_one_pricing(small_setup):
         del reads[:]
         plan = planner.plan(query)
         assert len(reads) == 1
-        assert plan.class_order[0] == model.driver_class(query)
+        assert plan.class_order[0] == model.price(query).driver()
         assert sorted(plan.class_order) == sorted(query.classes)
 
 

@@ -47,3 +47,42 @@ def test_results_equal_is_set_based():
 def test_answers_match_on_generated_database(small_setup):
     query = small_setup.queries[0]
     assert answers_match(small_setup.schema, small_setup.store, query, query)
+
+
+def test_class_elimination_may_return_fewer_duplicate_rows():
+    """The paper's query on the ``--execute`` demo database: eliminating
+    ``supplier`` drops the repeat of each row per matching supplier, so the
+    optimized query returns 24 rows where the original returns 41.  Both
+    hold the same 24 distinct rows, and answers are compared as sets."""
+    from repro.constraints import ConstraintRepository, build_example_constraints
+    from repro.core import SemanticQueryOptimizer
+    from repro.data import DatabaseGenerator, DatabaseSpec
+    from repro.engine import create_executor
+    from repro.query import parse_query
+    from repro.schema import build_example_schema
+
+    schema = build_example_schema()
+    constraints = build_example_constraints()
+    repository = ConstraintRepository(schema)
+    repository.add_all(constraints)
+    query = parse_query(
+        '(SELECT {vehicle.vehicle#, cargo.desc, cargo.quantity} { } '
+        '{vehicle.desc = "refrigerated truck", supplier.name = "SFI"} '
+        "{collects, supplies} {supplier, cargo, vehicle})"
+    )
+    optimized = SemanticQueryOptimizer(schema, repository=repository).optimize(query)
+    assert optimized.eliminated_classes == ["supplier"]
+    store = DatabaseGenerator(schema, constraints, seed=7).generate(
+        DatabaseSpec("demo", class_cardinality=60, relationship_cardinality=90)
+    ).store
+    executor = create_executor(schema, store)
+    original_rows = executor.execute(query).rows
+    optimized_rows = executor.execute(optimized.optimized).rows
+
+    def distinct(rows):
+        return {tuple(row[name] for name in query.projections) for row in rows}
+
+    assert (len(original_rows), len(optimized_rows)) == (41, 24)
+    assert distinct(original_rows) == distinct(optimized_rows)
+    assert len(distinct(original_rows)) == 24
+    assert answers_match(schema, store, query, optimized.optimized)

@@ -78,12 +78,35 @@ def test_calibration_swaps_weights_and_invalidates_pricing(setup):
         assert manager.weight_swaps >= 1
         assert cost_model.weights_generation > generation_before
         assert manager.last_calibration is not None
-        assert manager.last_calibration.mode == "rowwise"
         # Calibrated pricing never changes answers: the same full rows,
         # each as many times, in whatever order the chosen plan yields.
         for query, rows in zip(setup.queries, reference):
             result = service.execute(query, execution_mode="rowwise")
             assert _row_multiset(result.rows) == rows
+    finally:
+        service.close()
+
+
+def test_one_fit_pools_every_engines_executions(setup):
+    """The cost model holds one weight set, so executions on either engine
+    feed one reservoir: 8 row-wise plus 8 vectorized reach a 16-sample
+    fit that neither engine's executions reach alone."""
+    service = _build_service(setup)
+    try:
+        manager = service.enable_self_tuning(
+            TuningConfig(
+                auto_index=False,
+                learn_rules=False,
+                calibrate_interval=16,
+                min_samples=16,
+            )
+        )
+        for mode in ("rowwise", "vectorized"):
+            for query in setup.queries:
+                service.execute(query, execution_mode=mode)
+        assert len(setup.queries) == 8
+        assert manager.weight_swaps >= 1
+        assert manager.snapshot()["calibrator"]["retained"] == 16
     finally:
         service.close()
 

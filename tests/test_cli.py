@@ -95,3 +95,29 @@ def test_no_command_takes_workers(build):
     engine = next(action for action in parser._actions if "--engine" in action.option_strings)
     assert engine.choices == ["rowwise", "vectorized"]
     assert not any("--workers" in action.option_strings for action in parser._actions)
+
+
+@pytest.mark.parametrize(
+    "argv, components",
+    [
+        ([], None),
+        (["--self-tune"], (True, True, True)),
+        (["--self-tune", "all"], (True, True, True)),
+        (["--self-tune", "calibrate"], (True, False, False)),
+        (["--self-tune", "index,rules"], (False, True, True)),
+    ],
+)
+def test_self_tune_selects_components(argv, components):
+    config = build_serve_parser().parse_args(argv).self_tune
+    if components is None:
+        assert config is None
+    else:
+        assert (config.calibrate, config.auto_index, config.learn_rules) == components
+
+
+def test_self_tune_refuses_unknown_component(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--self-tune", "turbo"])
+    assert exit_info.value.code == 2  # argparse's usage error, before any work
+    err = capsys.readouterr().err
+    assert "'turbo'" in err and "calibrate, index, rules" in err

@@ -89,13 +89,13 @@ def test_calibrated_weights_rank_at_least_as_well_as_hand_weights(
         for query in workload.queries:
             result = executor.execute(query)
             wall = _true_seconds(result.metrics)
-            calibrator.observe(mode, result.metrics, wall)
+            calibrator.observe(result.metrics, wall)
             executions.append((result.metrics, wall))
     finally:
         if mode == "parallel":
             executor.close()
 
-    report = calibrator.calibrate(mode)
+    report = calibrator.calibrate()
     assert report is not None
     assert report.sample_count == min(256, len(executions))
     assert report.r_squared > 0.99
@@ -123,9 +123,7 @@ def test_calibration_is_deterministic_per_leg(workload):
         calibrator = CostCalibrator(reservoir_size=128, seed=5)
         for query in workload.queries[:200]:
             result = executor.execute(query)
-            calibrator.observe(
-                "rowwise", result.metrics, _true_seconds(result.metrics)
-            )
-        weights.append(calibrator.calibrate("rowwise").weights)
+            calibrator.observe(result.metrics, _true_seconds(result.metrics))
+        weights.append(calibrator.calibrate().weights)
     assert weights[0] == weights[1]
     assert isinstance(weights[0], CostWeights)

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.engine.cost_model import CostWeights
 from repro.engine.executor import ExecutionMetrics
 from repro.tuning import CostCalibrator
 
@@ -40,8 +39,8 @@ def _synthetic_samples(count, seed):
 def test_recovers_ground_truth_ratios():
     calibrator = CostCalibrator(seed=7)
     for metrics, wall in _synthetic_samples(200, seed=5):
-        calibrator.observe("rowwise", metrics, wall)
-    report = calibrator.calibrate("rowwise")
+        calibrator.observe(metrics, wall)
+    report = calibrator.calibrate()
     assert report is not None
     assert report.r_squared > 0.999
     weights = report.weights
@@ -59,46 +58,34 @@ def test_identical_streams_calibrate_identically():
     for _ in range(2):
         calibrator = CostCalibrator(seed=3, reservoir_size=64)
         for metrics, wall in _synthetic_samples(300, seed=9):
-            calibrator.observe("vectorized", metrics, wall)
-        runs.append(calibrator.calibrate("vectorized").weights)
+            calibrator.observe(metrics, wall)
+        runs.append(calibrator.calibrate().weights)
     assert runs[0] == runs[1]
 
 
 def test_refuses_underdetermined_fits():
     calibrator = CostCalibrator(min_samples=24)
     for metrics, wall in _synthetic_samples(23, seed=1):
-        calibrator.observe("rowwise", metrics, wall)
-    assert not calibrator.ready("rowwise")
-    assert calibrator.calibrate("rowwise") is None
-    calibrator.observe(
-        "rowwise", ExecutionMetrics(instances_retrieved=10), 1e-4
-    )
-    assert calibrator.ready("rowwise")
-    assert calibrator.calibrate("rowwise") is not None
+        calibrator.observe(metrics, wall)
+    assert not calibrator.ready()
+    assert calibrator.calibrate() is None
+    calibrator.observe(ExecutionMetrics(instances_retrieved=10), 1e-4)
+    assert calibrator.ready()
+    assert calibrator.calibrate() is not None
 
 
 def test_reservoir_stays_bounded_and_counts_everything():
     calibrator = CostCalibrator(reservoir_size=32, seed=0)
     for metrics, wall in _synthetic_samples(500, seed=2):
-        calibrator.observe("parallel", metrics, wall)
-    assert calibrator.sample_count("parallel") == 32
-    assert calibrator.observed_count("parallel") == 500
+        calibrator.observe(metrics, wall)
+    assert calibrator.sample_count() == 32
+    assert calibrator.observed_count() == 500
     snapshot = calibrator.snapshot()
-    assert snapshot["modes"]["parallel"] == {"retained": 32, "observed": 500}
+    assert (snapshot["retained"], snapshot["observed"]) == (32, 500)
 
 
-def test_negative_samples_and_modes_are_isolated():
+def test_negative_samples_are_discarded():
     calibrator = CostCalibrator()
-    calibrator.observe("rowwise", ExecutionMetrics(instances_retrieved=5), -1.0)
-    assert calibrator.sample_count("rowwise") == 0  # clock skew discarded
-    calibrator.observe("rowwise", ExecutionMetrics(instances_retrieved=5), 1e-5)
-    assert calibrator.sample_count("vectorized") == 0
-
-
-def test_untouched_weight_fields_come_from_base():
-    calibrator = CostCalibrator(seed=4)
-    for metrics, wall in _synthetic_samples(100, seed=11):
-        calibrator.observe("rowwise", metrics, wall)
-    base = CostWeights(predicate_compilation=0.123)
-    report = calibrator.calibrate("rowwise", base=base)
-    assert report.weights.predicate_compilation == 0.123
+    calibrator.observe(ExecutionMetrics(instances_retrieved=5), -1.0)
+    assert calibrator.sample_count() == 0  # clock skew discarded
+    assert calibrator.observed_count() == 0

@@ -1,8 +1,9 @@
 """Unit tests for TuningConfig parsing and the SelfTuningManager loop."""
 
+from argparse import ArgumentTypeError
+
 import pytest
 
-from repro.engine.cost_model import CostWeights
 from repro.engine.executor import ExecutionMetrics
 from repro.query import parse_query
 from repro.tuning import SelfTuningManager, TuningConfig
@@ -16,27 +17,25 @@ def _query():
 
 
 # ----------------------------------------------------------------------
-# REPRO_TUNING parsing
+# --self-tune component parsing
 # ----------------------------------------------------------------------
-def test_from_env_full_and_off_forms():
-    for text in ("1", "on", "true", "yes", "all"):
-        config = TuningConfig.from_env(text)
-        assert config is not None and config.enabled
-        assert config.calibrate and config.auto_index and config.learn_rules
-    for text in (None, "", "0", "off", "false", "no", "none", "  "):
-        assert TuningConfig.from_env(text) is None
+def test_parse_all():
+    config = TuningConfig.parse("all")
+    assert config.enabled
+    assert config.calibrate and config.auto_index and config.learn_rules
 
 
-def test_from_env_component_subsets():
-    config = TuningConfig.from_env("calibrate,rules")
+def test_parse_component_subsets():
+    config = TuningConfig.parse("calibrate,rules")
     assert config.calibrate and config.learn_rules and not config.auto_index
-    config = TuningConfig.from_env(" index ")
+    config = TuningConfig.parse(" index ")
     assert config.auto_index and not config.calibrate and not config.learn_rules
 
 
-def test_from_env_rejects_unknown_components():
-    with pytest.raises(ValueError, match="unknown component"):
-        TuningConfig.from_env("calibrate,turbo")
+def test_parse_rejects_unknown_components():
+    for text in ("calibrate,turbo", "on", "1", ""):
+        with pytest.raises(ArgumentTypeError, match="calibrate, index, rules"):
+            TuningConfig.parse(text)
 
 
 # ----------------------------------------------------------------------
@@ -49,8 +48,8 @@ def test_calibration_cadence_is_counter_based():
     metrics = ExecutionMetrics(instances_retrieved=100, rows_output=10)
     query = _query()
     for i in range(1, 17):
-        manager.observe_execution("rowwise", query, metrics, 1e-4)
-        due = manager.due_calibration("rowwise")
+        manager.observe_execution(query, metrics, 1e-4)
+        due = manager.due_calibration()
         assert due is (i % 8 == 0)  # deterministic, no wall clock involved
     assert manager.due_advice() is False or True  # interval-driven below
 
@@ -65,16 +64,19 @@ def test_calibrate_swaps_weights_and_bumps_generation():
             rows_output=5 + i,
         )
         wall = 5e-6 * metrics.instances_retrieved + 2.5e-7 * metrics.rows_output
-        manager.observe_execution("rowwise", query, metrics, wall)
+        manager.observe_execution(query, metrics, wall)
     generation = manager.generation
-    report = manager.calibrate("rowwise", CostWeights())
+    report = manager.calibrate()
     assert report is not None
     assert manager.generation == generation + 1
     assert manager.weight_swaps == 1
     assert manager.last_calibration is report
-    # A mode with no samples refuses to fit and leaves the generation be.
-    assert manager.calibrate("parallel", CostWeights()) is None
-    assert manager.generation == generation + 1
+    # Too few samples refuse to fit and leave the generation be.
+    fresh = SelfTuningManager(TuningConfig())
+    before = fresh.generation
+    assert fresh.calibrate() is None
+    assert fresh.generation == before
+    assert fresh.weight_swaps == 0
 
 
 def test_ab_sampling_is_one_in_n():
@@ -111,9 +113,7 @@ def test_index_applied_bumps_generation():
 
 def test_snapshot_shape():
     manager = SelfTuningManager(TuningConfig(auto_index=False))
-    manager.observe_execution(
-        "rowwise", _query(), ExecutionMetrics(instances_retrieved=1), 1e-6
-    )
+    manager.observe_execution(_query(), ExecutionMetrics(instances_retrieved=1), 1e-6)
     snapshot = manager.snapshot()
     assert snapshot["enabled"] == {
         "calibrate": True,
