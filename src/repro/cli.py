@@ -58,7 +58,6 @@ from .data import build_evaluation_constraints, build_evaluation_schema
 from .query import format_query, parse_query
 from .schema import build_example_schema
 from .service import OptimizationService
-from .tuning import TuningConfig
 
 #: Named schema/constraint bundles selectable from the command line.
 BUNDLES = {
@@ -295,15 +294,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--self-tune",
-        nargs="?",
-        const="all",
-        type=TuningConfig.parse,
-        metavar="COMPONENTS",
+        action="store_true",
         help=(
-            "enable the self-tuning feedback loop: 'all' (the default when "
-            "the flag is bare), or a comma list of calibrate (measured-cost "
-            "weight calibration), index (workload-driven auto-indexing) and "
-            "rules (learned rule profitability)"
+            "enable the self-tuning feedback loop: measured-cost weight "
+            "calibration, workload-driven auto-indexing and learned rule "
+            "profitability"
         ),
     )
     parser.add_argument(
@@ -458,21 +453,9 @@ def run_serve(argv: List[str]) -> int:
         if args.dynamic_rules:
             derived = service.enable_dynamic_rules()
             print(f"dynamic rules enabled: {derived} derived", flush=True)
-        if args.self_tune is not None:
-            manager_t = service.enable_self_tuning(args.self_tune)
-            enabled = [
-                name
-                for name, on in (
-                    ("calibrate", manager_t.config.calibrate),
-                    ("index", manager_t.config.auto_index),
-                    ("rules", manager_t.config.learn_rules),
-                )
-                if on
-            ]
-            print(
-                f"self-tuning enabled: {', '.join(enabled)}",
-                flush=True,
-            )
+        if args.self_tune:
+            service.enable_self_tuning()
+            print("self-tuning enabled: calibrate, index, rules", flush=True)
         follower_task = None
         if follower is not None:
             follower.attach(service)

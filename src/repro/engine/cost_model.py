@@ -337,9 +337,10 @@ class CostModel:
     so every pricing reads statistics current for the store's version
     instead of whatever was collected at attach time.  Weights can be
     **swapped at runtime** (:meth:`set_weights`, the tuning calibrator's
-    entry point); every swap bumps :attr:`weights_generation`, which cache
-    keys fold in so results priced under old weights are not served as
-    current.
+    entry point).  The model keeps no version of its own: the owning
+    service swaps weights inside its write commit, together with the
+    tuning generation its cache epochs embed, so results priced under old
+    weights are not served as current.
     """
 
     def __init__(
@@ -352,8 +353,6 @@ class CostModel:
         self._statistics = statistics
         self._statistics_provider = _no_live_statistics
         self.weights = weights or CostWeights()
-        #: Bumped by every :meth:`set_weights`; cache epochs embed it.
-        self.weights_generation = 0
 
     @property
     def statistics(self) -> DatabaseStatistics:
@@ -376,9 +375,8 @@ class CostModel:
         self._statistics_provider = provider or _no_live_statistics
 
     def set_weights(self, weights: CostWeights) -> None:
-        """Swap in new weights (calibration), bumping the generation."""
+        """Swap in new weights (calibration); every later pricing reads them."""
         self.weights = weights
-        self.weights_generation += 1
 
     # ------------------------------------------------------------------
     # Estimation

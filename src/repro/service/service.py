@@ -318,26 +318,18 @@ class OptimizationService:
         a counter: when a write and its undo swap a class's rules out and
         back, the results cached under the first state serve again.
 
-        Two tuning counters ride along: the cost model's weights
-        generation (calibration swaps reprice profitability decisions)
-        and the tuning manager's generation (index create/drop and rule
-        demotions change what the optimizer would produce).  Both are 0
-        until the corresponding feature activates, so the epoch shape is
-        stable.
+        The tuning manager's generation rides along: calibration swaps
+        reprice profitability decisions, and index create/drop and rule
+        demotions change what the optimizer would produce.  It is 0 until
+        self-tuning is on, so the epoch shape is stable.
         """
         epochs: Tuple = (
             self.repository.class_epochs(query.classes)
             if self.repository is not None
             else ()
         )
-        cost_model = self.optimizer.cost_model
-        weights_generation = (
-            cost_model.weights_generation if cost_model is not None else 0
-        )
-        tuning_generation = (
-            self._tuning.generation if self._tuning is not None else 0
-        )
-        return epochs + (weights_generation, tuning_generation)
+        tuning = self._tuning
+        return epochs + (tuning.generation if tuning is not None else 0,)
 
     def _optimize_keyed(
         self, query: Query, key: Optional[Tuple]
@@ -603,28 +595,38 @@ class OptimizationService:
         # implications that are no longer true of the data.
         with self._store_lock.read():
             key = self._cache_key(query, use_cache) if optimize else None
-            result, baseline = self._execute(
-                query, optimize, key, execution_mode, join_strategy
-            )
-        if self._tuning is not None:
-            self._tuning_feedback(result, baseline)
-        return result
+            run = self._execute(query, optimize, key, execution_mode, join_strategy)
+        self._tuning_feedback(*run)
+        return run[0]
 
     def _execute(
         self, query: Query, optimize, key, execution_mode, join_strategy
     ) -> Tuple[ExecutionEnvelope, Any]:
-        """:meth:`execute` under cache ``key``, for a caller holding the store lock.
+        """:meth:`execute` under cache ``key``, for a caller holding the store
+        lock: optimize (optionally), then :meth:`_run`."""
+        envelope, entry = self._optimize_keyed(query, key) if optimize else (None, None)
+        return self._run(
+            self._executor(execution_mode, join_strategy), query, envelope, entry
+        )
+
+    def _run(
+        self,
+        executor,
+        query: Query,
+        envelope: Optional[ServiceResult],
+        entry: Optional[_CachedRun],
+    ) -> Tuple[ExecutionEnvelope, Any]:
+        """The one execution body of :meth:`execute` and :meth:`execute_many`,
+        for a caller holding the store lock: plan and run the query
+        ``envelope`` optimized ``query`` into (``None``: ``query`` itself)
+        on ``executor``, then the sampled A/B leg.
 
         Returns the envelope and, when self-tuning sampled an A/B leg, the
-        original query's execution (else ``None``).
+        original query's execution (else ``None``): the arguments of the
+        execution's one :meth:`_tuning_feedback` call, made after the lock
+        is released.
         """
-        envelope: Optional[ServiceResult] = None
-        entry: Optional[_CachedRun] = None
-        target = query
-        if optimize:
-            envelope, entry = self._optimize_keyed(query, key)
-            target = envelope.optimized
-        executor = self._executor(execution_mode, join_strategy)
+        target = query if envelope is None else envelope.optimized
         start = time.perf_counter()
         execution = executor.execute_plan(self._plan(executor, target, entry))
         elapsed = time.perf_counter() - start
@@ -724,14 +726,16 @@ class OptimizationService:
         The optimization half reuses :meth:`optimize_many` (batch dedup,
         result cache).  The execution half runs the batch in order on one
         executor on the calling thread (pure-Python work gains nothing from
-        threads under the interpreter lock), timing each execution.
-        Results come back aligned with the input order.
+        threads under the interpreter lock), through :meth:`execute`'s own
+        body (:meth:`_run`) and its one :meth:`_tuning_feedback` call per
+        execution, so tuning cadences and A/B sampling count a batch's
+        executions exactly as one-at-a-time ones.  Results come back
+        aligned with the input order.
         """
         batch = list(queries)
         start = time.perf_counter()
         envelopes: List[Optional[ServiceResult]] = [None] * len(batch)
         entries: List[Optional[_CachedRun]] = [None] * len(batch)
-        targets: List[Query] = batch
         optimize_time = 0.0
         # The whole batch — optimization included — runs under ONE shared
         # acquisition: writers wait for the batch, and the batch observes a
@@ -741,44 +745,22 @@ class OptimizationService:
         with self._store_lock.read():
             if optimize and batch:
                 optimized, entries = self._optimize_many(batch, use_cache)
-                envelopes = list(optimized.results)
-                targets = optimized.optimized_queries()
+                envelopes = optimized.results
                 optimize_time = optimized.stats.wall_time
-
             executor = self._executor(execution_mode, join_strategy)
             execute_start = time.perf_counter()
-            timed_executions = []
-            for target, entry in zip(targets, entries):
-                began = time.perf_counter()
-                execution = executor.execute_plan(self._plan(executor, target, entry))
-                timed_executions.append((execution, time.perf_counter() - began))
+            runs = [self._run(executor, *args) for args in zip(batch, envelopes, entries)]
             execute_time = time.perf_counter() - execute_start
-
-        mode = executor.mode.value
-        if self._tuning is not None and batch:
-            for query, (execution, elapsed) in zip(batch, timed_executions):
-                self._tuning.observe_execution(query, execution.metrics, elapsed)
-            self._tuning_maintenance()
-        results = [
-            ExecutionEnvelope(
-                query=query,
-                execution=execution,
-                execution_mode=mode,
-                execute_time=elapsed,
-                optimization=envelope,
-            )
-            for query, (execution, elapsed), envelope in zip(
-                batch, timed_executions, envelopes
-            )
-        ]
+        for run in runs:
+            self._tuning_feedback(*run)
         stats = ExecutionBatchStats(
             total=len(batch),
             wall_time=time.perf_counter() - start,
             optimize_time=optimize_time,
             execute_time=execute_time,
-            execution_mode=mode,
+            execution_mode=executor.mode.value,
         )
-        return ExecutionBatchResult(results=results, stats=stats)
+        return ExecutionBatchResult(results=[result for result, _ in runs], stats=stats)
 
     # ------------------------------------------------------------------
     # Self-tuning (measured-cost calibration, auto-indexing, rule payoff)
@@ -792,11 +774,12 @@ class OptimizationService:
         model, one is created and bound to the store's statistics —
         calibrated weights have to land somewhere.
 
-        From here on every :meth:`execute` / :meth:`execute_many` feeds
+        From here on every execution, one-at-a-time or batched, feeds
         the calibrator and the index advisor; calibration refits, index
         create/drop and rule demotions each bump the tuning generation,
         which rides in every cache epoch, so no cached result priced
-        under the old tuning state is ever served as current.
+        under the old tuning state is ever served as current.  Weight
+        swaps and index actions commit through :meth:`_commit_write`.
         """
         from ..tuning import SelfTuningManager, TuningConfig
 
@@ -819,25 +802,34 @@ class OptimizationService:
         self.optimizer.rule_filter = self._rule_filter
         return self._tuning
 
-    def _tuning_feedback(self, result: ExecutionEnvelope, baseline=None) -> None:
-        """Post-execution hook: observe, score A/B, run due maintenance."""
+    def _tuning_feedback(self, result: ExecutionEnvelope, baseline) -> None:
+        """Post-execution hook, called once per execution without the store
+        lock: observe, score the A/B leg (``baseline``, from :meth:`_run`),
+        then run due maintenance."""
         tuning = self._tuning
         if tuning is None:
             return
         tuning.observe_execution(result.query, result.metrics, result.execute_time)
-        cost_model = self.optimizer.cost_model
-        envelope = result.optimization
-        if (
-            baseline is not None
-            and envelope is not None
-            and cost_model is not None
-        ):
+        if baseline is not None:
+            cost_model = self.optimizer.cost_model
             tuning.observe_ab(
-                self._rule_epochs(envelope.result.trace.constraints_used()),
+                self._rule_epochs(result.optimization.result.trace.constraints_used()),
                 cost_model.measured_cost(result.metrics),
                 cost_model.measured_cost(baseline.metrics),
             )
-        self._tuning_maintenance()
+        if tuning.due_calibration():
+            self._commit_write("calibrate", self._swap_weights, ())
+        if tuning.due_advice():
+            self._apply_index_advice()
+
+    def _swap_weights(self) -> List[int]:
+        """Stage 2 of :meth:`_commit_write` (write lock held): refit, and
+        swap the fit into the cost model in the span that bumps the tuning
+        generation, so no reader sees one without the other."""
+        report = self._tuning.calibrate()
+        if report is not None:
+            self.optimizer.cost_model.set_weights(report.weights)
+        return []
 
     def _rule_epochs(self, names: Iterable[str]) -> List[Tuple[str, Tuple]]:
         """Each rule paired with its referenced classes' epochs."""
@@ -856,27 +848,7 @@ class OptimizationService:
             rules.append((name, epochs))
         return rules
 
-    def _tuning_maintenance(self) -> None:
-        """Apply any due calibration refit or index advice.
-
-        Must be called WITHOUT the store lock held: index advice takes
-        the exclusive side.
-        """
-        tuning = self._tuning
-        if tuning is None:
-            return
-        cost_model = self.optimizer.cost_model
-        if cost_model is not None and tuning.due_calibration():
-            report = tuning.calibrate()
-            if report is not None:
-                # The swap bumps weights_generation, which every cache
-                # epoch embeds — stale-priced results age out, cached
-                # plans stay valid (plan shape is weight-independent).
-                cost_model.set_weights(report.weights)
-        if tuning.due_advice():
-            self._apply_index_advice()
-
-    def _apply_index_advice(self) -> List:
+    def _apply_index_advice(self) -> None:
         """Create/drop the indexes the advisor's heat justifies.
 
         Index ops go through the store's journaled write path under the
@@ -885,33 +857,20 @@ class OptimizationService:
         """
         tuning = self._tuning
         store = self.store
-        if tuning is None or store is None:
-            return []
         from ..engine.storage import StorageError
-
-        def is_indexed(class_name: str, attribute_name: str) -> bool:
-            try:
-                return store.indexes.is_indexed(class_name, attribute_name)
-            except Exception:
-                return False
-
-        def cardinality(class_name: str) -> int:
-            try:
-                return store.count(class_name)
-            except Exception:
-                return 0
 
         def indexable(class_name: str, attribute_name: str) -> bool:
             try:
                 store._index_attribute(class_name, attribute_name)
-            except Exception:
+            except StorageError:
                 return False
             return True
 
-        actions = tuning.advise(is_indexed, cardinality, indexable)
+        # The advisor heats only pairs of queries that already executed, so
+        # ``is_indexed`` and ``count`` are only ever asked of known classes.
+        actions = tuning.advise(store.is_indexed, store.count, indexable)
         if not actions:
-            return []
-        applied = []
+            return
 
         def apply_advice() -> List[int]:
             for action in actions:
@@ -930,13 +889,11 @@ class OptimizationService:
                     ok = False
                 if ok:
                     tuning.index_applied(action)
-                    applied.append(action)
             return []
 
         # Index records are logged and replicated like rows, so they take
         # the same commit path; they change no value, so touch no class.
         self._commit_write("index", apply_advice, ())
-        return applied
 
     # ------------------------------------------------------------------
     # Mutation API (the live write path)
@@ -1118,8 +1075,9 @@ class OptimizationService:
            anything has changed;
         2. ``apply()`` — the writes (primary), ``apply_journal``
            (replica), a store swap (resync), a declared-rule edit
-           (:meth:`change_rules`, which flags every view itself) or
-           nothing (boot); returns the OIDs written;
+           (:meth:`change_rules`, which flags every view itself), a
+           self-tuning index action or weight swap, or nothing (boot);
+           returns the OIDs written;
         3. WAL commit: flush, fsync per policy, snapshot if due;
         4. publish the batch's records to the replication feed — after 3,
            so a frame is on local disk before any replica can see it;

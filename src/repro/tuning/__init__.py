@@ -20,10 +20,13 @@ This package makes all three *measured* quantities:
   pay off.
 
 :class:`~repro.tuning.manager.SelfTuningManager` bundles the three behind
-one generation counter so the owning service can fold "the tuning state
-changed" into its cache epochs, and
-:class:`~repro.tuning.manager.TuningConfig` parses the components
-``serve --self-tune`` names.
+one generation counter, the only version the tuning state has, so the
+owning service can fold "the tuning state changed" into its cache epochs;
+the service feeds it once per execution, and commits each weight swap and
+index action through its write path, where the generation moves with the
+change.  ``serve --self-tune`` switches all three on;
+:class:`~repro.tuning.manager.TuningConfig` holds the switches and
+thresholds a library caller can set.
 
 Everything in this package is deterministic under a seed: the calibration
 reservoir uses seeded reservoir sampling, A/B sampling is counter-based,

@@ -39,6 +39,13 @@ FEATURES: Tuple[str, ...] = (
     "rows_output",
 )
 
+#: Fits explaining less of the wall-time variance than this are refused.
+#: A noiseless clock over the differential-oracle workload fits at r² > 0.99
+#: (``tests/tuning/test_calibration_convergence.py``); a served DB2 fit that
+#: reached only 0.65 priced an index lookup at 136.7 instance retrievals,
+#: where the hand weights put it at 1/20.  The floor sits between the two.
+R_SQUARED_FLOOR = 0.9
+
 #: The weight fields the fit produces, aligned with :data:`FEATURES` (in
 #: :class:`CostWeights` field order: every field).
 WEIGHT_FIELDS: Tuple[str, ...] = (
@@ -108,7 +115,8 @@ class CostCalibrator:
         sample of everything observed and old workload phases age out.
     min_samples:
         Fits are refused below this many samples (under-determined fits
-        produce garbage weights).
+        produce garbage weights).  A fit is also refused when its r² is
+        below :data:`R_SQUARED_FLOOR`.
     ridge:
         Tikhonov regularization strength.  Query workloads produce heavily
         collinear counters (rows output tracks instances retrieved), and
@@ -161,7 +169,7 @@ class CostCalibrator:
         return self._observed
 
     def ready(self) -> bool:
-        """Whether a fit would be accepted."""
+        """Whether enough samples are retained to attempt a fit."""
         return self.sample_count() >= self.min_samples
 
     # ------------------------------------------------------------------
@@ -169,7 +177,8 @@ class CostCalibrator:
     # ------------------------------------------------------------------
     def calibrate(self) -> Optional[CalibrationReport]:
         """Fit weights from the retained samples; ``None`` when not enough
-        signal."""
+        signal: too few samples, a singular solve, no positive weight, or
+        an r² below :data:`R_SQUARED_FLOOR`."""
         samples = self._samples
         if len(samples) < self.min_samples:
             return None
@@ -196,13 +205,16 @@ class CostCalibrator:
         anchor = clipped[0] if clipped[0] > 0 else max(clipped)
         if anchor <= 0:
             return None
+        r_squared = self._r_squared(samples, raw)
+        if r_squared < R_SQUARED_FLOOR:
+            return None
         normalized = [w / anchor for w in clipped]
         self.fits += 1
         return CalibrationReport(
             sample_count=len(samples),
             weights=CostWeights(**dict(zip(WEIGHT_FIELDS, normalized))),
             raw=tuple(raw),
-            r_squared=self._r_squared(samples, raw),
+            r_squared=r_squared,
         )
 
     @staticmethod

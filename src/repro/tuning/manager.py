@@ -7,8 +7,9 @@ the service with a small surface:
   the query, the measured metrics and the wall time; feeds the
   calibrator and the index advisor and decides (counter-based, so
   deterministic) when a calibration refit or an advice pass is due;
-* :meth:`due_calibration` / :meth:`due_advice` — polled by the service at
-  points where it holds the right locks to act;
+* :meth:`due_calibration` / :meth:`due_advice` — polled by the service
+  after every observed execution, with no store lock held, since acting
+  on either commits a write;
 * :meth:`should_sample_ab` — deterministic 1-in-N sampling of transformed
   queries for original-vs-optimized A/B execution;
 * :meth:`observe_ab` — folds an A/B outcome into the rule payoff tracker;
@@ -16,7 +17,8 @@ the service with a small surface:
   change** (weight swap applied, index created/dropped, demotion set
   changed).  The service folds it into its cache epochs, so plans and
   cached results priced under the old tuning state are never served as
-  current.
+  current.  A weight swap and an index action bump it inside the
+  service's write commit, in the same lock span as the change itself.
 
 The manager is thread-safe: the service calls into it from executor
 threads (observations) and from the mutation path (advice application),
@@ -26,7 +28,6 @@ and a single internal lock keeps the counters consistent.
 from __future__ import annotations
 
 import threading
-from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -41,9 +42,9 @@ from .payoff import RulePayoffTracker
 class TuningConfig:
     """Switches and thresholds of the self-tuning loop.
 
-    :meth:`parse` reads the components ``serve --self-tune`` names: ``all``
-    (everything) or a comma-separated subset of ``calibrate``, ``index``,
-    ``rules``.
+    ``serve --self-tune`` runs the defaults (every component on); a caller
+    of :meth:`~repro.service.OptimizationService.enable_self_tuning`
+    switches components off and moves thresholds through these fields.
     """
 
     calibrate: bool = True
@@ -64,36 +65,6 @@ class TuningConfig:
     min_trials: int = 5
     demote_threshold: float = 0.25
     seed: int = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any component is on."""
-        return self.calibrate or self.auto_index or self.learn_rules
-
-    @staticmethod
-    def parse(value: str) -> "TuningConfig":
-        """The config naming ``value``'s components: ``all``, or a comma
-        list of ``calibrate``, ``index`` and ``rules``.
-
-        It is the ``--self-tune`` flag's argparse ``type``, so anything
-        else raises :class:`argparse.ArgumentTypeError`, whose message
-        (naming the known components) argparse prints as is.
-        """
-        parts = {part.strip() for part in value.lower().split(",")}
-        if parts == {"all"}:
-            return TuningConfig()
-        known = ("calibrate", "index", "rules")
-        unknown = parts.difference(known)
-        if unknown:
-            raise ArgumentTypeError(
-                f"unknown self-tuning component(s) {sorted(unknown)!r}; "
-                f"expected 'all' or a comma list of {', '.join(known)}"
-            )
-        return TuningConfig(
-            calibrate="calibrate" in parts,
-            auto_index="index" in parts,
-            learn_rules="rules" in parts,
-        )
 
 
 class SelfTuningManager:
@@ -163,7 +134,12 @@ class SelfTuningManager:
     # Actions (called by the service under its own locks)
     # ------------------------------------------------------------------
     def calibrate(self) -> Optional[CalibrationReport]:
-        """Refit the weights; bumps the generation on success."""
+        """Refit the weights; bumps the generation on success.
+
+        The service calls this in the apply stage of its write commit and
+        swaps the returned weights into the cost model in the same span,
+        so no reader sees the new generation with the old weights.
+        """
         with self._lock:
             report = self.calibrator.calibrate()
             if report is not None:

@@ -15,8 +15,17 @@ from repro.constraints import ConstraintRepository
 from repro.core import OptimizerConfig
 from repro.data import TABLE_4_1_SPECS, build_evaluation_setup
 from repro.query import parse_query
-from repro.service import OptimizationService
+from repro.service import OptimizationService, ResultSource
 from repro.tuning import TuningConfig
+
+#: Per-operation seconds a noiseless clock charges an execution's counters.
+TRUTH = {
+    "instances_retrieved": 4e-6,
+    "predicate_evaluations": 6e-8,
+    "pointer_traversals": 9e-7,
+    "index_lookups": 3e-7,
+    "rows_output": 2e-7,
+}
 
 
 def _build_service(setup, **kwargs):
@@ -30,6 +39,22 @@ def _build_service(setup, **kwargs):
         store=setup.store,
         **kwargs,
     )
+
+
+def _noiseless_clock(manager):
+    """Feed ``manager`` each execution's counters priced by :data:`TRUTH`
+    instead of its wall time (real counters, noiseless clock, as in
+    ``tests/tuning/test_calibration_convergence.py``): every due refit then
+    clears the calibrator's r² floor, so swaps happen on a fixed cadence
+    however loaded the host is."""
+    observe = manager.observe_execution
+
+    def observe_priced(query, metrics, _wall_time):
+        seconds = sum(rate * getattr(metrics, name) for name, rate in TRUTH.items())
+        observe(query, metrics, seconds)
+
+    manager.observe_execution = observe_priced
+    return manager
 
 
 def _row_multiset(rows):
@@ -58,16 +83,18 @@ def test_enable_self_tuning_requires_a_store(setup):
 def test_calibration_swaps_weights_and_invalidates_pricing(setup):
     service = _build_service(setup)
     try:
-        manager = service.enable_self_tuning(
-            TuningConfig(
-                auto_index=False,
-                learn_rules=False,
-                calibrate_interval=16,
-                min_samples=8,
+        manager = _noiseless_clock(
+            service.enable_self_tuning(
+                TuningConfig(
+                    auto_index=False,
+                    learn_rules=False,
+                    calibrate_interval=16,
+                    min_samples=8,
+                )
             )
         )
         cost_model = service.optimizer.cost_model
-        generation_before = cost_model.weights_generation
+        generation_before = manager.generation
         reference = [
             _row_multiset(service.execute(query, execution_mode="rowwise").rows)
             for query in setup.queries
@@ -75,14 +102,24 @@ def test_calibration_swaps_weights_and_invalidates_pricing(setup):
         for _ in range(8):
             for query in setup.queries:
                 service.execute(query, execution_mode="rowwise")
-        assert manager.weight_swaps >= 1
-        assert cost_model.weights_generation > generation_before
-        assert manager.last_calibration is not None
+        # 72 executions: refits at 16, 32, 48 and 64, each swapped in.
+        assert manager.weight_swaps == 4
+        assert manager.generation == generation_before + 4
+        assert cost_model.weights == manager.last_calibration.weights
+        # The last round ran after the last swap, so its optimizations are
+        # cached under the current epoch; the next round ends on a swap
+        # (execution 80), and the swap alone makes the cached one stale.
+        first = setup.queries[0]
+        assert service.optimize(first).source is ResultSource.RESULT_CACHE
         # Calibrated pricing never changes answers: the same full rows,
         # each as many times, in whatever order the chosen plan yields.
         for query, rows in zip(setup.queries, reference):
             result = service.execute(query, execution_mode="rowwise")
             assert _row_multiset(result.rows) == rows
+        assert manager.weight_swaps == 5
+        assert manager.generation == generation_before + 5
+        assert service.optimize(first).source is ResultSource.COMPUTED
+        assert service.optimize(first).source is ResultSource.RESULT_CACHE
     finally:
         service.close()
 
@@ -93,12 +130,14 @@ def test_one_fit_pools_every_engines_executions(setup):
     fit that neither engine's executions reach alone."""
     service = _build_service(setup)
     try:
-        manager = service.enable_self_tuning(
-            TuningConfig(
-                auto_index=False,
-                learn_rules=False,
-                calibrate_interval=16,
-                min_samples=16,
+        manager = _noiseless_clock(
+            service.enable_self_tuning(
+                TuningConfig(
+                    auto_index=False,
+                    learn_rules=False,
+                    calibrate_interval=16,
+                    min_samples=16,
+                )
             )
         )
         for mode in ("rowwise", "vectorized"):
@@ -213,4 +252,62 @@ def test_stats_payload_round_trips_tuning_block(setup):
             "rules": True,
         }
     finally:
+        service.close()
+
+
+def test_batched_executions_refit_on_the_same_cadence(setup):
+    """``execute_many`` checks the cadences after every execution, as
+    ``execute`` does: 5 queries x 8 rounds with a refit every 8
+    executions swap weights 5 times either way, not once per batch that
+    happens to end on a multiple of 8."""
+    queries = setup.queries[:5]
+    swaps = []
+    for batched in (False, True):
+        service = _build_service(setup)
+        try:
+            manager = _noiseless_clock(
+                service.enable_self_tuning(
+                    TuningConfig(
+                        auto_index=False,
+                        learn_rules=False,
+                        calibrate_interval=8,
+                        min_samples=8,
+                    )
+                )
+            )
+            for _ in range(8):
+                if batched:
+                    service.execute_many(queries, execution_mode="vectorized")
+                else:
+                    for query in queries:
+                        service.execute(query, execution_mode="vectorized")
+            assert manager.snapshot()["executions_observed"] == 40
+            swaps.append(manager.weight_swaps)
+        finally:
+            service.close()
+    assert swaps == [5, 5]
+
+
+def test_batched_executions_take_the_ab_leg(setup):
+    """``execute_many`` runs ``execute``'s body, A/B leg included: sampled
+    rewrites reach the payoff tracker, and the answers are the untuned
+    service's."""
+    service = _build_service(setup)
+    plain = _build_service(
+        build_evaluation_setup(
+            TABLE_4_1_SPECS["DB1"], query_count=8, seed=47, shard_count=2
+        )
+    )
+    try:
+        manager = service.enable_self_tuning(
+            TuningConfig(calibrate=False, auto_index=False, ab_interval=2)
+        )
+        for _ in range(4):
+            tuned = service.execute_many(setup.queries, execution_mode="vectorized")
+            untuned = plain.execute_many(setup.queries, execution_mode="vectorized")
+            assert [r.rows for r in tuned] == [r.rows for r in untuned]
+        assert manager.payoff.trials > 0
+        assert manager.snapshot()["rules"]["trials"] == manager.payoff.trials
+    finally:
+        plain.close()
         service.close()

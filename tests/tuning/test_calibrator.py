@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine.executor import ExecutionMetrics
 from repro.tuning import CostCalibrator
+from repro.tuning.calibrator import R_SQUARED_FLOOR
 
 #: Ground-truth per-operation seconds a synthetic workload is priced with.
 TRUTH = {
@@ -72,6 +73,26 @@ def test_refuses_underdetermined_fits():
     calibrator.observe(ExecutionMetrics(instances_retrieved=10), 1e-4)
     assert calibrator.ready()
     assert calibrator.calibrate() is not None
+
+
+def test_refuses_fits_below_the_r_squared_floor():
+    """Wall times that the counters do not explain fit with a low r², and
+    such a fit is refused rather than swapped into the cost model."""
+    samples = _synthetic_samples(200, seed=5)
+    rng = random.Random(11)
+    noisy = CostCalibrator(seed=7)
+    for metrics, _wall in samples:
+        noisy.observe(metrics, rng.uniform(1e-4, 1e-2))
+    assert noisy.ready()
+    assert noisy.calibrate() is None
+    assert noisy.snapshot()["fits"] == 0
+    # The same counters with the wall times they explain fit well above it.
+    clean = CostCalibrator(seed=7)
+    for metrics, wall in samples:
+        clean.observe(metrics, wall)
+    report = clean.calibrate()
+    assert report is not None and report.r_squared >= R_SQUARED_FLOOR
+    assert 0.65 < R_SQUARED_FLOOR < 0.99
 
 
 def test_reservoir_stays_bounded_and_counts_everything():

@@ -1,8 +1,4 @@
-"""Unit tests for TuningConfig parsing and the SelfTuningManager loop."""
-
-from argparse import ArgumentTypeError
-
-import pytest
+"""Unit tests for the SelfTuningManager loop."""
 
 from repro.engine.executor import ExecutionMetrics
 from repro.query import parse_query
@@ -17,41 +13,28 @@ def _query():
 
 
 # ----------------------------------------------------------------------
-# --self-tune component parsing
-# ----------------------------------------------------------------------
-def test_parse_all():
-    config = TuningConfig.parse("all")
-    assert config.enabled
-    assert config.calibrate and config.auto_index and config.learn_rules
-
-
-def test_parse_component_subsets():
-    config = TuningConfig.parse("calibrate,rules")
-    assert config.calibrate and config.learn_rules and not config.auto_index
-    config = TuningConfig.parse(" index ")
-    assert config.auto_index and not config.calibrate and not config.learn_rules
-
-
-def test_parse_rejects_unknown_components():
-    for text in ("calibrate,turbo", "on", "1", ""):
-        with pytest.raises(ArgumentTypeError, match="calibrate, index, rules"):
-            TuningConfig.parse(text)
-
-
-# ----------------------------------------------------------------------
 # Cadence and generation discipline
 # ----------------------------------------------------------------------
 def test_calibration_cadence_is_counter_based():
     manager = SelfTuningManager(
-        TuningConfig(calibrate_interval=8, min_samples=4)
+        TuningConfig(calibrate_interval=8, advice_interval=5, min_samples=4)
     )
     metrics = ExecutionMetrics(instances_retrieved=100, rows_output=10)
     query = _query()
+    assert manager.due_advice() is False  # nothing observed yet
     for i in range(1, 17):
         manager.observe_execution(query, metrics, 1e-4)
-        due = manager.due_calibration()
-        assert due is (i % 8 == 0)  # deterministic, no wall clock involved
-    assert manager.due_advice() is False or True  # interval-driven below
+        # Deterministic, no wall clock involved; each on its own interval.
+        assert manager.due_calibration() is (i % 8 == 0)
+        assert manager.due_advice() is (i % 5 == 0)
+    # A component switched off is never due.
+    off = SelfTuningManager(
+        TuningConfig(
+            calibrate=False, auto_index=False, calibrate_interval=1, advice_interval=1
+        )
+    )
+    off.observe_execution(query, metrics, 1e-4)
+    assert off.due_calibration() is False and off.due_advice() is False
 
 
 def test_calibrate_swaps_weights_and_bumps_generation():
