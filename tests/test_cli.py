@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_bench_client_parser, build_parser, build_serve_parser, main
+from repro.tuning import TuningConfig
 
 PAPER_QUERY = (
     '(SELECT {vehicle.vehicle#, cargo.desc, cargo.quantity} { } '
@@ -97,11 +98,27 @@ def test_no_command_takes_workers(build):
     assert not any("--workers" in action.option_strings for action in parser._actions)
 
 
-def test_self_tune_is_a_plain_switch(capsys):
-    parser = build_serve_parser()
-    assert parser.parse_args([]).self_tune is False
-    assert parser.parse_args(["--self-tune"]).self_tune is True
+@pytest.mark.parametrize(
+    "argv, components",
+    [
+        ([], None),
+        (["--self-tune"], (True, True, True)),
+    ],
+)
+def test_self_tune_selects_components(argv, components):
+    enabled = build_serve_parser().parse_args(argv).self_tune
+    if components is None:
+        assert enabled is False
+    else:
+        # The bare switch runs enable_self_tuning() with the default config.
+        assert enabled is True
+        config = TuningConfig()
+        assert (config.calibrate, config.auto_index, config.learn_rules) == components
+
+
+def test_self_tune_refuses_unknown_component(capsys):
+    # --self-tune takes no value: a component name is a stray argument.
     with pytest.raises(SystemExit) as exit_info:
-        main(["serve", "--self-tune", "calibrate"])
+        main(["serve", "--self-tune", "turbo"])
     assert exit_info.value.code == 2  # argparse's usage error, before any work
-    assert "unrecognized arguments: calibrate" in capsys.readouterr().err
+    assert "unrecognized arguments: turbo" in capsys.readouterr().err
