@@ -6,6 +6,7 @@ from one row costs the same whatever the size of the extent it joins
 into, and so does a write with dynamic rules on.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -46,18 +47,51 @@ def test_transformation_scaling(benchmark, constraint_count):
     assert fired == constraint_count
 
 
+def _python_calls(work):
+    """``work()``'s Python-level calls (``sys.setprofile`` "call" events)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        work()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 def test_complexity_report(benchmark):
+    """O(m*n): the transformation step's work per table cell stays bounded.
+
+    The timed table is printed; the bound is asserted on the Python calls
+    of the same ``engine.run()`` per cell, which no other process on the
+    host can move (the cells take well under a microsecond each, so one
+    descheduling outweighs the timed work).  The calls read 640, 1,288,
+    2,584 and 5,176 for 72, 272, 1,056 and 4,160 cells: 8.9 falling to 1.2
+    per cell.
+    """
+    counts = (8, 16, 32, 64)
     result = benchmark.pedantic(
         run_complexity,
-        kwargs={"constraint_counts": (8, 16, 32, 64), "repeats": 1},
+        kwargs={"constraint_counts": counts, "repeats": 1},
         rounds=1,
         iterations=1,
     )
     print()
     print(result.as_table())
-    per_cell = result.time_per_cell()
-    # O(m*n): per-cell time must stay bounded as the table grows.
-    assert max(per_cell) <= 20 * min(per_cell)
+    per_cell = []
+    for count, point in zip(counts, result.points):
+        init = initialize(
+            build_chain_query(1), build_chain_constraints(count), assume_relevant=False
+        )
+        engine = TransformationEngine(init.table, build_chain_schema(count + 2))
+        per_cell.append(_python_calls(engine.run) / point.product)
+    assert max(per_cell) <= 20 * min(per_cell), per_cell
 
 
 def test_generation_work_is_linear_in_the_data(monkeypatch):
@@ -339,32 +373,49 @@ def test_warm_vectorized_pass_runs_no_frame_per_element():
     Counted, not timed: one warm pass of ``service.execute`` over the 40
     queries of the store above makes at most 16,000 Python-level calls
     (``sys.setprofile`` "call" events) — a few per plan node and one per
-    joined source row, none per mask element, index hit or result row.
-    When the join built a match dict per source row, index hits resumed a
-    generator each and ordering kernels called a comparator per element,
-    the pass made 29,615.
+    distinct source a traverse probes, none per mask element, index hit or
+    result row.  When the join built a match dict per source row, index
+    hits resumed a generator each and ordering kernels called a comparator
+    per element, the pass made 29,615.
     """
-    import sys
-
     _setup, service, queries = _db4x2_service()
     for query in queries:
         service.execute(query, execution_mode="vectorized")
-    calls = 0
 
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
+    def warm_pass():
         for query in queries:
             service.execute(query, execution_mode="vectorized")
-    finally:
-        sys.setprofile(previous)
+
+    calls = _python_calls(warm_pass)
     service.close()
     assert 0 < calls <= 16_000, calls
+
+
+def test_warm_join_probes_each_distinct_source_once(monkeypatch):
+    """A join probes a source instance once, however many rows repeat it.
+
+    Counted, not timed: one warm pass of the 40 queries above reads
+    ``ObjectInstance.pointers`` 5,170 times, once per distinct source
+    instance per traverse.  ``pointer_traversals`` still charges every
+    source row.  When every row that repeated an instance probed it again,
+    the pass read it 7,349 times.
+    """
+    _setup, service, queries = _db4x2_service()
+    for query in queries:
+        service.execute(query, execution_mode="vectorized")
+    reads = 0
+    pointers = ObjectInstance.pointers
+
+    def counted(self, attribute_name):
+        nonlocal reads
+        reads += 1
+        return pointers(self, attribute_name)
+
+    monkeypatch.setattr(ObjectInstance, "pointers", counted)
+    for query in queries:
+        service.execute(query, execution_mode="vectorized")
+    service.close()
+    assert 0 < reads <= 5_170, reads
 
 
 def test_write_work_does_not_grow_with_the_extent(monkeypatch):

@@ -12,13 +12,15 @@ and re-interprets every predicate per row, this executor:
   once per plan by :mod:`repro.engine.compiled` and then applied to whole
   columns in one pass; masks are applied with ``itertools.compress`` and
   index hits resolved with ``map``, so no Python frame runs per element;
-* performs pointer traversals as **probes per source row**: forward through
-  the row's memoized distinct pointer lists
+* performs pointer traversals as **probes per distinct source instance**:
+  forward through the instance's memoized distinct pointer lists
   (:meth:`~repro.engine.instance.ObjectInstance.pointers`), backward through
   the store's reverse-pointer index
   (:meth:`~repro.engine.storage.ShardedObjectStore.referrer_oids`), each
-  match appended straight into the target column — a hash join builds
-  nothing per execution, or per row, that the store already keeps.
+  match appended straight into the target column, and a row that repeats
+  an instance copies its first row's matches — a hash join builds
+  nothing per execution, or per row, that the store already keeps.  The
+  counters still charge one traversal per source binding.
 
 The executor holds no state derived from the store: everything it reuses
 across executions lives on the row or the store it was derived from and is
@@ -139,12 +141,11 @@ class _PlanContext:
 
     Kernels are compiled at most once per (class, predicate) pair per plan
     execution — the "pre-lowered once per plan" contract — and shared by
-    every batch that flows through the node, including the per-row candidate
-    re-derivations of the nested-loop strategy.  The context also memoizes
+    every batch that flows through the node.  The context also memoizes
     candidate derivations: the store cannot change mid-plan, so a repeated
-    derivation (the nested-loop strategy re-derives the same candidate set
-    once per source row) returns the memoized instances while each use
-    *charges the metric deltas* of the original derivation — the counters
+    derivation returns the memoized instances while each use *charges the
+    metric deltas* of the original derivation (the nested-loop strategy
+    charges one derivation per source row) — the counters
     keep modelling the logical operations the row-wise engine performs,
     which is what keeps the Table 4.2 cost ratios engine-independent, while
     the physical work happens once.
@@ -226,10 +227,9 @@ class VectorizedExecutor:
 
     Parameters mirror :class:`~repro.engine.executor.QueryExecutor`:
     ``join_strategy`` is ``"hash"`` (build the traversed class's candidate
-    set once per traverse node) or ``"nested_loop"`` (re-derive it per
-    binding, modelling the paper's relational cost measurements).  The
-    nested-loop variant still profits from compiled predicates: the kernels
-    are compiled once per plan and reused across every re-derivation.
+    set once per traverse node) or ``"nested_loop"`` (charge a re-derivation
+    per binding, modelling the paper's relational cost measurements).  Both
+    derive physically once per plan, through kernels compiled once per plan.
     """
 
     #: The mode this executor implements (introspection/factory symmetry).
@@ -410,10 +410,13 @@ class VectorizedExecutor:
         A source row is linked to the candidates its own pointer names and
         to the candidates whose pointer names it; the hash strategy finds
         the first in the row's pointer list and the second in
-        ``store.referrer_oids`` — both O(links of the row).  The candidate
-        set is derived and charged exactly as the row-wise engine charges
-        it, but only a *filtered* one is turned into a lookup table: the
-        join costs what its source batch reaches, not the target extent.
+        ``store.referrer_oids`` — both O(links of the row).  The probe runs
+        once per distinct source instance; a later row holding the same
+        instance reuses its matches, while ``pointer_traversals`` still
+        charges every source row.  The candidate set is derived and charged
+        exactly as the row-wise engine charges it, but only a *filtered*
+        one is turned into a lookup table: the join costs what its source
+        batch reaches, not the target extent.
         """
         relationship = self.schema.relationship(node.relationship)
         source_attribute = relationship.attribute_for(node.source_class)
@@ -426,10 +429,11 @@ class VectorizedExecutor:
 
         # Hash-join style: derive the target candidate set once, with the
         # target's local predicates applied through compiled kernels, then
-        # probe per source row.  The derivation is a once-per-plan charge,
-        # so in parallel-worker mode it goes to the one-off ledger — keyed
-        # by the node's deterministic sequence number (assigned at descent,
-        # identical in every shard) — instead of the shard-local counters.
+        # probe each distinct source.  The derivation is a once-per-plan
+        # charge, so in parallel-worker mode it goes to the one-off ledger —
+        # keyed by the node's deterministic sequence number (assigned at
+        # descent, identical in every shard) — instead of the shard-local
+        # counters.
         candidates, deltas = self._derive_candidates(
             node.target_class, node.predicates, None, context
         )
@@ -456,11 +460,26 @@ class VectorizedExecutor:
         # reverse-only referrers to put in that order.
         rank: Optional[Dict[int, int]] = None
 
+        # A scan yields each instance once, so the traverse right above it
+        # probes every row.  Any deeper source column repeats an instance
+        # once per binding that reached it, and every repeat has the same
+        # matches: the instance is probed on its first row and that row's
+        # span of the target column is copied for the later ones.
+        spans: Optional[Dict[int, slice]] = (
+            None if isinstance(node.child, ScanNode) else {}
+        )
         context.metrics.pointer_traversals += len(source_column)
         row_indices: List[int] = []
         target_column: List[ObjectInstance] = []
         append = target_column.append
         for i, source_instance in enumerate(source_column):
+            if spans is not None:
+                span = spans.get(source_instance.oid)
+                if span is not None:
+                    matches = target_column[span]
+                    target_column += matches
+                    row_indices += [i] * len(matches)
+                    continue
             # Forward pointers in pointer order, then reverse-only
             # referrers in candidate order, none twice (the row-wise
             # discipline, which reads both off the rows themselves).  Both
@@ -486,9 +505,11 @@ class VectorizedExecutor:
                     target_column[tail:] = sorted(
                         target_column[tail:], key=lambda c: rank[c.oid]
                     )
-            count = len(target_column) - start
-            if count:
-                row_indices.extend([i] * count)
+            end = len(target_column)
+            if spans is not None:
+                spans[source_instance.oid] = slice(start, end)
+            if end > start:
+                row_indices.extend([i] * (end - start))
         return self._extend(batch, row_indices, node.target_class, target_column)
 
     def _run_traverse_nested_loop(
@@ -499,51 +520,51 @@ class VectorizedExecutor:
         source_attribute: str,
         target_attribute: str,
     ) -> BindingBatch:
-        """Nested-loop variant: re-derive the candidate set per binding.
+        """Nested-loop variant: charge a candidate re-derivation per binding.
 
         The candidate derivation is charged per source row, exactly like
         the row-wise nested loop (the physical derivation happens once and
-        its deltas are replayed); the compiled predicate kernels are shared
-        across the re-derivations via the plan context.  Per-row charges
-        sum correctly across shards, so this path needs no ledger.
+        its deltas are replayed).  Per-row charges sum correctly across
+        shards, so this path needs no ledger.  The matches are computed
+        once per distinct source instance and reused for every row that
+        repeats it.
         """
         source_column = batch.columns.get(node.source_class)
-        if source_column is None:
+        if not source_column:
             return self._extend(batch, [], node.target_class, [])
-        metrics = context.metrics
+        candidates, deltas = self._derive_candidates(
+            node.target_class, node.predicates, None, context
+        )
+        # Every source row traverses once and re-derives the candidates
+        # once, as row-wise does.
+        rows = len(source_column)
+        context.metrics.pointer_traversals += rows
+        context.charge(tuple(rows * delta for delta in deltas))
+        # Candidate OIDs are unique within an extent, so emitting matched
+        # candidate indices in ascending order reproduces the row-wise
+        # "iterate candidates, keep the linked ones" output exactly.
+        oid_to_index = {c.oid: idx for idx, c in enumerate(candidates)}
+        back_index: Dict[int, List[int]] = {}
+        for idx, candidate in enumerate(candidates):
+            for back in candidate.pointers(target_attribute):
+                back_index.setdefault(back, []).append(idx)
+        matches_of: Dict[int, List[ObjectInstance]] = {}
         row_indices: List[int] = []
         target_column: List[ObjectInstance] = []
-        # The candidate derivation is charged once per source row, as
-        # row-wise does; the probe structures over the (memoized, hence
-        # identical) candidate list are built once.  Candidate OIDs are
-        # unique within an extent, so emitting matched candidate indices in
-        # ascending order reproduces the row-wise "iterate candidates, keep
-        # the linked ones" output exactly.
-        probe_for: Optional[List[ObjectInstance]] = None
-        oid_to_index: Dict[int, int] = {}
-        back_index: Dict[int, List[int]] = {}
         for i, source_instance in enumerate(source_column):
-            metrics.pointer_traversals += 1
-            candidates, deltas = self._derive_candidates(
-                node.target_class, node.predicates, None, context
-            )
-            context.charge(deltas)
-            if candidates is not probe_for:
-                probe_for = candidates
-                oid_to_index = {c.oid: idx for idx, c in enumerate(candidates)}
-                back_index = {}
-                for idx, candidate in enumerate(candidates):
-                    for back in candidate.pointers(target_attribute):
-                        back_index.setdefault(back, []).append(idx)
-            matched = {
-                oid_to_index[oid]
-                for oid in source_instance.pointers(source_attribute)
-                if oid in oid_to_index
-            }
-            matched.update(back_index.get(source_instance.oid, ()))
-            for idx in sorted(matched):
-                row_indices.append(i)
-                target_column.append(candidates[idx])
+            matches = matches_of.get(source_instance.oid)
+            if matches is None:
+                matched = {
+                    oid_to_index[oid]
+                    for oid in source_instance.pointers(source_attribute)
+                    if oid in oid_to_index
+                }
+                matched.update(back_index.get(source_instance.oid, ()))
+                matches = matches_of[source_instance.oid] = [
+                    candidates[idx] for idx in sorted(matched)
+                ]
+            target_column += matches
+            row_indices += [i] * len(matches)
         return self._extend(batch, row_indices, node.target_class, target_column)
 
     @staticmethod

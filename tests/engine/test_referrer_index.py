@@ -8,12 +8,15 @@ every operation that changes stored pointers and compares the two after
 every step, on the store, on a journal-fed replica, across
 ``snapshot -> restore`` and across a kill-and-recover through the WAL.  The
 second half joins a hand-built store whose links exercise every branch of
-the probe and requires the vectorized and parallel engines to return the
-row-wise engine's rows and counters, element for element (the row-wise
-engine reads both directions off the rows themselves, so it is the oracle).
+the probe, straight off a scan and again off a join that repeats every
+source instance, and requires the vectorized and parallel engines to
+return the row-wise engine's rows and counters, element for element (the
+row-wise engine reads both directions off the rows themselves, so it is the
+oracle).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -161,7 +164,8 @@ def test_index_equals_the_scan_after_every_step(tmp_path, schema, shard_count, s
 # (b) the probe returns the row-wise join, element for element
 # ----------------------------------------------------------------------
 def _linked_store(schema, shard_count):
-    """Cargo -> vehicle links that take every branch of the probe.
+    """Cargo -> vehicle links that take every branch of the probe, and
+    supplier -> cargo links that reach each cargo twice.
 
     Vehicles are inserted so that ``vehicle.class`` order differs from OID
     order: a sorted-index range over ``class`` answers in ``(class, oid)``
@@ -188,13 +192,17 @@ def _linked_store(schema, shard_count):
     store.update("vehicle", 3, {"collects": 1})
     store.update("vehicle", 5, {"collects": [3, 3, 88]})
     store.update("vehicle", 6, {"collects": (3, 6)})
+    # supplier OIDs 1..3: each cargo is reached from two suppliers, so a
+    # join off ``supplies`` repeats every cargo in its target column.
+    for index, supplies in enumerate([[3, 1, 6, 3, 5], [6, 7, 5, 4, 2, 3], [2, 4, 7]]):
+        store.insert("supplier", {"name": f"S{index}", "supplies": supplies})
+    store.update("cargo", 1, {"supplies": 3})  # reverse-only on that side
     return store
 
 
-def _join_plan(target_predicates, driver_predicates=()):
-    scan = ScanNode("cargo", predicates=tuple(driver_predicates))
-    traverse = TraverseNode(
-        child=scan,
+def _collects(child, target_predicates):
+    return TraverseNode(
+        child=child,
         relationship="collects",
         source_class="cargo",
         target_class="vehicle",
@@ -202,8 +210,14 @@ def _join_plan(target_predicates, driver_predicates=()):
         forward=True,
         predicates=tuple(target_predicates),
     )
+
+
+def _join_plan(target_predicates, driver_predicates=()):
+    scan = ScanNode("cargo", predicates=tuple(driver_predicates))
     return QueryPlan(
-        root=ProjectNode(traverse, ("cargo.code", "vehicle.vehicle_no")),
+        root=ProjectNode(
+            _collects(scan, target_predicates), ("cargo.code", "vehicle.vehicle_no")
+        ),
         class_order=("cargo", "vehicle"),
     )
 
@@ -266,3 +280,60 @@ def test_reverse_only_referrers_come_in_candidate_order(schema):
     assert vehicles_of("unfiltered", "repeat") == ["V4", "V1"]
     assert vehicles_of("unfiltered", "dangling") == ["V5"]
     assert vehicles_of("unfiltered", "lonely") == []
+
+
+# supplier -> cargo: the source column of a join stacked on it repeats cargo.
+SUPPLIES = TraverseNode(
+    child=ScanNode("supplier"),
+    relationship="supplies",
+    source_class="supplier",
+    target_class="cargo",
+    pointer_attribute="supplies",
+    forward=True,
+)
+
+
+@pytest.mark.parametrize("shard_count", [1, 2])
+@pytest.mark.parametrize("join_strategy", ["hash", "nested_loop"])
+@pytest.mark.parametrize("target", ["unfiltered", "range", "range_some"])
+def test_repeated_sources_reuse_every_branch_of_the_probe(
+    schema, shard_count, join_strategy, target
+):
+    """The second join's source column repeats every cargo of
+    ``_linked_store``: both-sides, forward-only, reverse-only, repeated,
+    dangling and unlinked.  A repeat reuses its first row's matches, so a
+    reuse that kept only the forward ones would lose rows here."""
+    store = _linked_store(schema, shard_count)
+    first_hop = QueryExecutor(schema, store).execute_plan(
+        QueryPlan(
+            root=ProjectNode(SUPPLIES, ("cargo.code",)),
+            class_order=("supplier", "cargo"),
+        )
+    )
+    reached = Counter(row["cargo.code"] for row in first_hop.rows)
+    assert sorted(reached.values()) == [2] * 7, reached
+    plan = QueryPlan(
+        root=ProjectNode(
+            _collects(SUPPLIES, JOINS[target].root.child.predicates),
+            ("supplier.name", "cargo.code", "vehicle.vehicle_no"),
+        ),
+        class_order=("supplier", "cargo", "vehicle"),
+    )
+    expected = QueryExecutor(
+        schema, store, join_strategy=join_strategy
+    ).execute_plan(plan)
+    assert expected.rows
+    parallel = ParallelExecutor(
+        schema, store, join_strategy=join_strategy, workers=2, min_partition_rows=1
+    )
+    try:
+        for executor in (
+            VectorizedExecutor(schema, store, join_strategy=join_strategy),
+            parallel,
+        ):
+            result = executor.execute_plan(plan)
+            assert result.rows == expected.rows, executor.mode
+            assert result.metrics.as_dict() == expected.metrics.as_dict(), executor.mode
+        assert parallel.execute_plan(plan).shard_reports is not None
+    finally:
+        parallel.close()
