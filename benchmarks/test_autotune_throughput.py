@@ -77,7 +77,6 @@ def test_autotune_throughput_recovers_after_shift():
         )
         manager = service.enable_self_tuning(
             TuningConfig(
-                calibrate=False,
                 learn_rules=False,
                 advice_interval=16,
                 create_threshold=24.0,

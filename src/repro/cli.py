@@ -296,9 +296,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--self-tune",
         action="store_true",
         help=(
-            "enable the self-tuning feedback loop: measured-cost weight "
-            "calibration, workload-driven auto-indexing and learned rule "
-            "profitability"
+            "enable the self-tuning feedback loop: workload-driven "
+            "auto-indexing and learned rule profitability"
         ),
     )
     parser.add_argument(
@@ -455,7 +454,7 @@ def run_serve(argv: List[str]) -> int:
             print(f"dynamic rules enabled: {derived} derived", flush=True)
         if args.self_tune:
             service.enable_self_tuning()
-            print("self-tuning enabled: calibrate, index, rules", flush=True)
+            print("self-tuning enabled: index, rules", flush=True)
         follower_task = None
         if follower is not None:
             follower.attach(service)

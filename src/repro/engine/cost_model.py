@@ -94,7 +94,7 @@ class QueryPricing:
     driver, the classes and the relationships only, is found once per
     driver and shared by every variant over the same classes and
     relationships.  A set of decisions made from one object therefore
-    never straddles a weight swap or a statistics refresh.
+    never straddles a statistics refresh.
 
     The object is a value for one caller: it holds no version and outlives
     no call.
@@ -335,12 +335,8 @@ class CostModel:
     Statistics can be **bound to a provider** (:meth:`bind_statistics`,
     typically a store's ``statistics``)
     so every pricing reads statistics current for the store's version
-    instead of whatever was collected at attach time.  Weights can be
-    **swapped at runtime** (:meth:`set_weights`, the tuning calibrator's
-    entry point).  The model keeps no version of its own: the owning
-    service swaps weights inside its write commit, together with the
-    tuning generation its cache epochs embed, so results priced under old
-    weights are not served as current.
+    instead of whatever was collected at attach time.  The weights are
+    fixed at construction (``CostWeights()`` unless given).
     """
 
     def __init__(
@@ -373,10 +369,6 @@ class CostModel:
         ``None``, estimates read the last explicitly set snapshot.
         """
         self._statistics_provider = provider or _no_live_statistics
-
-    def set_weights(self, weights: CostWeights) -> None:
-        """Swap in new weights (calibration); every later pricing reads them."""
-        self.weights = weights
 
     # ------------------------------------------------------------------
     # Estimation

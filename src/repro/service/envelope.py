@@ -108,9 +108,9 @@ class ServiceStats:
     #: counts and the snapshot base version.
     durability: Optional[Dict[str, Any]] = None
     #: Self-tuning counters when the feedback loop is on (``None``
-    #: otherwise): tuning generation, calibration reservoir/fit state,
-    #: index-advisor heat and managed indexes, rule-payoff evidence and
-    #: the demoted-rule set.
+    #: otherwise): component switches, tuning generation, executions
+    #: observed, index-advisor heat and managed indexes, rule-payoff
+    #: evidence and the demoted-rule set.
     tuning: Optional[Dict[str, Any]] = None
 
     def as_dict(self) -> Dict[str, Any]:

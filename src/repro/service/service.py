@@ -318,10 +318,9 @@ class OptimizationService:
         a counter: when a write and its undo swap a class's rules out and
         back, the results cached under the first state serve again.
 
-        The tuning manager's generation rides along: calibration swaps
-        reprice profitability decisions, and index create/drop and rule
-        demotions change what the optimizer would produce.  It is 0 until
-        self-tuning is on, so the epoch shape is stable.
+        The tuning manager's generation rides along: index create/drop
+        and rule demotions change what the optimizer would produce.  It
+        is 0 until self-tuning is on, so the epoch shape is stable.
         """
         epochs: Tuple = (
             self.repository.class_epochs(query.classes)
@@ -763,23 +762,23 @@ class OptimizationService:
         return ExecutionBatchResult(results=[result for result, _ in runs], stats=stats)
 
     # ------------------------------------------------------------------
-    # Self-tuning (measured-cost calibration, auto-indexing, rule payoff)
+    # Self-tuning (auto-indexing, rule payoff)
     # ------------------------------------------------------------------
     def enable_self_tuning(self, config=None):
         """Turn on the measured-feedback loop; returns the manager.
 
         ``config`` is a :class:`~repro.tuning.TuningConfig` (``None`` =
-        defaults: calibration, auto-indexing and rule learning all on).
-        Requires an attached store.  When the optimizer has no cost
-        model, one is created and bound to the store's statistics —
-        calibrated weights have to land somewhere.
+        defaults: auto-indexing and rule learning both on).  Requires an
+        attached store.  When the optimizer has no cost model, one is
+        created with the default weights and bound to the store's
+        statistics: the A/B leg prices both sides with its
+        ``measured_cost``.
 
         From here on every execution, one-at-a-time or batched, feeds
-        the calibrator and the index advisor; calibration refits, index
-        create/drop and rule demotions each bump the tuning generation,
-        which rides in every cache epoch, so no cached result priced
-        under the old tuning state is ever served as current.  Weight
-        swaps and index actions commit through :meth:`_commit_write`.
+        the index advisor; index create/drop and rule demotions each bump
+        the tuning generation, which rides in every cache epoch, so no
+        cached result made under the old tuning state is ever served as
+        current.  Index actions commit through :meth:`_commit_write`.
         """
         from ..tuning import SelfTuningManager, TuningConfig
 
@@ -809,7 +808,7 @@ class OptimizationService:
         tuning = self._tuning
         if tuning is None:
             return
-        tuning.observe_execution(result.query, result.metrics, result.execute_time)
+        tuning.observe_execution(result.query)
         if baseline is not None:
             cost_model = self.optimizer.cost_model
             tuning.observe_ab(
@@ -817,19 +816,8 @@ class OptimizationService:
                 cost_model.measured_cost(result.metrics),
                 cost_model.measured_cost(baseline.metrics),
             )
-        if tuning.due_calibration():
-            self._commit_write("calibrate", self._swap_weights, ())
         if tuning.due_advice():
             self._apply_index_advice()
-
-    def _swap_weights(self) -> List[int]:
-        """Stage 2 of :meth:`_commit_write` (write lock held): refit, and
-        swap the fit into the cost model in the span that bumps the tuning
-        generation, so no reader sees one without the other."""
-        report = self._tuning.calibrate()
-        if report is not None:
-            self.optimizer.cost_model.set_weights(report.weights)
-        return []
 
     def _rule_epochs(self, names: Iterable[str]) -> List[Tuple[str, Tuple]]:
         """Each rule paired with its referenced classes' epochs."""
@@ -1076,7 +1064,7 @@ class OptimizationService:
         2. ``apply()`` — the writes (primary), ``apply_journal``
            (replica), a store swap (resync), a declared-rule edit
            (:meth:`change_rules`, which flags every view itself), a
-           self-tuning index action or weight swap, or nothing (boot);
+           self-tuning index action, or nothing (boot);
            returns the OIDs written;
         3. WAL commit: flush, fsync per policy, snapshot if due;
         4. publish the batch's records to the replication feed — after 3,

@@ -4,21 +4,20 @@
 the service with a small surface:
 
 * :meth:`observe_execution` — called after every service execution with
-  the query, the measured metrics and the wall time; feeds the
-  calibrator and the index advisor and decides (counter-based, so
-  deterministic) when a calibration refit or an advice pass is due;
-* :meth:`due_calibration` / :meth:`due_advice` — polled by the service
-  after every observed execution, with no store lock held, since acting
-  on either commits a write;
+  the query; feeds the index advisor and counts executions, so when an
+  advice pass is due is counter-based and deterministic;
+* :meth:`due_advice` — polled by the service after every observed
+  execution, with no store lock held, since acting on it commits a
+  write;
 * :meth:`should_sample_ab` — deterministic 1-in-N sampling of transformed
   queries for original-vs-optimized A/B execution;
 * :meth:`observe_ab` — folds an A/B outcome into the rule payoff tracker;
 * :attr:`generation` — bumped on **every externally visible tuning
-  change** (weight swap applied, index created/dropped, demotion set
-  changed).  The service folds it into its cache epochs, so plans and
-  cached results priced under the old tuning state are never served as
-  current.  A weight swap and an index action bump it inside the
-  service's write commit, in the same lock span as the change itself.
+  change** (index created/dropped, demotion set changed).  The service
+  folds it into its cache epochs, so plans and cached results made under
+  the old tuning state are never served as current.  An index action
+  bumps it inside the service's write commit, in the same lock span as
+  the change itself.
 
 The manager is thread-safe: the service calls into it from executor
 threads (observations) and from the mutation path (advice application),
@@ -31,10 +30,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..engine.executor import ExecutionMetrics
 from ..query.query import Query
 from .advisor import IndexAction, IndexAdvisor
-from .calibrator import CalibrationReport, CostCalibrator
 from .payoff import RulePayoffTracker
 
 
@@ -47,36 +44,25 @@ class TuningConfig:
     switches components off and moves thresholds through these fields.
     """
 
-    calibrate: bool = True
     auto_index: bool = True
     learn_rules: bool = True
-    #: Executions between calibration refits.
-    calibrate_interval: int = 64
     #: Executions between index-advice passes.
     advice_interval: int = 32
     #: One transformed query in this many is A/B executed.
     ab_interval: int = 8
-    reservoir_size: int = 256
-    min_samples: int = 24
     create_threshold: float = 16.0
     drop_threshold: float = 2.0
     decay_interval: int = 64
     min_cardinality: int = 64
     min_trials: int = 5
     demote_threshold: float = 0.25
-    seed: int = 0
 
 
 class SelfTuningManager:
-    """Bundles calibrator, advisor and payoff tracker for a service."""
+    """Bundles the index advisor and the payoff tracker for a service."""
 
     def __init__(self, config: Optional[TuningConfig] = None) -> None:
         self.config = config or TuningConfig()
-        self.calibrator = CostCalibrator(
-            reservoir_size=self.config.reservoir_size,
-            min_samples=self.config.min_samples,
-            seed=self.config.seed,
-        )
         self.advisor = IndexAdvisor(
             create_threshold=self.config.create_threshold,
             drop_threshold=self.config.drop_threshold,
@@ -92,33 +78,16 @@ class SelfTuningManager:
         self._transformed = 0
         #: Bumped on every externally visible tuning change.
         self.generation = 0
-        self.last_calibration: Optional[CalibrationReport] = None
-        self.weight_swaps = 0
 
     # ------------------------------------------------------------------
     # Observation hooks (called on the execute path)
     # ------------------------------------------------------------------
-    def observe_execution(
-        self, query: Query, metrics: ExecutionMetrics, wall_time: float
-    ) -> None:
-        """Fold one execution into the calibrator and the advisor."""
+    def observe_execution(self, query: Query) -> None:
+        """Count one execution and fold its query into the advisor."""
         with self._lock:
             self._executions += 1
-            if self.config.calibrate:
-                self.calibrator.observe(metrics, wall_time)
             if self.config.auto_index:
                 self.advisor.observe(query)
-
-    def due_calibration(self) -> bool:
-        """Whether a refit is due at this point."""
-        if not self.config.calibrate:
-            return False
-        with self._lock:
-            return (
-                self._executions > 0
-                and self._executions % self.config.calibrate_interval == 0
-                and self.calibrator.ready()
-            )
 
     def due_advice(self) -> bool:
         """Whether an index-advice pass is due at this point."""
@@ -133,21 +102,6 @@ class SelfTuningManager:
     # ------------------------------------------------------------------
     # Actions (called by the service under its own locks)
     # ------------------------------------------------------------------
-    def calibrate(self) -> Optional[CalibrationReport]:
-        """Refit the weights; bumps the generation on success.
-
-        The service calls this in the apply stage of its write commit and
-        swaps the returned weights into the cost model in the same span,
-        so no reader sees the new generation with the old weights.
-        """
-        with self._lock:
-            report = self.calibrator.calibrate()
-            if report is not None:
-                self.last_calibration = report
-                self.weight_swaps += 1
-                self.generation += 1
-            return report
-
     def advise(self, is_indexed, cardinality, indexable) -> List[IndexAction]:
         """Index actions the current heat justifies (see IndexAdvisor)."""
         with self._lock:
@@ -202,19 +156,13 @@ class SelfTuningManager:
     def snapshot(self) -> Dict[str, object]:
         """The ``tuning`` block of the service stats payload."""
         with self._lock:
-            payload: Dict[str, object] = {
+            return {
                 "enabled": {
-                    "calibrate": self.config.calibrate,
                     "index": self.config.auto_index,
                     "rules": self.config.learn_rules,
                 },
                 "generation": self.generation,
                 "executions_observed": self._executions,
-                "weight_swaps": self.weight_swaps,
-                "calibrator": self.calibrator.snapshot(),
                 "advisor": self.advisor.snapshot(),
                 "rules": self.payoff.snapshot(),
             }
-            if self.last_calibration is not None:
-                payload["last_calibration"] = self.last_calibration.as_dict()
-            return payload

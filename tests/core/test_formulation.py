@@ -15,7 +15,7 @@ from repro.core import (
     TransformationEngine,
 )
 from repro.data import TABLE_4_1_SPECS, build_evaluation_setup, build_workload
-from repro.engine import CostModel, CostWeights
+from repro.engine import CostModel
 from repro.query import Query, equivalence_key, format_query
 from repro.service import OptimizationService
 
@@ -359,24 +359,28 @@ def test_spine_queries_fire_the_recorded_traces(spine_optimizations):
     assert digest.hexdigest() == SPINE_TRACE_DIGEST
 
 
-def test_weight_swap_mid_formulation_cannot_split_a_decision(
+def test_statistics_refresh_mid_formulation_cannot_split_a_decision(
     small_setup, formulations
 ):
     schema, statistics = small_setup.schema, small_setup.statistics
-    generations = [
-        CostWeights(),
-        CostWeights(instance_retrieval=0.02, predicate_evaluation=0.5),
+    snapshots = [
+        statistics,
+        replace(
+            statistics,
+            cardinalities={
+                name: 16 * count for name, count in statistics.cardinalities.items()
+            },
+        ),
     ]
     model = CostModel(schema, statistics)
-    swaps = []
+    reads = []
 
-    def swapping_statistics():
-        # A calibrator landing a new fit whenever pricing looks at the store.
-        model.set_weights(generations[len(swaps) % 2])
-        swaps.append(model.weights)
-        return statistics
+    def refreshing_statistics():
+        # A store whose snapshot moves whenever pricing looks at it.
+        reads.append(snapshots[len(reads) % 2])
+        return reads[-1]
 
-    model.bind_statistics(swapping_statistics)
+    model.bind_statistics(refreshing_statistics)
 
     def decisions(cost_model, query):
         del formulations[:]
@@ -392,13 +396,12 @@ def test_weight_swap_mid_formulation_cannot_split_a_decision(
     told_apart = 0
     for query in small_setup.queries:
         under = [
-            decisions(CostModel(schema, statistics, weights), query)
-            for weights in generations
+            decisions(CostModel(schema, snapshot), query) for snapshot in snapshots
         ]
-        swaps_before = len(swaps)
+        reads_before = len(reads)
         assert decisions(model, query) in under
-        # One statistics read (one swap) per formulation, however many
-        # decisions it takes.
-        assert len(swaps) == swaps_before + 1
+        # One statistics read per formulation, however many decisions it
+        # takes.
+        assert len(reads) == reads_before + 1
         told_apart += under[0] != under[1]
     assert told_apart

@@ -89,9 +89,8 @@ def test_table_4_2_without_overhead_never_exceeds_original():
 def test_complexity_scales_roughly_linearly():
     result = run_complexity(constraint_counts=(8, 16, 32), repeats=1)
     assert len(result.points) == 3
-    per_cell = result.time_per_cell()
-    # O(m*n): time per table cell must not blow up as the table grows.
-    assert max(per_cell) <= 20 * min(per_cell)
+    # The O(m*n) bound is gated in counted calls, not wall seconds, by
+    # benchmarks/test_complexity.py::test_complexity_report.
     for point in result.points:
         assert point.fired == point.constraints
     assert "m*n" in result.as_table()

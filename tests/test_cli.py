@@ -102,7 +102,7 @@ def test_no_command_takes_workers(build):
     "argv, components",
     [
         ([], None),
-        (["--self-tune"], (True, True, True)),
+        (["--self-tune"], (True, True)),
     ],
 )
 def test_self_tune_selects_components(argv, components):
@@ -113,7 +113,7 @@ def test_self_tune_selects_components(argv, components):
         # The bare switch runs enable_self_tuning() with the default config.
         assert enabled is True
         config = TuningConfig()
-        assert (config.calibrate, config.auto_index, config.learn_rules) == components
+        assert (config.auto_index, config.learn_rules) == components
 
 
 def test_self_tune_refuses_unknown_component(capsys):
