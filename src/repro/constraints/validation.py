@@ -13,11 +13,23 @@ and the Table 4.2 reproduction would be meaningless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from ..engine.instance import ObjectInstance
 from ..engine.storage import ObjectStore
 from ..schema.schema import Schema
 from .horn_clause import SemanticConstraint
+from .predicate import Predicate
 
 
 @dataclass
@@ -54,102 +66,138 @@ class ValidationReport:
         )
 
 
-def _bindings_for_classes(
-    schema: Schema,
-    store: ObjectStore,
-    class_names: Sequence[str],
-    limit_per_class: Optional[int],
-):
-    """Yield bindings of instances for ``class_names`` joined along relationships.
+class _Level(NamedTuple):
+    """One class of a :class:`BindingPlan`, in enumeration order."""
 
-    Classes connected by a relationship in the schema are joined through the
-    relationship's pointer attributes; unconnected classes would produce a
-    cross product, so they are bound independently only when the class list
-    has a single member.  The generator yields dictionaries mapping class
-    name to the bound :class:`~repro.engine.instance.ObjectInstance`.
+    class_name: str
+    #: The bound class this one is reached through; ``None`` binds ``extent``.
+    source: Optional[str]
+    pointer: Optional[str]
+    targets: Mapping[int, ObjectInstance]
+    referrers: Mapping[int, List[ObjectInstance]]
+    extent: Sequence[ObjectInstance]
+    #: The prune predicates whose deepest class is this one.
+    checks: Tuple[Predicate, ...]
+
+
+class BindingPlan:
+    """How to enumerate the connected bindings of one class list on one store.
+
+    Built once and reused for as long as pointer attributes and extents do
+    not change (value attributes may: the data generator repairs values
+    while it enumerates).  Each level after the first binds its class
+    through the earliest bound class connected to it by a schema
+    relationship; the level keeps that class's pointer attribute, the
+    :meth:`~repro.engine.storage.ShardedObjectStore.oid_index` that resolves
+    the pointer's targets, and the
+    :meth:`~repro.engine.storage.ShardedObjectStore.referrer_map` of the
+    relationship's other side.  Plans given one ``referrer_maps`` dict (one
+    enforcement, one validation) scan each relationship side once between
+    them.
 
     The order of the bindings is part of the contract (the data generator
     repairs values while it iterates): for each bound instance, the joined
     class's candidates are the targets of its own pointer, in pointer order,
     then the instances that reference it only from the other side, in extent
-    order, none twice.  The reverse side is read from
-    :meth:`~repro.engine.storage.ShardedObjectStore.referrer_map`, built on
-    first use and held for this one enumeration, so it relies on one
-    condition: pointer attributes and extents do not change while the
-    enumeration is in flight.  Value attributes may (repairs touch only
-    those).
+    order, none twice.  A class connected to no earlier one takes its whole
+    extent, and so does the first class; ``limit_per_class`` caps both.
+
+    ``prune`` predicates are evaluated at the first level where all their
+    classes are bound, and a binding on which one is false is skipped with
+    everything below it.  Each must read only values that stay put while the
+    caller consumes the bindings.
     """
-    if not class_names:
-        return
-    first = class_names[0]
-    first_instances = store.instances(first)
-    if limit_per_class is not None:
-        first_instances = first_instances[:limit_per_class]
 
-    # (class, pointer attribute) -> store.referrer_map of that side.
-    referrer_maps: Dict[Tuple[str, str], Dict[int, List]] = {}
-    for instance in first_instances:
-        binding = {first: instance}
-        yield from _extend_binding(
-            schema, store, class_names, 1, binding, limit_per_class, referrer_maps
-        )
+    __slots__ = ("_levels",)
+
+    def __init__(
+        self,
+        schema: Schema,
+        store: ObjectStore,
+        class_names: Sequence[str],
+        referrer_maps: Optional[Dict[Tuple[str, str], Dict[int, List]]] = None,
+        limit_per_class: Optional[int] = None,
+        prune: Sequence[Predicate] = (),
+    ) -> None:
+        if referrer_maps is None:
+            referrer_maps = {}
+        depth_of = {name: depth for depth, name in enumerate(class_names)}
+        checks: List[List[Predicate]] = [[] for _ in class_names]
+        for predicate in prune:
+            depth = max(depth_of[name] for name in predicate.referenced_classes())
+            checks[depth].append(predicate)
+        levels = []
+        for depth, class_name in enumerate(class_names):
+            for earlier in class_names[:depth]:
+                rel = schema.relationship_between(earlier, class_name)
+                if rel is not None:
+                    break
+            else:
+                extent = store.instances(class_name)[:limit_per_class]
+                levels.append(
+                    _Level(class_name, None, None, {}, {}, extent, tuple(checks[depth]))
+                )
+                continue
+            back_pointer = rel.attribute_for(class_name)
+            side = (class_name, back_pointer)
+            if side not in referrer_maps:
+                referrer_maps[side] = store.referrer_map(class_name, back_pointer)
+            levels.append(
+                _Level(
+                    class_name,
+                    earlier,
+                    rel.attribute_for(earlier),
+                    store.oid_index(class_name),
+                    referrer_maps[side],
+                    (),
+                    tuple(checks[depth]),
+                )
+            )
+        self._levels = tuple(levels)
+
+    def bindings(
+        self,
+    ) -> Iterator[Tuple[Dict[str, ObjectInstance], Dict[str, Mapping[str, object]]]]:
+        """Yield ``(binding, values)`` for every binding the pruning keeps.
+
+        ``binding`` maps class name to instance and ``values`` class name to
+        that instance's ``values``, ready for :meth:`Predicate.evaluate`.
+        Both dictionaries are reused: each holds one binding until the next
+        is yielded, so copy one to keep it.
+        """
+        if self._levels:
+            yield from _walk(self._levels, 0, {}, {})
 
 
-def _extend_binding(
-    schema: Schema,
-    store: ObjectStore,
-    class_names: Sequence[str],
-    index: int,
-    binding,
-    limit_per_class: Optional[int],
-    referrer_maps,
-):
-    if index >= len(class_names):
-        yield dict(binding)
-        return
-    next_class = class_names[index]
-    # Find a relationship connecting next_class to a class already bound.
-    candidates = None
-    for bound_class, bound_instance in binding.items():
-        rel = schema.relationship_between(bound_class, next_class)
-        if rel is None:
-            continue
-        pointer = rel.attribute_for(bound_class)
-        back_pointer = rel.attribute_for(next_class)
-        forward = [
-            store.get(next_class, oid)
-            for oid in bound_instance.pointer_oids(pointer)
+def _walk(levels, depth, binding, values):
+    class_name, source, pointer, targets, referrers, extent, checks = levels[depth]
+    if source is None:
+        candidates = extent
+    else:
+        bound = binding[source]
+        candidates = [
+            targets[oid] for oid in bound.pointer_oids(pointer) if oid in targets
         ]
-        candidates = [instance for instance in forward if instance is not None]
-        # Also pick up links stored only on the other side of the
-        # relationship (reverse pointers).
-        side = (next_class, back_pointer)
-        if side not in referrer_maps:
-            referrer_maps[side] = store.referrer_map(next_class, back_pointer)
-        seen = {instance.oid for instance in candidates}
-        candidates.extend(
-            candidate
-            for candidate in referrer_maps[side].get(bound_instance.oid, ())
-            if candidate.oid not in seen
-        )
-        break
-    if candidates is None:
-        # No relationship to any bound class: fall back to all instances.
-        candidates = store.instances(next_class)
-        if limit_per_class is not None:
-            candidates = candidates[:limit_per_class]
+        reverse = referrers.get(bound.oid)
+        if reverse:
+            seen = {candidate.oid for candidate in candidates}
+            candidates.extend(
+                candidate for candidate in reverse if candidate.oid not in seen
+            )
+    last = depth + 1 == len(levels)
+    # Deeper entries left from an earlier candidate are overwritten before
+    # anything reads them.
     for candidate in candidates:
-        binding[next_class] = candidate
-        yield from _extend_binding(
-            schema,
-            store,
-            class_names,
-            index + 1,
-            binding,
-            limit_per_class,
-            referrer_maps,
-        )
-        del binding[next_class]
+        binding[class_name] = candidate
+        values[class_name] = candidate.values
+        for predicate in checks:
+            if not predicate.evaluate(values):
+                break
+        else:
+            if last:
+                yield binding, values
+            else:
+                yield from _walk(levels, depth + 1, binding, values)
 
 
 def connectivity_order(schema: Schema, class_names: Sequence[str]) -> List[str]:
@@ -188,11 +236,18 @@ def enumerate_bindings(
 
     Yields dictionaries mapping each class in ``class_names`` to an
     :class:`~repro.engine.instance.ObjectInstance`, where classes connected
-    by a schema relationship are joined through it.  Shared by the validator
-    and by the constraint-enforcement pass of the data generator.
+    by a schema relationship are joined through it, in the order
+    :class:`BindingPlan` documents.  The validator and the data generator's
+    constraint enforcement walk a :class:`BindingPlan` directly.
     """
-    ordered = connectivity_order(schema, class_names)
-    yield from _bindings_for_classes(schema, store, ordered, limit_per_class)
+    plan = BindingPlan(
+        schema,
+        store,
+        connectivity_order(schema, class_names),
+        limit_per_class=limit_per_class,
+    )
+    for binding, _values in plan.bindings():
+        yield dict(binding)
 
 
 def validate_database(
@@ -214,6 +269,7 @@ def validate_database(
         to keep validation of the larger synthetic databases fast in tests.
     """
     report = ValidationReport()
+    referrer_maps: Dict[Tuple[str, str], Dict[int, List]] = {}
     for constraint in constraints:
         report.constraints_checked += 1
         class_names = connectivity_order(
@@ -223,13 +279,11 @@ def validate_database(
         if missing:
             # Classes with no extent cannot produce violating bindings.
             continue
-        for binding in _bindings_for_classes(
-            schema, store, class_names, limit_per_class
-        ):
+        plan = BindingPlan(
+            schema, store, class_names, referrer_maps, limit_per_class
+        )
+        for binding, values in plan.bindings():
             report.bindings_checked += 1
-            values: Mapping[str, Mapping[str, object]] = {
-                name: instance.values for name, instance in binding.items()
-            }
             if not constraint.holds_for(values):
                 report.violations.append(
                     Violation(

@@ -25,15 +25,13 @@ that exist.
 
 from __future__ import annotations
 
-import os
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.horn_clause import SemanticConstraint
 from ..constraints.predicate import ComparisonOperator, Predicate
-from ..constraints.validation import enumerate_bindings
+from ..constraints.validation import BindingPlan, connectivity_order
 from ..engine.instance import ObjectInstance
 from ..engine.storage import ObjectStore
 from ..schema.attribute import DomainType
@@ -100,46 +98,13 @@ class GeneratedDatabase:
         }
 
 
-#: Environment variable disabling the generation replay cache (set to "0").
-DB_CACHE_ENV_VAR = "REPRO_DB_CACHE"
-
-
-@dataclass
-class _CachedGeneration:
-    """Post-enforcement snapshot of one generated database.
-
-    ``rows`` holds ``(class_name, values)`` in per-class extent order —
-    everything needed to rebuild an identical fresh store by plain
-    re-insertion, skipping value synthesis, link creation and the
-    constraint enforcement fixpoint.
-    """
-
-    rows: List[Tuple[str, Dict[str, Any]]]
-    catalog: Dict[str, List[Any]]
-    enforcement_passes: int
-    repaired_bindings: int
-
-
-_GENERATION_CACHE: Dict[Tuple, _CachedGeneration] = {}
-_GENERATION_LOCK = threading.Lock()
-
-
-def _cache_enabled() -> bool:
-    return os.environ.get(DB_CACHE_ENV_VAR, "1") != "0"
-
-
 def clear_generation_cache() -> None:
-    """Drop every cached generation snapshot (tests, memory pressure)."""
-    with _GENERATION_LOCK:
-        _GENERATION_CACHE.clear()
+    """Does nothing: generation keeps no cache.
 
-
-def _copy_values(values: Mapping[str, Any]) -> Dict[str, Any]:
-    """Copy an attribute-value mapping, deep enough for pointer lists."""
-    return {
-        name: list(value) if isinstance(value, list) else value
-        for name, value in values.items()
-    }
+    Kept only because the spine benchmark (``benchmarks/spine/``) still
+    calls it before each cold set-up; it goes when that benchmark drops
+    the call.
+    """
 
 
 def _relationship_cardinalities(schema: Schema, store: ObjectStore) -> Dict[str, int]:
@@ -276,24 +241,23 @@ class DatabaseGenerator:
                 source = rng.choice(sources)
                 target = rng.choice(targets)
                 links.add((source.oid, target.oid))
+            # Linking edits values in place, so the OID maps stay current.
+            source_index = store.oid_index(relationship.source)
+            target_index = store.oid_index(relationship.target)
             for source_oid, target_oid in sorted(links):
                 self._append_link(
-                    store.get(relationship.source, source_oid),
+                    source_index[source_oid],
                     relationship.source_attribute,
                     target_oid,
                 )
                 self._append_link(
-                    store.get(relationship.target, target_oid),
+                    target_index[target_oid],
                     relationship.target_attribute,
                     source_oid,
                 )
 
     @staticmethod
-    def _append_link(
-        instance: Optional[ObjectInstance], attribute: str, oid: int
-    ) -> None:
-        if instance is None:
-            return
+    def _append_link(instance: ObjectInstance, attribute: str, oid: int) -> None:
         current = instance.values.get(attribute)
         if current is None:
             instance.values[attribute] = [oid]
@@ -315,12 +279,22 @@ class DatabaseGenerator:
         constraints repair each other's repairs for ever): such a store
         violates the constraints the optimizer rewrites by, so it is never
         handed out.
+
+        Each constraint's :class:`~repro.constraints.validation.BindingPlan`
+        is built once for every pass, with one ``referrer_map`` per
+        relationship side: repairs write value attributes only, so pointers
+        and extents hold still for the whole fixpoint.
         """
+        referrer_maps: Dict[Tuple[str, str], Dict[int, List]] = {}
+        plans = [
+            self._plan(store, constraint, referrer_maps)
+            for constraint in self.constraints
+        ]
         repaired_total = 0
         for pass_number in range(1, self.max_enforcement_passes + 1):
             repaired = [
-                self._enforce_one(store, constraint)
-                for constraint in self.constraints
+                self._enforce_one(plan, at_leaf, constraint.consequent)
+                for constraint, (plan, at_leaf) in zip(self.constraints, plans)
             ]
             repaired_total += sum(repaired)
             if not any(repaired):
@@ -336,18 +310,49 @@ class DatabaseGenerator:
             f"last pass: {', '.join(unsettled)}"
         )
 
-    def _enforce_one(self, store: ObjectStore, constraint: SemanticConstraint) -> int:
-        class_names = sorted(constraint.referenced_classes())
+    def _plan(
+        self,
+        store: ObjectStore,
+        constraint: SemanticConstraint,
+        referrer_maps: Dict[Tuple[str, str], Dict[int, List]],
+    ) -> Tuple[BindingPlan, Tuple[Predicate, ...]]:
+        """The constraint's binding plan and the antecedents left to its leaves.
+
+        An antecedent prunes the enumeration at the first level where its
+        classes are bound, unless it reads the attribute the consequent's
+        repair writes: a repair inside the pruned subtree could change it,
+        so it is evaluated per binding.  Every other antecedent reads values
+        no repair of this constraint touches, so the bindings repaired (and
+        their order) are those of evaluating everything per binding.
+        """
+        written = constraint.consequent.left
+        prune: List[Predicate] = []
+        at_leaf: List[Predicate] = []
+        for predicate in constraint.antecedents:
+            reads = predicate.referenced_attributes()
+            (at_leaf if written in reads else prune).append(predicate)
+        plan = BindingPlan(
+            self.schema,
+            store,
+            connectivity_order(self.schema, sorted(constraint.referenced_classes())),
+            referrer_maps,
+            prune=prune,
+        )
+        return plan, tuple(at_leaf)
+
+    def _enforce_one(
+        self,
+        plan: BindingPlan,
+        at_leaf: Sequence[Predicate],
+        consequent: Predicate,
+    ) -> int:
         repaired = 0
-        for binding in enumerate_bindings(self.schema, store, class_names):
-            values: Mapping[str, Mapping[str, Any]] = {
-                name: instance.values for name, instance in binding.items()
-            }
-            if not all(p.evaluate(values) for p in constraint.antecedents):
+        for binding, values in plan.bindings():
+            if at_leaf and not all(p.evaluate(values) for p in at_leaf):
                 continue
-            if constraint.consequent.evaluate(values):
+            if consequent.evaluate(values):
                 continue
-            self._repair(binding, constraint.consequent)
+            self._repair(binding, consequent)
             repaired += 1
         return repaired
 
@@ -419,27 +424,15 @@ class DatabaseGenerator:
         sequence, so every shard count yields the same instances.
 
         Generation is deterministic in ``(schema, constraints, seed, spec)``
-        and linear in the data: 0.10 s for DB4, 0.21 s at twice its size,
-        1.9 s at sixteen times, about two thirds of it the
-        constraint-enforcement fixpoint.  Finished databases are kept in a
-        process-wide replay cache: a repeat request re-inserts the cached
-        post-enforcement rows into a *fresh* store, which costs about a
-        seventh of generating them (13 ms for DB4).  That is what the cache
-        is still for — a test suite or an experiment run that asks for the
-        same database hundreds of times; one boot gains nothing from it.
-        Every caller gets an independent store, so mutating a generated
-        database never leaks into later generations.  Set
-        ``REPRO_DB_CACHE=0`` to disable the cache.
+        and linear in the data: about 60 ms for DB4, 0.13 s at twice its
+        size and 1.5 s at sixteen times (2-core host), about a third of it
+        the constraint-enforcement fixpoint.  Every call builds a fresh
+        store, so mutating a generated database never leaks into a later
+        one.
 
         Raises ``ValueError`` when the constraints cannot all be made to
-        hold (see :meth:`_enforce_constraints`); nothing is cached then.
+        hold (see :meth:`_enforce_constraints`).
         """
-        key = self._cache_key(spec)
-        if _cache_enabled():
-            with _GENERATION_LOCK:
-                cached = _GENERATION_CACHE.get(key)
-            if cached is not None:
-                return self._replay(spec, cached, shard_count)
         # Seeding with a string is deterministic (unlike hashing a tuple,
         # which varies with interpreter hash randomization).
         rng = random.Random(f"{self.seed}-{spec.name}")
@@ -452,102 +445,13 @@ class DatabaseGenerator:
         # Repairs bypass ObjectStore.update(), so rebuild index contents by
         # re-inserting the values through the index manager.
         store.rebuild_indexes()
-        catalog = self._build_catalog(store)
-        if _cache_enabled():
-            snapshot = _CachedGeneration(
-                rows=[
-                    (class_name, _copy_values(instance.values))
-                    for class_name in self.schema.class_names()
-                    for instance in store.instances(class_name)
-                ],
-                catalog={name: list(values) for name, values in catalog.items()},
-                enforcement_passes=passes,
-                repaired_bindings=repaired,
-            )
-            with _GENERATION_LOCK:
-                _GENERATION_CACHE[key] = snapshot
         return GeneratedDatabase(
             spec=spec,
             schema=self.schema,
             store=store,
-            value_catalog=catalog,
+            value_catalog=self._build_catalog(store),
             enforcement_passes=passes,
             repaired_bindings=repaired,
-        )
-
-    def _cache_key(self, spec: DatabaseSpec) -> Tuple:
-        """Replay-cache identity: schema + constraints + seed + spec shape.
-
-        The schema fingerprint covers everything generation branches on —
-        attribute domains and pointer/indexed flags (``_values_for``) and
-        the relationship topology (``_create_links``) — so two schemas
-        that merely share class/attribute names never share cached rows.
-        """
-        schema_print = tuple(
-            (
-                cls.name,
-                tuple(
-                    (
-                        attribute.name,
-                        str(attribute.domain),
-                        bool(attribute.is_pointer),
-                        bool(attribute.indexed),
-                    )
-                    for attribute in cls.attributes
-                ),
-            )
-            for cls in self.schema.classes()
-        )
-        relationship_print = tuple(
-            sorted(
-                (
-                    relationship.name,
-                    relationship.source,
-                    relationship.target,
-                    str(relationship.source_attribute),
-                    str(relationship.target_attribute),
-                )
-                for relationship in self.schema.relationships()
-            )
-        )
-        constraint_print = tuple(sorted(str(c) for c in self.constraints))
-        return (
-            schema_print,
-            relationship_print,
-            constraint_print,
-            self.seed,
-            self.max_enforcement_passes,
-            spec.name,
-            spec.class_cardinality,
-            spec.relationship_cardinality,
-        )
-
-    def _replay(
-        self, spec: DatabaseSpec, cached: "_CachedGeneration", shard_count: int
-    ) -> GeneratedDatabase:
-        """Rebuild a fresh store from cached post-enforcement rows.
-
-        Rows are re-inserted in the original per-class extent order, so OID
-        assignment, extent order and index bucket order all match the
-        originally generated store exactly (the original's indexes were
-        rebuilt in extent order after enforcement).  The replay ends with
-        the same index rebuild the original generation ends with, so the
-        version counters, the journal and its floor match too: a store is
-        the same observable object whether the cache hit or missed.
-        """
-        store = ObjectStore(self.schema, shard_count=shard_count)
-        for class_name, values in cached.rows:
-            store.insert(class_name, _copy_values(values))
-        store.rebuild_indexes()
-        return GeneratedDatabase(
-            spec=spec,
-            schema=self.schema,
-            store=store,
-            value_catalog={
-                name: list(values) for name, values in cached.catalog.items()
-            },
-            enforcement_passes=cached.enforcement_passes,
-            repaired_bindings=cached.repaired_bindings,
         )
 
     def generate_all(

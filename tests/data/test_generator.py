@@ -13,7 +13,6 @@ from repro.data import (
     build_evaluation_constraints,
     build_evaluation_schema,
 )
-from repro.data.generator import clear_generation_cache
 
 
 @pytest.fixture(scope="module")
@@ -84,38 +83,6 @@ def test_generation_is_deterministic():
     assert first_values == second_values
 
 
-def test_replay_cache_hit_equals_miss_in_observable_state(monkeypatch):
-    """A store is the same object whether the generation cache hit or missed.
-
-    Regression test: the replay path re-inserted the cached rows but skipped
-    the index rebuild generation ends with, so a hit returned a store two
-    versions behind a miss, with a populated journal and a zero floor —
-    and tests passed or failed depending on which earlier test had primed
-    the cache.
-    """
-    from repro.data import build_evaluation_setup
-
-    monkeypatch.delenv("REPRO_DB_CACHE", raising=False)
-    clear_generation_cache()
-    miss, hit = (
-        build_evaluation_setup(
-            TABLE_4_1_SPECS["DB1"], query_count=6, seed=3, shard_count=2
-        ).store
-        for _ in range(2)
-    )
-
-    def observable(store):
-        return (
-            store.version,
-            store.shard_versions(),
-            store.journal_floor,
-            store.journal_since(store.version - 1),
-            list(store.snapshot_rows()),
-        )
-
-    assert observable(hit) == observable(miss)
-
-
 def test_different_seeds_differ():
     first = DatabaseGenerator(seed=1).generate(TABLE_4_1_SPECS["DB1"])
     second = DatabaseGenerator(seed=2).generate(TABLE_4_1_SPECS["DB1"])
@@ -149,7 +116,7 @@ def test_generate_all_produces_every_spec():
 
 
 def test_contradictory_constraints_are_refused_not_served():
-    """An enforcement that never settles raises; it is not handed out or cached.
+    """An enforcement that never settles raises; it is not handed out.
 
     Regression test: the fixpoint loop fell out after its last pass and
     returned normally, so this pair produced a "consistent" DB1 with 20
@@ -163,11 +130,9 @@ def test_contradictory_constraints_are_refused_not_served():
         )
         for name, desc in (("descA", "A"), ("descB", "B"))
     ]
-    clear_generation_cache()
     generator = DatabaseGenerator(build_evaluation_schema(), contradictory, seed=7)
-    for _ in range(2):  # the second would replay a snapshot, had one been kept
-        with pytest.raises(ValueError, match="did not converge.*descA, descB"):
-            generator.generate(TABLE_4_1_SPECS["DB1"])
+    with pytest.raises(ValueError, match="did not converge.*descA, descB"):
+        generator.generate(TABLE_4_1_SPECS["DB1"])
 
 
 #: The spine's ``execute_scan`` database (``benchmarks/spine/inputs.py``).
@@ -190,7 +155,6 @@ GENERATION_DIGESTS = {
 @pytest.mark.parametrize("shard_count", [1, 2])
 @pytest.mark.parametrize("name", sorted(GENERATION_DIGESTS))
 def test_generated_databases_match_the_recorded_digests(name, shard_count):
-    clear_generation_cache()  # a cold generation, not a replay of one
     generated = DatabaseGenerator(seed=7).generate(
         dict(TABLE_4_1_SPECS, DB4x2=DB4X2)[name], shard_count=shard_count
     )
